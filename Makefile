@@ -1,9 +1,14 @@
 PYTHON ?= python
 
-.PHONY: test lint bench-smoke sched-sweep rack-smoke bench bench-compare profile trace-smoke dashboard determinism ci experiments flow flow-smoke flow-report flow-dashboard
+.PHONY: test perfbench-test lint bench-smoke sched-sweep rack-smoke bench bench-compare profile trace-smoke dashboard determinism ci experiments flow flow-smoke flow-report flow-dashboard
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# The benchmark's own tests: they import the entry points perfbench/run.py
+# drives, so a src/ change that breaks one fails here first.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Prefer ruff (configured in pyproject.toml); fall back to the
 # dependency-free subset linter when ruff is not installed.
@@ -64,17 +69,17 @@ determinism:
 
 # Mirror of the GitHub workflow job list (.github/workflows/ci.yml) so
 # local and hosted CI agree:
-#   lint -> lint, test -> test (the sched-conformance matrix re-runs a
-#   subset of it), bench-smoke -> bench-smoke, sched-sweep -> sched-sweep,
-#   rack-smoke -> rack, determinism -> determinism, trace-smoke +
-#   bench-compare -> path-trace, flow-smoke -> experiments-dag.
-ci: lint test bench-smoke sched-sweep rack-smoke determinism trace-smoke bench-compare flow-smoke
+#   lint -> lint, test + perfbench-test -> test (the sched-conformance
+#   matrix re-runs a subset of it), bench-smoke -> bench-smoke,
+#   sched-sweep -> sched-sweep, rack-smoke -> rack, determinism ->
+#   determinism, trace-smoke + bench-compare -> path-trace, flow-smoke ->
+#   experiments-dag.
+ci: lint test perfbench-test bench-smoke sched-sweep rack-smoke determinism trace-smoke bench-compare flow-smoke
 
 # The full paper reproduction (long; resumable DAG, parallel + cached).
-experiments:
-	PYTHONPATH=src $(PYTHON) scripts/run_all_experiments.py
+experiments: flow
 
-# The experiment DAG, full parameters (same outputs as `make experiments`).
+# The experiment DAG, full parameters.
 flow:
 	PYTHONPATH=src $(PYTHON) -m repro flow run --print-report
 

@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""CI determinism guard: serial, parallel, wheel, and timeline runs must agree.
+"""CI determinism guard: serial, parallel, and timeline runs must agree.
 
-Runs one fixed-seed Fig.-4 point set four ways — serially, with
-``--jobs 2``, serially under the timing-wheel event-queue backend
-(``REPRO_QUEUE_BACKEND=wheel``), and serially with windowed telemetry +
-invariant watchdog enabled (``REPRO_TIMELINE=1``) — serializes each
-result list to canonical JSON, and fails (exit 1) if any pair differs by
-a single byte.  This is the executable form of three contracts: worker
-scheduling must never influence results (``repro.parallel.sweep``), both
-event-queue backends must produce the exact same firing order
-(``repro.sim.wheel``), and the timeline sampler is an observer whose
-boundary events never perturb simulated metrics (``repro.obs.timeline``).
+Runs one fixed-seed Fig.-4 point set three ways — serially, with
+``--jobs 2``, and serially with windowed telemetry + invariant watchdog
+enabled (``REPRO_TIMELINE=1``) — serializes each result list to canonical
+JSON, and fails (exit 1) if any pair differs by a single byte.  This is
+the executable form of two contracts: worker scheduling must never
+influence results (``repro.parallel.sweep``), and the timeline sampler is
+an observer whose boundary events never perturb simulated metrics
+(``repro.obs.timeline``).
 
 A **sharded leg** extends the guard to the rack (``repro.cluster``): the
 same fixed-seed rack scenario at 1, 2 and 4 shards must produce
@@ -66,18 +64,6 @@ def main() -> int:
     if serial != parallel:
         _diff("serial", serial, "parallel", parallel)
         return 1
-    prev_backend = os.environ.get("REPRO_QUEUE_BACKEND")
-    os.environ["REPRO_QUEUE_BACKEND"] = "wheel"
-    try:
-        wheel = _canonical_json(run_fig4("udp", jobs=1, **kwargs))
-    finally:
-        if prev_backend is None:
-            del os.environ["REPRO_QUEUE_BACKEND"]
-        else:
-            os.environ["REPRO_QUEUE_BACKEND"] = prev_backend
-    if serial != wheel:
-        _diff("heap", serial, "wheel", wheel)
-        return 1
     prev_timeline = os.environ.get("REPRO_TIMELINE")
     os.environ["REPRO_TIMELINE"] = "1"
     try:
@@ -91,8 +77,7 @@ def main() -> int:
         _diff("plain", serial, "timeline", timeline)
         return 1
     print(f"determinism guard OK: fig4 udp seed={SEED} quotas={QUOTAS} "
-          "identical under jobs=1, jobs=2, the wheel queue backend, "
-          "and with the timeline sampler enabled")
+          "identical under jobs=1, jobs=2, and with the timeline sampler enabled")
 
     # Sharded leg: the rack's simulated block is layout-invariant.
     from repro.cluster import (

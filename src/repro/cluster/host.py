@@ -29,7 +29,7 @@ from repro.hw.machine import Machine
 from repro.hw.nic import Nic
 from repro.kvm.hypervisor import Kvm
 from repro.net.bridge import HostBridge
-from repro.net.packet import ETHERNET_OVERHEAD, PacketPool, UDP_HEADER
+from repro.net.packet import ETHERNET_OVERHEAD, Packet, UDP_HEADER
 from repro.sim.simulator import Simulator
 from repro.sim.stats import Histogram
 from repro.units import us
@@ -168,7 +168,6 @@ class RackClientHost:
             sim, self.nic, fabric, name,
             rate_gbps=spec.link_gbps, propagation_ns=spec.propagation_ns,
         )
-        self.pool = PacketPool()
         self.latency = Histogram()
         self.completed = 0
         self.unroutable = 0
@@ -211,7 +210,7 @@ class RackClientHost:
         ctx = (sp.new_context(self.sim.now, self.spec.application,
                               flow=flow_id, host=self.name)
                if sp is not None else None)
-        pkt = self.pool.acquire(
+        pkt = Packet(
             flow_id,
             "req",
             payload_wire + UDP_HEADER + ETHERNET_OVERHEAD,
@@ -231,7 +230,6 @@ class RackClientHost:
         conn, final = packet.meta
         created = packet.created
         ctx = packet.ctx
-        self.pool.release(packet)
         if not final:
             return
         if ctx is not None:

@@ -25,7 +25,7 @@ DEFAULT_QUOTAS = (64, 32, 16, 8, 4, 2)
 
 #: Reduced-mode overrides for the DAG runner (``repro flow run --mode
 #: reduced``): trimmed quota grid + short windows.  Full mode uses the
-#: same parameters as ``scripts/run_all_experiments.py``.
+#: paper defaults (``python -m repro flow run``).
 FLOW_REDUCED = dict(quotas=(16, 4), warmup_ns=20 * MS, measure_ns=60 * MS)
 
 

@@ -201,7 +201,7 @@ class Testbed:
         * hybrid TX handlers: current service mode (``1`` = polling) and
           per-window notification/polling residency fractions;
         * per-VM ES2 tracker online/offline list lengths;
-        * event-queue depth and event-pool occupancy.
+        * event-queue depth.
 
         The watchdog additionally gets every vhost-backed device's rings
         and conservation counters, and each hybrid handler's residency
@@ -219,7 +219,6 @@ class Testbed:
             tl.add_gauge(f"host.runqueue.core{i}",
                          lambda i=i: machine.runqueue_depths()[i])
         tl.add_gauge("sim.event_queue", lambda: len(sim.queue))
-        tl.add_gauge("sim.event_pool", sim.queue.free_list_size)
         if self.adaptive is not None:
             alloc = self.adaptive
             tl.add_gauge("sched.adaptive.backend_cores",

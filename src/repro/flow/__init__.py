@@ -1,7 +1,7 @@
 """DAG-driven experiment orchestration with resumable state.
 
-The flat ``scripts/run_all_experiments.py`` fan-out became a dependency-
-aware task graph (cylc-flow is the architectural reference): experiments,
+The flat run-every-experiment script became a dependency-aware task
+graph (cylc-flow is the architectural reference): experiments,
 figure renders, the bench report and the dashboard are :class:`Task`
 nodes; a scheduler walks them in topological order, fans independent
 tasks over :mod:`repro.parallel`'s process pool, and persists per-task

@@ -5,10 +5,10 @@ This module is the single declaration of *what the full reproduction is*:
 * ``calibrate`` — a cheap sanity run every sweep depends on; it fails fast
   (before hours of sweeping) if the simulator's basic readouts are off.
 * one **sweep task per experiment** (``table1``, ``fig4-udp``, … ,
-  ``schedsweep``), parameterized exactly like the flat
-  ``scripts/run_all_experiments.py`` in ``full`` mode, and with each
-  experiment module's ``FLOW_REDUCED`` overrides in ``reduced`` mode
-  (short windows + trimmed grids — what CI runs end-to-end);
+  ``schedsweep``), with the paper-reproduction parameters in ``full``
+  mode and each experiment module's ``FLOW_REDUCED`` overrides in
+  ``reduced`` mode (short windows + trimmed grids — what CI runs
+  end-to-end);
 * one **render task per sweep** producing the paper-style text table;
 * the **bench report** (``bench``), with ``bench-compare`` (regression
   gate vs the checked-in baseline) and ``dashboard`` (self-contained
@@ -34,7 +34,7 @@ __all__ = ["MODES", "build_graph", "task_names"]
 
 MODES = ("full", "reduced")
 
-#: Flat-script windows (scripts/run_all_experiments.py history).
+#: Full-mode windows (the paper-reproduction defaults).
 _WARMUP = 200 * MS
 _MEASURE = 500 * MS
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional
 
 __all__ = [
     "Packet",
-    "PacketPool",
     "ETHERNET_OVERHEAD",
     "TCP_HEADER",
     "UDP_HEADER",
@@ -43,7 +42,7 @@ class Packet:
     """
 
     __slots__ = ("pid", "flow", "kind", "size", "dst", "seq", "acked", "created",
-                 "meta", "ctx", "_pooled")
+                 "meta", "ctx")
 
     def __init__(
         self,
@@ -67,85 +66,6 @@ class Packet:
         self.created = created
         self.meta = meta
         self.ctx = ctx
-        self._pooled = False
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Packet #{self.pid} {self.flow}/{self.kind} {self.size}B -> {self.dst}>"
-
-
-#: Upper bound on free packets retained per flow (bursts beyond this allocate).
-_POOL_CAP_PER_FLOW = 64
-
-
-class PacketPool:
-    """Free-list of :class:`Packet` objects, keyed by flow id.
-
-    The request/response workloads (RPC, ping) create and destroy one
-    packet per direction per operation; the pool lets each end of a flow
-    reuse the packet that just finished its life in the opposite direction.
-
-    Lifecycle contract:
-
-    * :meth:`release` may only be called at a packet's *end of life* — once
-      no ring, link event, or trace consumer will read it again.  Read any
-      fields you still need (``created``, ``meta``, ``ctx`` ...) **before**
-      releasing: release clears the reference-carrying fields and a later
-      :meth:`acquire` rewrites everything, including a fresh ``pid``.
-    * Double release raises — a packet sitting in the free list handed out
-      twice would alias two live packets.
-    * :meth:`acquire` draws a fresh packet id from the same global counter
-      as ``Packet()``, so pooling never changes pid assignment order (and
-      therefore no observable output) at a fixed seed.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: Dict[str, List[Packet]] = {}
-
-    def acquire(
-        self,
-        flow: str,
-        kind: str,
-        size: int,
-        dst: str,
-        seq: int = 0,
-        acked: int = 0,
-        created: int = 0,
-        meta: Optional[Any] = None,
-        ctx: Optional[int] = None,
-    ) -> Packet:
-        """A packet with the given fields: reused from the flow's free list
-        when possible, freshly allocated otherwise."""
-        free = self._free.get(flow)
-        if not free:
-            return Packet(flow, kind, size, dst, seq=seq, acked=acked,
-                          created=created, meta=meta, ctx=ctx)
-        pkt = free.pop()
-        pkt.pid = next(_pkt_ids)
-        pkt.flow = flow
-        pkt.kind = kind
-        pkt.size = size
-        pkt.dst = dst
-        pkt.seq = seq
-        pkt.acked = acked
-        pkt.created = created
-        pkt.meta = meta
-        pkt.ctx = ctx
-        pkt._pooled = False
-        return pkt
-
-    def occupancy(self) -> int:
-        """Total free packets currently pooled (observability gauge)."""
-        return sum(len(free) for free in self._free.values())
-
-    def release(self, pkt: Packet) -> None:
-        """Return a dead packet to its flow's free list."""
-        if pkt._pooled:
-            raise ValueError(f"double release of {pkt!r}")
-        pkt._pooled = True
-        pkt.meta = None
-        pkt.ctx = None
-        free = self._free.setdefault(pkt.flow, [])
-        if len(free) < _POOL_CAP_PER_FLOW:
-            free.append(pkt)

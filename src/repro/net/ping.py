@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, TYPE_CHECKING
 
 from repro.guest.ops import GWork
-from repro.net.packet import PacketPool
+from repro.net.packet import Packet
 from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,20 +36,15 @@ class GuestPingResponder:
         self.src = src
         self.echoes = 0
         self.replies_dropped = 0
-        self.pool = PacketPool()
         netstack.register_flow(flow_id, self)
 
     def guest_rx_ops(self, packet, context):
         """NAPI-context guest ops for one received packet."""
         yield GWork(_ICMP_NS)
         self.echoes += 1
-        # The echo request dies here: read what the reply inherits, then
-        # recycle its object — it usually *becomes* the reply.
-        seq, created, ctx = packet.seq, packet.created, packet.ctx
-        self.pool.release(packet)
-        reply = self.pool.acquire(
-            self.flow_id, "pong", _PING_SIZE, dst=self.src, seq=seq,
-            created=created, ctx=ctx,
+        reply = Packet(
+            self.flow_id, "pong", _PING_SIZE, dst=self.src, seq=packet.seq,
+            created=packet.created, ctx=packet.ctx,
         )
         ok = yield from self.netstack.xmit_nonblocking_ops(reply, _ICMP_NS)
         if not ok:
@@ -59,7 +54,6 @@ class GuestPingResponder:
                 sp = sim.obs.spans
                 if sp is not None:
                     sp.drop(sim.now, reply.ctx, "tx_ring_full", flow=self.flow_id)
-            self.pool.release(reply)
 
 
 class Pinger:
@@ -82,7 +76,6 @@ class Pinger:
         self.sent = 0
         self._running = False
         self._rng = host.sim.rng.stream(f"ping:{flow_id}")
-        self.pool = PacketPool()
         host.register_flow(flow_id, self._on_packet)
 
     def start(self) -> None:
@@ -107,7 +100,7 @@ class Pinger:
         sp = sim.obs.spans
         if sp is not None:
             ctx = sp.new_context(sim.now, "ping", flow=self.flow_id, seq=self.sent)
-        pkt = self.pool.acquire(
+        pkt = Packet(
             self.flow_id,
             "ping",
             _PING_SIZE,
@@ -124,8 +117,6 @@ class Pinger:
         if packet.kind != "pong":
             return
         self.rtts_ns.append(self.host.sim.now - packet.created)
-        # The pong dies here; its object seeds the next echo request.
-        self.pool.release(packet)
 
     # ------------------------------------------------------------ reporting
     def rtt_ms_series(self) -> List[float]:

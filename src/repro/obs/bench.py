@@ -559,7 +559,7 @@ def format_profile(report: Dict[str, Any]) -> str:
 
 
 def main(argv=None) -> int:
-    """Entry point shared by ``repro bench`` and ``scripts/bench_report.py``."""
+    """Entry point of ``python -m repro bench``."""
     import argparse
 
     parser = argparse.ArgumentParser(

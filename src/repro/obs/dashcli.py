@@ -25,7 +25,7 @@ __all__ = ["main"]
 
 
 def main(argv=None) -> int:
-    """Entry point shared by ``repro dashboard`` and ``scripts/dashboard.py``."""
+    """Entry point of ``python -m repro dashboard``."""
     from repro.obs.bench import (
         BENCH_SCHEMA_VERSION,
         DEFAULT_LATENCY_NS,

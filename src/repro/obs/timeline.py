@@ -14,7 +14,7 @@ groups), not a full-registry walk), and derives
   packets tx/rx per second, ... — whatever the sampled groups carry);
 * **gauges** — instantaneous values read at the window boundary
   (per-vCPU runqueue depth, virtio ring occupancy, tracker list lengths,
-  event-queue depth, pool occupancy);
+  event-queue depth);
 * **residency fractions** — per-window deltas of cumulative-time sources
   (the hybrid handler's notification/polling residency), normalised by
   the window length so fractions sum to 1.

@@ -1,12 +1,13 @@
 """The structured trace bus: ring-buffered records with category filters.
 
-The bus is the successor of :class:`repro.sim.trace.TraceRecorder`: the
-same ``record(t, kind, **fields)`` call sites feed it (the ``enabled``
-flag keeps the disabled path at one attribute check), but records are
-typed :class:`TraceEvent` tuples, storage is a bounded ring (old records
-are evicted, never a hard stop), and filtering can select whole event
-*categories* — the subsystems the paper's argument is made of — instead
-of enumerating kinds:
+The bus is the simulator's only recording tracer (the default,
+:class:`repro.sim.trace.NullTracer`, records nothing).  Every
+``record(t, kind, **fields)`` call site feeds it (the ``enabled`` flag
+keeps the disabled path at one attribute check); records are typed
+:class:`TraceEvent` tuples, storage is a bounded ring (old records are
+evicted, never a hard stop), and filtering can select whole event
+*categories* — the subsystems the paper's argument is made of — or
+individual kinds:
 
 ========== =====================================================
 category   kinds
@@ -120,7 +121,7 @@ class TraceBus:
 
     # -------------------------------------------------------------- recording
     def record(self, t: int, kind: str, **fields: Any) -> None:
-        """Append one record (same signature as the legacy recorder)."""
+        """Append one record."""
         if self.kinds is not None and kind not in self.kinds:
             self.filtered += 1
             return

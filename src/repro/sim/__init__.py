@@ -2,31 +2,29 @@
 
 A small, deterministic DES core: an event heap keyed by (time, sequence),
 cancellable events, a simulator clock in integer nanoseconds, named seeded
-RNG streams, online statistics, and an optional structured trace recorder.
+RNG streams, online statistics, and a no-op default tracer (install a
+:class:`repro.obs.TraceBus` to record).
 """
 
 from repro.sim.event import Event, EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.wheel import TimingWheelQueue
 from repro.sim.stats import (
     Histogram,
     IntervalRate,
     RunningStat,
     TimeWeightedMean,
 )
-from repro.sim.trace import NullTracer, TraceRecorder
+from repro.sim.trace import NullTracer
 
 __all__ = [
     "Event",
     "EventQueue",
-    "TimingWheelQueue",
     "Simulator",
     "RngRegistry",
     "RunningStat",
     "Histogram",
     "TimeWeightedMean",
     "IntervalRate",
-    "TraceRecorder",
     "NullTracer",
 ]

@@ -10,32 +10,20 @@ segment-completion events on every preemption and interrupt poke).
 Hot-path layout
 ---------------
 The heap stores ``(time, seq, event)`` tuples rather than bare events, so
-``heapq`` sifts compare plain ints and never call back into Python-level
-``Event.__lt__`` (``seq`` is unique, so the tie-break never reaches the
-event itself).  ``call_soon``-style events go through a FIFO side lane
+``heapq`` sifts compare plain ints (``seq`` is unique, so the tie-break
+never reaches the event itself, which defines no ordering).
+``call_soon``-style events go through a FIFO side lane
 (:meth:`EventQueue.push_soon`) that skips the heap entirely: the simulator
 clock never moves backwards, so those events are already in ``(time, seq)``
 order and a deque append/popleft replaces two O(log n) heap operations.
-``pop``/``peek_time`` merge the two lanes by comparing their heads, which
-preserves the exact global firing order of a single heap.
+``pop_until`` (and ``pop``, which is ``pop_until`` without a limit) merges
+the two lanes by comparing their heads, which preserves the exact global
+firing order of a single heap.
 
 Cancelled events are dropped lazily from the top, and additionally pruned
 in batches: once enough dead entries accumulate relative to the structure
 size, the heap is rebuilt without them so sift costs do not grow with the
 cancellation backlog.
-
-Object pooling
---------------
-Fired events can be returned to a per-queue free list (:meth:`EventQueue.
-recycle`) and reused by later pushes, which removes one allocation per
-event on the run-loop hot path.  Reuse resets every field — time, seq,
-callback, and the ``cancelled``/``fired`` flags — so a recycled event is
-indistinguishable from a fresh one (``repr`` included).  Recycling is only
-legal when the caller holds the *sole* reference: the simulator run loop
-checks ``sys.getrefcount`` before recycling, so any event handle kept by
-user code (for ``cancel()``, assertions, ...) keeps its object untouched.
-Cancelled events are never recycled — their handles outlive the queue's
-interest in them by design.
 """
 
 from __future__ import annotations
@@ -52,10 +40,8 @@ __all__ = ["Event", "EventQueue"]
 #: are cheap to skip lazily) and only when dead entries dominate the heap.
 _PRUNE_THRESHOLD = 64
 
-#: Upper bound on the recycled-Event free list per queue.  The steady-state
-#: working set is tiny (one in-flight event per core/timer source); the cap
-#: only matters after a burst, where unbounded growth would pin memory.
-_FREE_LIST_CAP = 512
+#: ``pop_until`` limit that lets every pending event through (``pop``).
+_NO_LIMIT = float("inf")
 
 
 class Event:
@@ -86,13 +72,6 @@ class Event:
         self._cancelled = False
         self._fired = False
         self._queue = queue
-
-    # Heap ordering (kept for API compatibility; the queue itself compares
-    # (time, seq) tuples and never calls this). --------------------------
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     # State ---------------------------------------------------------------
     @property
@@ -131,7 +110,7 @@ class Event:
 class EventQueue:
     """Priority queue of :class:`Event` with lazy cancellation."""
 
-    __slots__ = ("_heap", "_fifo", "_seq", "_live", "_dead", "_free")
+    __slots__ = ("_heap", "_fifo", "_seq", "_live", "_dead")
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Event]] = []
@@ -139,36 +118,16 @@ class EventQueue:
         self._seq = 0
         self._live = 0
         self._dead = 0
-        self._free: List[Event] = []
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled, unfired) events."""
         return self._live
 
-    def free_list_size(self) -> int:
-        """Recycled events currently pooled for reuse (observability gauge)."""
-        return len(self._free)
-
-    def _obtain(self, time: int, seq: int, fn: Callable[..., Any], args: tuple) -> Event:
-        """A fresh-looking event: from the free list if possible, else new."""
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev._cancelled = False
-            ev._fired = False
-            ev._queue = self
-            return ev
-        return Event(time, seq, fn, args, self)
-
     def push(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``time`` and return the event."""
         seq = self._seq
         self._seq = seq + 1
-        ev = self._obtain(time, seq, fn, args)
+        ev = Event(time, seq, fn, args, self)
         heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
@@ -182,28 +141,10 @@ class EventQueue:
         """
         seq = self._seq
         self._seq = seq + 1
-        ev = self._obtain(time, seq, fn, args)
+        ev = Event(time, seq, fn, args, self)
         self._fifo.append(ev)
         self._live += 1
         return ev
-
-    def recycle(self, ev: Event) -> None:
-        """Return a *fired* event to the free list for reuse by a later push.
-
-        The caller must hold the only remaining reference (the run loop
-        verifies this with ``sys.getrefcount``): a recycled event's identity
-        is handed to a future push, so an external holder would observe its
-        handle mutating into an unrelated event.  Idempotent — an event that
-        was already recycled (``_queue`` cleared) or never fired is ignored.
-        """
-        if not ev._fired or ev._queue is None:
-            return
-        ev._queue = None
-        ev.fn = None  # type: ignore[assignment]  # drop callback/arg refs eagerly
-        ev.args = ()
-        free = self._free
-        if len(free) < _FREE_LIST_CAP:
-            free.append(ev)
 
     # ---------------------------------------------------------- bookkeeping
     def _note_cancelled(self, ev: Event) -> None:
@@ -213,14 +154,6 @@ class EventQueue:
         self._dead += 1
         if self._dead > _PRUNE_THRESHOLD and self._dead * 2 > len(self._heap) + len(self._fifo):
             self._prune()
-
-    def note_cancelled(self) -> None:
-        """Deprecated bookkeeping hook, kept as a no-op for compatibility.
-
-        :meth:`Event.cancel` now updates the live count itself, so both the
-        ``Simulator.cancel`` path and direct ``event.cancel()`` calls stay
-        consistent without a separate caller-side notification.
-        """
 
     def _prune(self) -> None:
         """Batched removal of cancelled entries (keeps sift costs bounded)."""
@@ -251,28 +184,13 @@ class EventQueue:
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or None if empty."""
-        self._drop_dead()
-        heap, fifo = self._heap, self._fifo
-        if heap:
-            head = heap[0]
-            if fifo and (fifo[0].time < head[0]
-                         or (fifo[0].time == head[0] and fifo[0].seq < head[1])):
-                ev = fifo.popleft()
-            else:
-                ev = heappop(heap)[2]
-        elif fifo:
-            ev = fifo.popleft()
-        else:
-            return None
-        ev._fired = True
-        self._live -= 1
-        return ev
+        return self.pop_until(_NO_LIMIT)
 
-    def pop_until(self, limit: int) -> Optional[Event]:
+    def pop_until(self, limit: float) -> Optional[Event]:
         """Pop the next live event if its time is ``<= limit``, else None.
 
-        Fuses ``peek_time`` and ``pop`` for the run loop, so the dead-entry
-        skip and the two-lane head comparison happen once per event.
+        Fuses the peek and the pop for the run loop, so the dead-entry skip
+        and the two-lane head comparison happen once per event.
         """
         heap, fifo = self._heap, self._fifo
         while heap and heap[0][2]._cancelled:
@@ -301,16 +219,6 @@ class EventQueue:
         ev._fired = True
         self._live -= 1
         return ev
-
-    def _drop_dead(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heappop(heap)
-            self._dead -= 1
-        fifo = self._fifo
-        while fifo and fifo[0]._cancelled:
-            fifo.popleft()
-            self._dead -= 1
 
     def clear(self) -> None:
         """Drop every pending event."""

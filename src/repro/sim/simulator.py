@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from sys import getrefcount
 from time import perf_counter_ns
 from typing import Any, Callable, Iterable, Optional
 
@@ -18,7 +16,7 @@ from repro.obs import (
 )
 from repro.sim.event import Event, EventQueue
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import NullTracer, TraceRecorder
+from repro.sim.trace import NullTracer
 
 __all__ = ["Simulator", "CrossShardIngress"]
 
@@ -60,20 +58,6 @@ class CrossShardIngress:
         return self.sim.at(stamp, fn, *args)
 
 
-def _sole_refcount() -> int:
-    """Refcount observed for an object whose only reference is one local.
-
-    Calibrated at import time instead of hard-coding 2, so the run loop's
-    recycle guard stays correct if the interpreter changes how locals and
-    call arguments contribute to ``sys.getrefcount``.
-    """
-    probe = object()
-    return getrefcount(probe)
-
-
-_SOLE_REF = _sole_refcount()
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -82,40 +66,16 @@ class Simulator:
     seed:
         Master seed for all named RNG streams (see :class:`RngRegistry`).
     trace:
-        Optional :class:`TraceRecorder`; defaults to a no-op tracer.
-    queue_backend:
-        Pending-event queue implementation: ``"heap"`` (default) for
-        :class:`~repro.sim.event.EventQueue`, ``"wheel"`` for the
-        hierarchical timing wheel (:mod:`repro.sim.wheel`).  Defaults to
-        the ``REPRO_QUEUE_BACKEND`` environment variable when unset, so
-        whole experiment sweeps can be switched without code changes.
-        Both backends produce byte-identical results at a fixed seed.
+        Optional :class:`~repro.obs.TraceBus`; defaults to a no-op tracer.
 
     The clock is integer nanoseconds, starting at 0.  Events scheduled for
     the same instant fire in scheduling order, which makes runs reproducible
     from ``(code, seed)`` alone.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace: Optional[TraceRecorder] = None,
-        queue_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, trace: Optional[TraceBus] = None) -> None:
         self.now: int = 0
-        if queue_backend is None:
-            queue_backend = os.environ.get("REPRO_QUEUE_BACKEND") or "heap"
-        if queue_backend == "heap":
-            self.queue = EventQueue()
-        elif queue_backend == "wheel":
-            from repro.sim.wheel import TimingWheelQueue
-
-            self.queue = TimingWheelQueue()
-        else:
-            raise SimulationError(
-                f"unknown queue backend {queue_backend!r} (expected 'heap' or 'wheel')"
-            )
-        self.queue_backend = queue_backend
+        self.queue = EventQueue()
         #: pre-bound queue peek, called once per fusion attempt (the queue
         #: object never changes after construction)
         self._peek_time = self.queue.peek_time
@@ -125,7 +85,6 @@ class Simulator:
         #: barrier-time entry point for remotely-stamped events (repro.cluster)
         self.ingress = CrossShardIngress(self)
         self._profiler: Optional[EventProfiler] = None
-        self._running = False
         self._events_fired = 0
         self._events_inlined = 0
         self._fuse_limit: Optional[int] = None
@@ -295,8 +254,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when no events remain."""
-        queue = self.queue
-        ev = queue.pop()
+        ev = self.queue.pop()
         if ev is None:
             return False
         if ev.time < self.now:
@@ -310,8 +268,6 @@ class Simulator:
             t0 = perf_counter_ns()
             ev.fn(*ev.args)
             prof.record(ev.fn, perf_counter_ns() - t0, self.now)
-        if getrefcount(ev) == _SOLE_REF:
-            queue.recycle(ev)
         return True
 
     def run_until(self, time: int) -> None:
@@ -321,10 +277,7 @@ class Simulator:
         """
         if time < self.now:
             raise SimulationError(f"run_until({time}) is in the past (now={self.now})")
-        self._running = True
-        queue = self.queue
-        pop_until = queue.pop_until
-        recycle = queue.recycle
+        pop_until = self.queue.pop_until
         prof = self._profiler
         prev_limit = self._fuse_limit
         self._fuse_limit = time
@@ -338,10 +291,6 @@ class Simulator:
                     self.now = ev.time
                     fired += 1
                     ev.fn(*ev.args)
-                    # Recycle only when the loop holds the sole reference:
-                    # any externally kept handle pins the object.
-                    if getrefcount(ev) == _SOLE_REF:
-                        recycle(ev)
             else:
                 while True:
                     ev = pop_until(time)
@@ -352,12 +301,9 @@ class Simulator:
                     t0 = perf_counter_ns()
                     ev.fn(*ev.args)
                     prof.record(ev.fn, perf_counter_ns() - t0, self.now)
-                    if getrefcount(ev) == _SOLE_REF:
-                        recycle(ev)
         finally:
             self._events_fired += fired
             self._fuse_limit = prev_limit
-            self._running = False
         self.now = max(self.now, time)
 
     def run_for(self, duration: int) -> None:
@@ -366,13 +312,9 @@ class Simulator:
 
     def run_until_empty(self, max_events: int = 10_000_000) -> None:
         """Drain the event queue (bounded by ``max_events`` as a safety net)."""
-        self._running = True
-        try:
-            for _ in range(max_events):
-                if not self.step():
-                    return
-        finally:
-            self._running = False
+        for _ in range(max_events):
+            if not self.step():
+                return
         # The budget may be spent by exactly the event that drained the
         # queue; only an actually non-empty queue is a runaway simulation.
         if len(self.queue):

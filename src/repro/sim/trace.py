@@ -1,22 +1,18 @@
-"""Structured trace recording.
+"""The default tracer: records nothing.
 
 Tracing is off by default (the :class:`NullTracer` costs one attribute check
 per potential record).  Tests and debugging sessions install a
-:class:`TraceRecorder`, optionally filtered by event kind, and assert on the
-recorded sequence — e.g. that a posted interrupt never produced a VM exit.
-
-For long runs and category-level filtering, prefer the ring-buffered
-:class:`repro.obs.TraceBus` (``sim.trace_bus(categories=["exit"])``): the
-same ``record`` protocol, bounded memory, and per-subsystem categories.
-This module keeps the unbounded append-only recorder because tests assert
-on *complete* sequences.
+:class:`repro.obs.TraceBus` instead (``Simulator(trace=TraceBus(...))`` or
+``sim.trace_bus(categories=["exit"])``), filter it by kind or category, and
+assert on the recorded sequence — e.g. that a posted interrupt never
+produced a VM exit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any
 
-__all__ = ["TraceRecorder", "NullTracer"]
+__all__ = ["NullTracer"]
 
 
 class NullTracer:
@@ -30,40 +26,3 @@ class NullTracer:
 
     def __len__(self) -> int:
         return 0
-
-
-class TraceRecorder:
-    """Append-only list of ``(time, kind, fields)`` records."""
-
-    enabled = True
-
-    def __init__(self, kinds: Optional[Iterable[str]] = None, capacity: int = 1_000_000):
-        self.kinds = frozenset(kinds) if kinds is not None else None
-        self.capacity = capacity
-        self.records: List[Tuple[int, str, Dict[str, Any]]] = []
-        self.dropped = 0
-
-    def record(self, t: int, kind: str, **fields: Any) -> None:
-        """Append one record."""
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        if len(self.records) >= self.capacity:
-            self.dropped += 1
-            return
-        self.records.append((t, kind, fields))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def of_kind(self, kind: str) -> List[Tuple[int, Dict[str, Any]]]:
-        """All records of one kind as ``(time, fields)`` pairs."""
-        return [(t, f) for (t, k, f) in self.records if k == kind]
-
-    def kinds_seen(self):
-        """Sorted set of record kinds captured so far."""
-        return sorted({k for (_, k, _) in self.records})
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self.records.clear()
-        self.dropped = 0

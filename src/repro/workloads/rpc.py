@@ -22,7 +22,7 @@ from typing import Callable, Deque, List, Optional, TYPE_CHECKING
 from repro.errors import WorkloadError
 from repro.guest.ops import GWork
 from repro.guest.tasks import GuestTask, TaskBlock
-from repro.net.packet import ETHERNET_OVERHEAD, MSS, TCP_HEADER, PacketPool
+from repro.net.packet import ETHERNET_OVERHEAD, MSS, TCP_HEADER, Packet
 from repro.sim.stats import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,9 +67,6 @@ class ServerWorkerTask(GuestTask):
         self.reply_to = reply_to
         self.queue: Deque[Request] = deque()
         self.served = 0
-        #: shared with the flows that feed this worker: request packets are
-        #: released here and reused for the responses we transmit
-        self.pool = PacketPool()
 
     def enqueue(self, request: Request, waker_context=None) -> None:
         """Queue a request and wake the worker task."""
@@ -98,7 +95,7 @@ class ServerWorkerTask(GuestTask):
                 wire = chunk + TCP_HEADER + ETHERNET_OVERHEAD
                 tx_cost = cost.guest_tcp_tx_ns + int(cost.guest_tx_per_byte_ns * wire)
                 final = remaining == 0
-                pkt = self.pool.acquire(
+                pkt = Packet(
                     req.flow_id,
                     "resp",
                     wire,
@@ -151,9 +148,6 @@ class GuestServiceFlow:
             reply_to=self.reply_to,
             ctx=packet.ctx,
         )
-        # The request packet dies here; its object is reused by the worker
-        # for a response on this flow.
-        self.worker.pool.release(packet)
         self.worker.enqueue_from(context, request)
 
 
@@ -185,7 +179,6 @@ class ClosedLoopClient:
         self.completed = 0
         self.latency = Histogram()
         self._rng = testbed.sim.rng.stream(f"client:{guest_addr}")
-        self.pool = PacketPool()
         self._next_conn = 0
         self._pending_resp_bytes = {}
         self._mark_ops = 0
@@ -203,7 +196,7 @@ class ClosedLoopClient:
         kind, wire_size, service_ns, response_bytes = self.request_factory(self._rng)
         conn = self._next_conn
         self._next_conn += 1
-        pkt = self.pool.acquire(
+        pkt = Packet(
             flow_id,
             kind,
             wire_size,
@@ -217,8 +210,6 @@ class ClosedLoopClient:
     def _on_response(self, packet) -> None:
         conn, final = packet.meta
         flow, created = packet.flow, packet.created
-        # Every response segment dies here; recycled for the next request.
-        self.pool.release(packet)
         if not final:
             return
         self.completed += 1

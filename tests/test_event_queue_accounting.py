@@ -7,9 +7,6 @@ prune of cancelled entries must never change the observable pop order.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.sim.event import EventQueue, _PRUNE_THRESHOLD
 from repro.sim.simulator import Simulator
 
@@ -19,7 +16,7 @@ class TestDirectCancelAccounting:
         q = EventQueue()
         evs = [q.push(i, lambda: None) for i in range(4)]
         assert len(q) == 4
-        # Direct Event.cancel(), no note_cancelled() call from the caller.
+        # Direct Event.cancel(), not Simulator.cancel().
         evs[1].cancel()
         assert len(q) == 3
         evs[2].cancel()
@@ -99,83 +96,3 @@ class TestBatchedPrune:
         q.push(2, lambda: None)
         first.cancel()
         assert q.peek_time() == 2
-
-
-# ----------------------------------------------------------------- property
-#: operations: (kind, value) where kind 0=push(+dt) 1=push_soon 2=cancel 3=pop
-_OPS = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=20)),
-    max_size=120,
-)
-
-
-class _ModelQueue:
-    """Reference model: a plain sorted list with eager deletion."""
-
-    def __init__(self):
-        self.items = []  # (time, seq)
-        self.seq = 0
-        self.now = 0
-
-    def push(self, time):
-        self.items.append((time, self.seq))
-        self.seq += 1
-
-    def cancel(self, nth):
-        live = sorted(self.items)
-        del self.items[self.items.index(live[nth % len(live)])]
-
-    def pop(self):
-        if not self.items:
-            return None
-        head = min(self.items)
-        self.items.remove(head)
-        self.now = head[0]
-        return head
-
-
-@settings(max_examples=60, deadline=None)
-@given(_OPS)
-def test_queue_matches_reference_model(ops):
-    """Interleaved push/push_soon/cancel/pop behaves like a sorted list.
-
-    ``push_soon`` is only ever exercised at the current instant (its
-    contract); cancellation targets are chosen among live events, touching
-    heap and FIFO lanes alike.
-    """
-    q = EventQueue()
-    model = _ModelQueue()
-    live = {}  # seq -> Event
-
-    for kind, value in ops:
-        if kind == 0:
-            ev = q.push(model.now + value, lambda: None)
-            model.push(model.now + value)
-            live[ev.seq] = ev
-        elif kind == 1:
-            ev = q.push_soon(model.now, lambda: None)
-            model.push(model.now)
-            live[ev.seq] = ev
-        elif kind == 2:
-            if not live:
-                continue
-            nth = value % len(live)
-            target = sorted(live.values(), key=lambda e: (e.time, e.seq))[nth]
-            target.cancel()
-            model.cancel(nth)
-            del live[target.seq]
-        else:
-            got = q.pop()
-            expect = model.pop()
-            if expect is None:
-                assert got is None
-            else:
-                assert (got.time, got.seq) == expect
-                del live[got.seq]
-        assert len(q) == len(model.items)
-
-    # Drain: remaining events come out in exact (time, seq) order.
-    drained = []
-    while (ev := q.pop()) is not None:
-        drained.append((ev.time, ev.seq))
-    assert drained == sorted(model.items)

@@ -12,8 +12,8 @@ from repro.config import FeatureSet
 from repro.guest.os import GuestOS
 from repro.kvm.hypervisor import Kvm
 from repro.net.packet import Packet
+from repro.obs import TraceBus
 from repro.sim.simulator import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.units import MS
 from repro.vhost.net import VhostNet
 from repro.virtio.device import VirtioNetDevice
@@ -24,7 +24,7 @@ from tests.conftest import make_machine
 def build_hybrid(quota=8):
     from repro.hw.nic import Link, Nic
 
-    sim = Simulator(seed=42, trace=TraceRecorder())
+    sim = Simulator(seed=42, trace=TraceBus(capacity=4096))
     m = make_machine(sim, n_cores=4)
     kvm = Kvm(m)
     vm = kvm.create_vm("vm0", 1, FeatureSet(pi=True, hybrid=True, quota=quota),
@@ -90,6 +90,7 @@ class TestRecheckRace:
         assert worker.delayed == []
         # No spurious mode switch was traced: the handler never left
         # polling mode.
+        assert sim.trace.evicted == 0
         assert sim.trace.of_kind("mode-switch") == []
 
     def test_clean_drain_reports_mode_switch(self):
@@ -104,6 +105,7 @@ class TestRecheckRace:
         assert h.drained == 1
         assert h.recheck_races == 0
         assert not q.notify_suppressed
+        assert sim.trace.evicted == 0
         switches = sim.trace.of_kind("mode-switch")
         assert len(switches) == 1
         assert switches[0][1]["mode"] == "notification"

@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kvm.apic_emul import EmulatedLapic
 from repro.kvm.vapic import VApicPage
 from repro.sched.thread import Consume, CpuMode, Thread
-from repro.sim.event import EventQueue
+from repro.sim.event import _PRUNE_THRESHOLD, EventQueue
 from repro.sim.simulator import Simulator
 from repro.units import MS, SEC
 from tests.conftest import make_machine
+
+
+def _noop() -> None:
+    pass
+
+
+#: One step of a queue script: ``(op, a, b)``.  ``a`` picks a delay, a live
+#: event or a cancellation stride; ``b`` offsets a ``pop_until`` limit from
+#: a pending time by -1, 0 or +1 ns.
+_QUEUE_STEP = st.tuples(
+    st.sampled_from(("push", "push_soon", "burst", "cancel", "mass_cancel",
+                     "peek", "pop", "pop_until")),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-1, max_value=1),
+)
 
 
 class TestEventQueueProperties:
@@ -40,11 +55,77 @@ class TestEventQueueProperties:
         for ev, cancel in events:
             if cancel:
                 ev.cancel()
-                q.note_cancelled()
         while (ev := q.pop()) is not None:
             ev.fn(*ev.args)
         cancelled = {i for i, (_, c) in enumerate(spec) if c}
         assert set(fired) == set(range(len(spec))) - cancelled
+
+    @given(st.lists(_QUEUE_STEP, max_size=80))
+    # Same-instant ties: heap pushes at ``now`` and FIFO-lane pushes merge.
+    @example([("push", 0, 0), ("push_soon", 0, 0), ("push", 0, 0),
+              ("push_soon", 0, 0), ("pop_until", 0, 0), ("pop", 0, 0)])
+    # A burst, then enough cancellations to pass the prune threshold.
+    @example([("burst", 3, 0), ("mass_cancel", 0, 0), ("pop_until", 5, 1),
+              ("pop_until", 0, -1), ("peek", 0, 0), ("pop", 0, 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_queue_matches_reference_model(self, script):
+        """Every step agrees with a sorted list of live ``(time, seq)`` pairs.
+
+        ``push_soon`` only ever runs at the current instant (its contract),
+        and ``pop_until`` limits fall at and one ns around pending times.
+        """
+        q = EventQueue()
+        live = {}  # (time, seq) -> Event, the reference model
+        now = 0
+
+        def add(ev):
+            live[(ev.time, ev.seq)] = ev
+
+        for op, a, b in script:
+            if op == "push":
+                add(q.push(now + a, _noop))
+            elif op == "push_soon":
+                add(q.push_soon(now, _noop))
+            elif op == "burst":
+                # Heap and FIFO entries sharing a handful of instants.
+                for i in range(2 * _PRUNE_THRESHOLD):
+                    if i % 3 == 0:
+                        add(q.push_soon(now, _noop))
+                    else:
+                        add(q.push(now + (a + i) % 5, _noop))
+            elif op == "cancel":
+                if live:
+                    live.pop(sorted(live)[a % len(live)]).cancel()
+            elif op == "mass_cancel":
+                # Keep every stride-th live event, cancel the rest.
+                stride = a % 3 + 3
+                for i, key in enumerate(sorted(live)):
+                    if i % stride:
+                        live.pop(key).cancel()
+            elif op == "peek":
+                assert q.peek_time() == (min(live)[0] if live else None)
+            else:
+                pending = sorted(live)
+                if op == "pop":
+                    limit = float("inf")
+                    got = q.pop()
+                else:
+                    anchor = pending[a % len(pending)][0] if pending else now
+                    limit = anchor + b
+                    got = q.pop_until(limit)
+                if pending and pending[0][0] <= limit:
+                    assert got is not None and got.fired
+                    assert (got.time, got.seq) == pending[0]
+                    del live[pending[0]]
+                    now = got.time
+                else:
+                    assert got is None
+            assert len(q) == len(live)
+
+        drained = []
+        while (ev := q.pop()) is not None:
+            drained.append((ev.time, ev.seq))
+        assert drained == sorted(live)
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=100), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)

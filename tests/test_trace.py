@@ -1,38 +1,20 @@
-"""Tests for the trace recorder and the instrumented trace points."""
+"""Tests for the default tracer and the instrumented trace points.
+
+The trace bus itself (filters, ring eviction, clear) is covered by
+``tests/test_obs_trace.py``.
+"""
 
 from __future__ import annotations
 
 from repro.core.configs import paper_config
 from repro.experiments.testbed import single_vcpu_testbed
-from repro.sim.simulator import Simulator
-from repro.sim.trace import NullTracer, TraceRecorder
+from repro.obs import TraceBus
+from repro.sim.trace import NullTracer
 from repro.units import MS
 from repro.workloads.netperf import NetperfUdpSend
 
 
-class TestTraceRecorder:
-    def test_records_and_filters_by_kind(self):
-        t = TraceRecorder(kinds=["a"])
-        t.record(1, "a", x=1)
-        t.record(2, "b", x=2)
-        assert len(t) == 1
-        assert t.of_kind("a") == [(1, {"x": 1})]
-        assert t.kinds_seen() == ["a"]
-
-    def test_capacity_cap(self):
-        t = TraceRecorder(capacity=3)
-        for i in range(5):
-            t.record(i, "k")
-        assert len(t) == 3
-        assert t.dropped == 2
-
-    def test_clear(self):
-        t = TraceRecorder()
-        t.record(1, "k")
-        t.clear()
-        assert len(t) == 0
-        assert t.dropped == 0
-
+class TestNullTracer:
     def test_null_tracer_is_disabled(self):
         n = NullTracer()
         assert n.enabled is False
@@ -40,9 +22,14 @@ class TestTraceRecorder:
         assert len(n) == 0
 
 
+#: ring size for the instrumented runs; the assertions below read complete
+#: sequences, so each test also checks that nothing was evicted
+_CAPACITY = 1 << 16
+
+
 class TestInstrumentedTracePoints:
     def _traced_testbed(self, config, kinds=None):
-        trace = TraceRecorder(kinds=kinds)
+        trace = TraceBus(kinds=kinds, capacity=_CAPACITY)
         tb = single_vcpu_testbed(paper_config(config, quota=8), seed=11)
         # Install post-hoc: the Simulator owns the tracer reference.
         tb.sim.trace = trace
@@ -52,6 +39,7 @@ class TestInstrumentedTracePoints:
         tb, trace = self._traced_testbed("Baseline", kinds=["vm-exit"])
         wl = NetperfUdpSend(tb, tb.tested, payload_size=256)
         tb.run_for(80 * MS)
+        assert trace.evicted == 0
         exits = trace.of_kind("vm-exit")
         assert exits
         reasons = {f["reason"] for (_, f) in exits}
@@ -61,6 +49,7 @@ class TestInstrumentedTracePoints:
         tb, trace = self._traced_testbed("PI+H", kinds=["vm-exit", "irq-handled"])
         wl = NetperfUdpSend(tb, tb.tested, payload_size=256)
         tb.run_for(50 * MS)
+        assert trace.evicted == 0
         # Timer interrupts were handled...
         assert trace.of_kind("irq-handled")
         # ...but no external-interrupt or APIC-access exit was recorded.
@@ -72,6 +61,7 @@ class TestInstrumentedTracePoints:
         tb, trace = self._traced_testbed("PI+H", kinds=["mode-switch"])
         wl = NetperfUdpSend(tb, tb.tested, payload_size=256)
         tb.run_for(80 * MS)
+        assert trace.evicted == 0
         # UDP at quota 8 enters sustained polling; at most the startup
         # transient returns to notification mode.
         switches = trace.of_kind("mode-switch")
@@ -80,7 +70,7 @@ class TestInstrumentedTracePoints:
     def test_redirect_trace(self):
         from repro.experiments.testbed import multiplexed_testbed
 
-        trace = TraceRecorder(kinds=["irq-redirect"])
+        trace = TraceBus(kinds=["irq-redirect"], capacity=_CAPACITY)
         tb = multiplexed_testbed(paper_config("PI+H+R"), seed=11)
         tb.sim.trace = trace
         from repro.workloads.ping import PingWorkload
@@ -88,6 +78,7 @@ class TestInstrumentedTracePoints:
         wl = PingWorkload(tb, tb.tested, interval_ns=5 * MS)
         wl.start()
         tb.run_for(200 * MS)
+        assert trace.evicted == 0
         redirects = trace.of_kind("irq-redirect")
         assert redirects
         for _, f in redirects:
