@@ -44,7 +44,7 @@ bench:
 # a >25% throughput / >60% p99 regression — the CI gate thresholds).
 bench-compare:
 	REPRO_REV=current PYTHONPATH=src $(PYTHON) -m repro bench --no-profile
-	$(PYTHON) scripts/bench_compare.py BENCH_baseline.json BENCH_current.json \
+	PYTHONPATH=src $(PYTHON) -m repro.obs.bench_compare BENCH_baseline.json BENCH_current.json \
 		--max-throughput-drop 25 --max-p99-increase 60
 
 # Where the run loop spends its time: the bench with the per-event-type

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.experiments.ablations import format_redirect_ablation, run_redirect_policy_ablation
 from repro.experiments.coalescing import format_coalescing, run_coalescing
@@ -265,17 +266,18 @@ def main(argv=None) -> int:
             telemetry=telemetry)
         print(format_rack(rack_results))
         if telemetry is not None:
-            from repro.obs.rack import write_rack_dashboard, write_rack_perfetto
+            from repro.obs.rack import rack_perfetto_trace, render_rack_dashboard
+            from repro.obs.render import write_trace
 
             # Export the most instrumented cell: last config, max shards.
             key = max((k for k in rack_results), key=lambda k: k[1])
             report = rack_results[key]
             if trace_path:
-                write_rack_perfetto(report, trace_path)
+                write_trace(rack_perfetto_trace(report), trace_path)
                 print(f"rack perfetto trace ({key[0]}, {key[1]} shards) "
                       f"-> {trace_path}")
             if dash_path:
-                write_rack_dashboard(report, dash_path)
+                Path(dash_path).write_text(render_rack_dashboard(report), encoding="utf-8")
                 print(f"rack dashboard ({key[0]}, {key[1]} shards) "
                       f"-> {dash_path}")
     if cmd == "schedsweep" or cmd == "all":

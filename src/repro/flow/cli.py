@@ -39,6 +39,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from repro.flow.graph import FlowError
 from repro.flow.runner import FlowRunner
@@ -184,9 +185,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_dashboard(args) -> int:
-    from repro.obs.flowdash import write_flow_dashboard
+    from repro.obs.flowdash import render_flow_dashboard
 
-    write_flow_dashboard(_load_state_doc(args.state_dir), args.output)
+    Path(args.output).write_text(render_flow_dashboard(_load_state_doc(args.state_dir)),
+                                 encoding="utf-8")
     print(f"flow dashboard: {args.output}")
     return 0
 
@@ -271,8 +273,7 @@ def _cmd_run(args) -> int:
     if args.dashboard_out:
         dashboard = task_result("dashboard")
         if dashboard is not None:
-            with open(args.dashboard_out, "w", encoding="utf-8") as fh:
-                fh.write(dashboard)
+            Path(args.dashboard_out).write_text(dashboard, encoding="utf-8")
 
     if args.assert_cached and result.executed:
         print(f"assert-cached FAILED: {len(result.executed)} task(s) recomputed: "

@@ -12,8 +12,8 @@ hunt starts with, straight from two ``flow-state.json`` documents:
 * **where the time went** — per-task wall deltas sorted by magnitude;
 * **what the benchmarks say** — when both run directories persisted a
   bench report (``results/bench.pkl``), the deltas run through
-  ``scripts/bench_compare.py``'s ``compare()`` so the diff applies the
-  exact same direction-aware thresholds as the CI regression gate.
+  :func:`repro.obs.bench_compare.compare` so the diff applies the exact
+  same direction-aware thresholds as the CI regression gate.
 
 Either side may be given as a state file, a run directory, or a state
 root (the newest run directory wins) — the same paths CI already
@@ -32,7 +32,6 @@ from repro.flow.graph import FlowError
 __all__ = [
     "flow_diff",
     "format_flow_diff",
-    "load_bench_compare",
     "repo_root",
     "resolve_state_path",
 ]
@@ -42,33 +41,14 @@ _WALL_NOISE_S = 0.05
 
 
 def repo_root() -> Optional[Path]:
-    """The checkout root (where BENCH_baseline.json and scripts/ live), if
-    this is a src-layout checkout rather than an installed package."""
+    """The checkout root (where BENCH_baseline.json lives), if this is a
+    src-layout checkout rather than an installed package."""
     import repro
 
     root = Path(repro.__file__).resolve().parents[2]
-    if (root / "scripts" / "bench_compare.py").exists():
+    if (root / "BENCH_baseline.json").exists():
         return root
     return None
-
-
-def load_bench_compare():
-    """The ``scripts/bench_compare.py`` module, or None outside a checkout.
-
-    Loaded by file path (scripts/ is not a package) so the CI gate's
-    thresholds and metric selection stay single-sourced.
-    """
-    import importlib.util
-
-    root = repo_root()
-    if root is None:
-        return None
-    spec = importlib.util.spec_from_file_location(
-        "repro_flow_bench_compare", root / "scripts" / "bench_compare.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def resolve_state_path(spec: str) -> Path:
@@ -191,12 +171,10 @@ def flow_diff(path_a: str, path_b: str) -> Dict[str, Any]:
     if bench_a is None or bench_b is None:
         bench["reason"] = "bench report missing from one or both runs"
     else:
-        mod = load_bench_compare()
-        if mod is None:
-            bench["reason"] = "scripts/bench_compare.py not available"
-        else:
-            lines, regressions = mod.compare(bench_a, bench_b)
-            bench = {"available": True, "lines": lines, "regressions": regressions}
+        from repro.obs.bench_compare import compare
+
+        lines, regressions = compare(bench_a, bench_b)
+        bench = {"available": True, "lines": lines, "regressions": regressions}
 
     total_a = sum(float(r.get("wall_s", 0.0)) for r in tasks_a.values())
     total_b = sum(float(r.get("wall_s", 0.0)) for r in tasks_b.values())

@@ -151,24 +151,24 @@ def bench_task(deps, profile=False, revision="flow"):
 def bench_compare_task(deps, source="bench", baseline="BENCH_baseline.json"):
     """Gate the fresh bench report against the checked-in baseline.
 
-    Reuses scripts/bench_compare.py (the CI gate, loaded via
-    :func:`repro.flow.diff.load_bench_compare`) so thresholds and metric
-    selection live in one place; raises on regression so the flow exits
-    nonzero.  Outside a checkout (no scripts/), the gate degrades to a
-    recorded skip rather than a failure.
+    Reuses :func:`repro.obs.bench_compare.compare` (the CI gate) so
+    thresholds and metric selection live in one place; raises on
+    regression so the flow exits nonzero.  Outside a checkout (no
+    baseline file), the gate degrades to a recorded skip rather than a
+    failure.
     """
     import json
 
-    from repro.flow.diff import load_bench_compare, repo_root
+    from repro.flow.diff import repo_root
+    from repro.obs.bench_compare import compare
 
     root = repo_root()
     if root is None or not (root / baseline).exists():
         return {"ok": True, "skipped": "no checkout baseline to compare against",
                 "lines": []}
-    mod = load_bench_compare()
     with open(root / baseline, "r", encoding="utf-8") as fh:
         base = json.load(fh)
-    lines, regressions = mod.compare(base, deps[source])
+    lines, regressions = compare(base, deps[source])
     if regressions:
         raise FlowError(
             "bench regression vs baseline: " + "; ".join(regressions)

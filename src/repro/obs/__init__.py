@@ -16,7 +16,7 @@ through per-module ad-hoc counters:
   trace contexts and milestone marks over the TraceBus, reconstructed
   into critical-path trees (:func:`collect_traces`), aggregated by
   :mod:`repro.obs.pathreport` and exported to Chrome/Perfetto JSON by
-  :mod:`repro.obs.export`.
+  :mod:`repro.obs.export` (not imported here).
 * :class:`TimelineSampler` / :mod:`repro.obs.timeline` — windowed
   time-series sampling of the counter registry (rates, gauges, mode
   residencies) on the simulated clock.
@@ -30,6 +30,11 @@ through per-module ad-hoc counters:
   ``flow-state.json`` document, and the self-contained Gantt dashboard
   (not imported here: they are consumers of flow state, not simulator
   instrumentation).
+* :mod:`repro.obs.render` — the render kit every HTML page and Perfetto
+  trace is built from (page shell, stylesheet, tiles, cards, tables,
+  trace document and writer).  Not imported here, nor on the import
+  path of :mod:`repro.sim` or :mod:`repro.cluster`: every simulator
+  process would pay for it.
 
 Every :class:`~repro.sim.simulator.Simulator` owns an
 :class:`Observability` instance as ``sim.obs``.  Modules in this package
@@ -42,7 +47,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.counters import CounterRegistry
-from repro.obs.export import export_spans_jsonl, perfetto_trace, write_perfetto
 from repro.obs.pathreport import build_path_report, format_path_report
 from repro.obs.profile import EventProfiler, ProfileEntry
 from repro.obs.spans import PathTrace, SpanRecorder, collect_traces, completed
@@ -71,9 +75,6 @@ __all__ = [
     "WatchdogViolation",
     "build_path_report",
     "format_path_report",
-    "perfetto_trace",
-    "write_perfetto",
-    "export_spans_jsonl",
 ]
 
 

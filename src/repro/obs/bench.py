@@ -128,7 +128,7 @@ def _timeline_block(tb, t_start: int, t_end: int,
     exact, not a mean of window rates), and the watchdog verdict.  The
     tested VM's total exit rate is surfaced as
     ``steady_state.exits_per_sec_total`` — the cross-check target for the
-    dashboard and ``scripts/bench_compare.py``.
+    dashboard and :mod:`repro.obs.bench_compare`.
     """
     from repro.obs.timeline import downsample
 

@@ -18,28 +18,23 @@ Content:
   (:mod:`repro.obs.pathreport` output embedded in the report);
 * the run-loop sim-gap histograms (``profile.gap_histograms``).
 
-Charts follow the repo's chart conventions: a categorical palette
-validated for color-vision deficiency (in both light and dark mode),
-2 px lines, one y-axis per chart, legends plus per-group summary tables
-(so identity and exact values never rely on color alone), and a
-crosshair tooltip driven by inline data.
+The page shell, stylesheet, tiles, cards and tables come from the render
+kit (:mod:`repro.obs.render`); this module keeps the charts and the
+section content.  Charts follow the repo's chart conventions: the kit's
+categorical palette validated for color-vision deficiency (in both light
+and dark mode), 2 px lines, one y-axis per chart, legends plus
+per-group summary tables (so identity and exact values never rely on
+color alone), and a crosshair tooltip driven by inline data.
 """
 
 from __future__ import annotations
 
-import html
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["MAX_SERIES", "base_css", "esc", "fmt", "render_dashboard", "write_dashboard"]
+from repro.obs.render import MAX_SERIES, card, esc, fmt, page, table, tiles
 
-# Categorical palettes (8 slots, fixed order, never cycled) validated with
-# the six-check palette validator against each mode's surface; dark mode is
-# its own selection, not an automatic flip of the light one.
-_LIGHT_SERIES = ("#2a78d6", "#eb6834", "#1baf7a", "#eda100",
-                 "#e87ba4", "#008300", "#4a3aa7", "#e34948")
-_DARK_SERIES = ("#3987e5", "#d95926", "#199e70", "#c98500",
-                "#d55181", "#008300", "#9085e9", "#e66767")
+__all__ = ["render_dashboard", "steady_state_window_rate"]
 
 _CHART_W = 660
 _CHART_H = 200
@@ -47,87 +42,10 @@ _PAD_L = 62
 _PAD_R = 14
 _PAD_T = 12
 _PAD_B = 26
-#: Max series per chart — the palette has 8 fixed slots.
-MAX_SERIES = 8
 
-
-def base_css() -> str:
-    """The shared stylesheet: surface/ink variables, the CVD-validated
-    light/dark categorical palettes (``--s0``…``--s7``), tiles, cards,
-    chart text classes.  Reused by every self-contained HTML artifact the
-    repo emits (bench dashboard here, flow Gantt in
-    :mod:`repro.obs.flowdash`) so they read as one system."""
-    light_vars = "".join(f"--s{i}: {c};" for i, c in enumerate(_LIGHT_SERIES))
-    dark_vars = "".join(f"--s{i}: {c};" for i, c in enumerate(_DARK_SERIES))
-    return f"""
-:root {{
-  --surface: #fcfcfb; --ink: #0b0b0b; --ink-2: #52514e; --ink-3: #898781;
-  --grid: #e1e0d9; --axis: #c3c2b7; --card: #ffffff; --edge: #e1e0d9;
-  {light_vars}
-}}
-@media (prefers-color-scheme: dark) {{
-  :root {{
-    --surface: #1a1a19; --ink: #ffffff; --ink-2: #c3c2b7; --ink-3: #898781;
-    --grid: #2c2c2a; --axis: #383835; --card: #222221; --edge: #2c2c2a;
-    {dark_vars}
-  }}
-}}
-* {{ box-sizing: border-box; }}
-body {{
-  margin: 0; padding: 24px; background: var(--surface); color: var(--ink);
-  font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif;
-}}
-h1 {{ font-size: 20px; margin: 0 0 4px; }}
-h2 {{ font-size: 16px; margin: 28px 0 10px; }}
-.sub {{ color: var(--ink-2); margin: 0 0 18px; }}
-.tiles {{ display: flex; flex-wrap: wrap; gap: 12px; margin: 16px 0; }}
-.tile {{
-  background: var(--card); border: 1px solid var(--edge); border-radius: 8px;
-  padding: 12px 16px; min-width: 150px;
-}}
-.tile .v {{ font-size: 22px; font-weight: 600; font-variant-numeric: tabular-nums; }}
-.tile .l {{ color: var(--ink-2); font-size: 12px; }}
-.card {{
-  background: var(--card); border: 1px solid var(--edge); border-radius: 8px;
-  padding: 14px 16px; margin: 0 0 16px;
-}}
-.chart-title {{ font-weight: 600; margin-bottom: 2px; }}
-.chart-unit {{ color: var(--ink-2); font-size: 12px; margin-bottom: 6px; }}
-svg.chart {{ display: block; }}
-.gridline {{ stroke: var(--grid); stroke-width: 1; }}
-.axisline {{ stroke: var(--axis); stroke-width: 1; }}
-.ticktext {{ fill: var(--ink-2); font-size: 11px; }}
-.series {{ fill: none; stroke-width: 2; }}
-.legend {{ display: flex; flex-wrap: wrap; gap: 4px 16px; margin-top: 6px; font-size: 12px; color: var(--ink-2); }}
-.legend .sw {{
-  display: inline-block; width: 10px; height: 10px; border-radius: 2px;
-  margin-right: 5px; vertical-align: -1px;
-}}
-table {{ border-collapse: collapse; font-size: 13px; margin-top: 8px; }}
-th, td {{
-  text-align: left; padding: 4px 12px 4px 0; border-bottom: 1px solid var(--edge);
-}}
-td.num, th.num {{ text-align: right; font-variant-numeric: tabular-nums; }}
-th {{ color: var(--ink-2); font-weight: 600; }}
-.ok {{ font-weight: 600; }}
-.note {{ color: var(--ink-3); font-size: 12px; }}
-#tooltip {{
-  position: fixed; display: none; pointer-events: none; z-index: 10;
-  background: var(--card); border: 1px solid var(--axis); border-radius: 6px;
-  padding: 6px 9px; font-size: 12px; box-shadow: 0 2px 8px rgba(0,0,0,.18);
-  max-width: 340px;
-}}
-#tooltip .t {{ color: var(--ink-2); margin-bottom: 2px; }}
-#tooltip .row {{ white-space: nowrap; }}
-.crosshair {{ stroke: var(--axis); stroke-width: 1; stroke-dasharray: 3 3; }}
-details summary {{ cursor: pointer; color: var(--ink-2); font-size: 12px; margin-top: 6px; }}
-"""
-
-
-def _tooltip_js() -> str:
-    # Crosshair + tooltip for every .chartbox: nearest-time lookup against
-    # the JSON embedded beside each chart.  Plain DOM, no dependencies.
-    return """
+# Crosshair + tooltip for every .chartbox: nearest-time lookup against
+# the JSON embedded beside each chart.  Plain DOM, no dependencies.
+_TOOLTIP_JS = """
 (function () {
   var tip = document.getElementById('tooltip');
   document.querySelectorAll('.chartbox').forEach(function (box) {
@@ -172,37 +90,6 @@ def _tooltip_js() -> str:
 })();
 """
 
-
-# ------------------------------------------------------------------ utilities
-def esc(s: Any) -> str:
-    """HTML-escape anything for embedding in the dashboard markup."""
-    return html.escape(str(s), quote=True)
-
-
-def fmt(v: Optional[float]) -> str:
-    """Human-scale number for tables and tiles."""
-    if v is None:
-        return "–"
-    a = abs(v)
-    if a >= 1e9:
-        return f"{v / 1e9:.2f}G"
-    if a >= 1e6:
-        return f"{v / 1e6:.2f}M"
-    if a >= 1e4:
-        return f"{v / 1e3:.1f}k"
-    if a >= 100:
-        return f"{v:,.0f}"
-    if a >= 1:
-        return f"{v:.2f}"
-    if a == 0:
-        return "0"
-    return f"{v:.3g}"
-
-
-# Internal aliases: the sections below predate the helpers going public.
-_css = base_css
-_esc = esc
-_fmt = fmt
 
 Series = Tuple[str, List[Tuple[float, Optional[float]]]]
 
@@ -268,7 +155,7 @@ def _line_chart(chart_id: str, title: str, unit: str, series: List[Series],
     parts: List[str] = [
         f'<svg class="chart" viewBox="0 0 {_CHART_W} {_CHART_H}" '
         f'width="{_CHART_W}" height="{_CHART_H}" role="img" '
-        f'aria-label="{_esc(title)}">'
+        f'aria-label="{esc(title)}">'
     ]
     # horizontal gridlines + y tick labels (4 steps)
     for i in range(5):
@@ -277,7 +164,7 @@ def _line_chart(chart_id: str, title: str, unit: str, series: List[Series],
         cls = "axisline" if i == 0 else "gridline"
         parts.append(f'<line class="{cls}" x1="{x0}" y1="{y:.1f}" x2="{x1}" y2="{y:.1f}"/>')
         parts.append(f'<text class="ticktext" x="{x0 - 6}" y="{y + 3.5:.1f}" '
-                     f'text-anchor="end">{_esc(_fmt(v))}</text>')
+                     f'text-anchor="end">{esc(fmt(v))}</text>')
     # x tick labels: start / middle / end (ms)
     for t in (tmin, (tmin + tmax) / 2, tmax):
         parts.append(f'<text class="ticktext" x="{sx(t):.1f}" y="{y0 + 16}" '
@@ -289,7 +176,7 @@ def _line_chart(chart_id: str, title: str, unit: str, series: List[Series],
         )
         if coords:
             parts.append(f'<polyline class="series" stroke="var(--s{i % MAX_SERIES})" '
-                         f'points="{coords}"><title>{_esc(label)}</title></polyline>')
+                         f'points="{coords}"><title>{esc(label)}</title></polyline>')
     parts.append(f'<line class="crosshair" x1="{x0}" y1="{y1}" x2="{x0}" y2="{y0}" opacity="0"/>')
     parts.append("</svg>")
 
@@ -308,37 +195,27 @@ def _line_chart(chart_id: str, title: str, unit: str, series: List[Series],
 
     legend = "".join(
         f'<span><span class="sw" style="background: var(--s{i % MAX_SERIES})"></span>'
-        f"{_esc(label)}</span>"
+        f"{esc(label)}</span>"
         for i, (label, pts) in enumerate(series)
     )
     rows = []
     for label, pts in series:
         vals = [v for _, v in pts if v is not None]
-        if not vals:
-            continue
-        rows.append(
-            f"<tr><td>{_esc(label)}</td>"
-            f'<td class="num">{_esc(_fmt(min(vals)))}</td>'
-            f'<td class="num">{_esc(_fmt(sum(vals) / len(vals)))}</td>'
-            f'<td class="num">{_esc(_fmt(max(vals)))}</td></tr>'
-        )
-    table = (
-        "<details><summary>table view</summary><table>"
-        '<tr><th>series</th><th class="num">min</th><th class="num">mean</th>'
-        '<th class="num">max</th></tr>' + "".join(rows) + "</table></details>"
-    )
+        if vals:
+            rows.append((label, fmt(min(vals)), fmt(sum(vals) / len(vals)), fmt(max(vals))))
+    summary = table(("series", "min", "mean", "max"), rows, num=(1, 2, 3))
     extra = ""
     if dropped:
         extra += f'<div class="note">{dropped} additional series omitted (largest kept)</div>'
     if note:
-        extra += f'<div class="note">{_esc(note)}</div>'
+        extra += f'<div class="note">{esc(note)}</div>'
     return (
-        f'<div class="card chartbox" id="{_esc(chart_id)}">'
-        f'<div class="chart-title">{_esc(title)}</div>'
-        f'<div class="chart-unit">{_esc(unit)}</div>'
+        f'<div class="card chartbox" id="{esc(chart_id)}">'
+        f'<div class="chart-title">{esc(title)}</div>'
+        f'<div class="chart-unit">{esc(unit)}</div>'
         + "".join(parts)
         + f'<div class="legend">{legend}</div>'
-        + table + extra
+        + f"<details><summary>table view</summary>{summary}</details>" + extra
         + '<script type="application/json">'
         + json.dumps(payload, allow_nan=False)
         + "</script></div>"
@@ -347,24 +224,20 @@ def _line_chart(chart_id: str, title: str, unit: str, series: List[Series],
 
 # ----------------------------------------------------------------- sections
 def _tiles(report: Dict[str, Any]) -> str:
-    tiles = []
+    items = []
     for name, point in report.get("throughput", {}).items():
-        tiles.append((f"{name} throughput", f"{point['throughput_gbps']:.3f} Gbps"))
+        items.append((f"{name} throughput", f"{point['throughput_gbps']:.3f} Gbps"))
     hybrid = report.get("hybrid", {})
     factor = hybrid.get("io_exit_reduction_factor")
     if "quota8" in hybrid:
-        tiles.append(("I/O exits at quota 8",
+        items.append(("I/O exits at quota 8",
                       "eliminated" if factor is None else f"{factor:.0f}× fewer"))
     for name, point in report.get("latency_ms", {}).items():
-        tiles.append((f"{name} ping p99", f"{point['p99_ms']:.3f} ms"))
+        items.append((f"{name} ping p99", f"{point['p99_ms']:.3f} ms"))
     violations = report.get("watchdog_violations", 0)
-    tiles.append(("watchdog", "✓ 0 violations" if violations == 0
+    items.append(("watchdog", "✓ 0 violations" if violations == 0
                   else f"✗ {violations} violations"))
-    return '<div class="tiles">' + "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-        for label, v in tiles
-    ) + "</div>"
+    return tiles(items)
 
 
 def steady_state_window_rate(point: Dict[str, Any]) -> Optional[float]:
@@ -397,22 +270,13 @@ def _crosscheck_table(report: Dict[str, Any]) -> str:
         if agg is None or windowed is None:
             continue
         diff = abs(windowed - agg) / agg * 100 if agg else 0.0
-        rows.append(
-            f"<tr><td>{_esc(name)}</td>"
-            f'<td class="num">{_esc(_fmt(agg))}</td>'
-            f'<td class="num">{_esc(_fmt(windowed))}</td>'
-            f'<td class="num">{diff:.3f}%</td></tr>'
-        )
+        rows.append((name, fmt(agg), fmt(windowed), f"{diff:.3f}%"))
     if not rows:
         return ""
-    return (
-        '<div class="card"><div class="chart-title">Steady-state cross-check</div>'
-        '<div class="chart-unit">bench aggregate vs reaggregated timeline windows '
-        "(tested VM, exits/s)</div><table>"
-        '<tr><th>config</th><th class="num">aggregate</th>'
-        '<th class="num">windowed</th><th class="num">diff</th></tr>'
-        + "".join(rows) + "</table></div>"
-    )
+    return card(
+        "Steady-state cross-check",
+        table(("config", "aggregate", "windowed", "diff"), rows, num=(1, 2, 3)),
+        unit="bench aggregate vs reaggregated timeline windows (tested VM, exits/s)")
 
 
 def _timeline_sections(report: Dict[str, Any]) -> str:
@@ -468,23 +332,14 @@ def _path_table(report: Dict[str, Any]) -> str:
         if not path or not path.get("stages"):
             continue
         stages = sorted(path["stages"].items(), key=lambda kv: -kv[1]["share"])
-        rows = "".join(
-            f"<tr><td>{_esc(stage)}</td>"
-            f'<td class="num">{v["share"] * 100:.1f}%</td>'
-            f'<td class="num">{v["mean_us"]:.2f}</td>'
-            f'<td class="num">{v["p99_us"]:.2f}</td></tr>'
-            for stage, v in stages
-        )
+        rows = [(stage, f'{v["share"] * 100:.1f}%', f'{v["mean_us"]:.2f}',
+                 f'{v["p99_us"]:.2f}') for stage, v in stages]
         counts = path.get("counts", {})
-        out.append(
-            f'<div class="card"><div class="chart-title">{_esc(name)}: '
-            "event-path stage attribution</div>"
-            f'<div class="chart-unit">{counts.get("complete", 0)} complete paths; '
-            "share of end-to-end RTT per stage</div><table>"
-            '<tr><th>stage</th><th class="num">share</th>'
-            '<th class="num">mean µs</th><th class="num">p99 µs</th></tr>'
-            + rows + "</table></div>"
-        )
+        out.append(card(
+            f"{name}: event-path stage attribution",
+            table(("stage", "share", "mean µs", "p99 µs"), rows, num=(1, 2, 3)),
+            unit=f'{counts.get("complete", 0)} complete paths; '
+                 "share of end-to-end RTT per stage"))
     return "".join(out)
 
 
@@ -494,45 +349,33 @@ def _sched_section(report: Dict[str, Any]) -> str:
     if not sched:
         return ""
     out: List[str] = []
-    rows = []
-    for policy, point in sorted(sched.get("policies", {}).items()):
-        rows.append(
-            f"<tr><td>{_esc(policy)}</td>"
-            f'<td class="num">{point["samples"]:,}</td>'
-            f'<td class="num">{point["mean_ms"]:.3f}</td>'
-            f'<td class="num">{point["p50_ms"]:.3f}</td>'
-            f'<td class="num">{point["p99_ms"]:.3f}</td>'
-            f'<td class="num">{point["max_ms"]:.3f}</td></tr>'
-        )
+    rows = [
+        (policy, f'{point["samples"]:,}', f'{point["mean_ms"]:.3f}',
+         f'{point["p50_ms"]:.3f}', f'{point["p99_ms"]:.3f}', f'{point["max_ms"]:.3f}')
+        for policy, point in sorted(sched.get("policies", {}).items())
+    ]
     if rows:
-        out.append(
-            '<div class="card"><div class="chart-title">Scheduler policy zoo</div>'
-            '<div class="chart-unit">ping RTT with full ES2 (PI+H+R) per host '
-            "scheduler policy</div><table>"
-            '<tr><th>policy</th><th class="num">samples</th>'
-            '<th class="num">mean ms</th><th class="num">p50 ms</th>'
-            '<th class="num">p99 ms</th><th class="num">max ms</th></tr>'
-            + "".join(rows) + "</table></div>"
-        )
+        out.append(card(
+            "Scheduler policy zoo",
+            table(("policy", "samples", "mean ms", "p50 ms", "p99 ms", "max ms"),
+                  rows, num=range(1, 6)),
+            unit="ping RTT with full ES2 (PI+H+R) per host scheduler policy"))
     adaptive = sched.get("adaptive")
     if adaptive:
         stats = adaptive.get("adaptive", {})
-        out.append(
-            '<div class="card"><div class="chart-title">Adaptive backend-CPU '
-            "allocation</div>"
-            '<div class="chart-unit">CFS + adaptive controller re-apportioning '
-            "cores between vhost workers and vCPUs</div><table>"
-            '<tr><th>metric</th><th class="num">value</th></tr>'
-            f'<tr><td>ping p99</td><td class="num">{adaptive["p99_ms"]:.3f} ms</td></tr>'
-            f'<tr><td>evaluations</td><td class="num">{stats.get("evaluations", 0):,}</td></tr>'
-            f'<tr><td>rebalances</td><td class="num">{stats.get("rebalances", 0):,}</td></tr>'
-            f'<tr><td>migrations</td><td class="num">{stats.get("migrations", 0):,}</td></tr>'
-            f'<tr><td>backend cores</td><td class="num">'
-            f'{_esc(stats.get("backend_cores", []))}</td></tr>'
-            f'<tr><td>vCPU cores</td><td class="num">'
-            f'{_esc(stats.get("vcpu_cores", []))}</td></tr>'
-            "</table></div>"
-        )
+        rows = [
+            ("ping p99", f'{adaptive["p99_ms"]:.3f} ms'),
+            ("evaluations", f'{stats.get("evaluations", 0):,}'),
+            ("rebalances", f'{stats.get("rebalances", 0):,}'),
+            ("migrations", f'{stats.get("migrations", 0):,}'),
+            ("backend cores", str(stats.get("backend_cores", []))),
+            ("vCPU cores", str(stats.get("vcpu_cores", []))),
+        ]
+        out.append(card(
+            "Adaptive backend-CPU allocation",
+            table(("metric", "value"), rows, num=(1,)),
+            unit="CFS + adaptive controller re-apportioning cores between "
+                 "vhost workers and vCPUs"))
     if not out:
         return ""
     return "<h2>Scheduler policies</h2>" + "".join(out)
@@ -550,48 +393,35 @@ def _rack_telemetry_cards(rack: Dict[str, Any]) -> str:
         counts = paths.get("counts", {})
         rtt = paths.get("rtt", {})
         cross = paths.get("cross_host", {})
-        rows = "".join(
-            f"<tr><td>{_esc(name)}</td>"
-            f'<td class="num">{share:.1%}</td></tr>'
-            for name, share in shares.items()
-        )
-        out.append(
-            '<div class="card"><div class="chart-title">Stitched cross-shard '
-            "event paths</div>"
-            f'<div class="chart-unit">{counts.get("complete", 0):,} complete of '
-            f'{counts.get("total", 0):,} '
-            f'({cross.get("complete_multi_host", 0):,} multi-host, '
-            f'{cross.get("xshard_hops_mean", 0.0):.1f} fabric hops each); '
-            f'end-to-end p50 {rtt.get("p50_us", 0.0):.1f} µs, '
-            f'p99 {rtt.get("p99_us", 0.0):.1f} µs; stages telescope to RTT '
-            f'for {cross.get("telescoping_exact", 0):,} paths</div>'
-            "<table><tr><th>stage</th>"
-            '<th class="num">share of RTT</th></tr>' + rows + "</table></div>"
-        )
+        out.append(card(
+            "Stitched cross-shard event paths",
+            table(("stage", "share of RTT"),
+                  [(name, f"{share:.1%}") for name, share in shares.items()],
+                  num=(1,)),
+            unit=f'{counts.get("complete", 0):,} complete of '
+                 f'{counts.get("total", 0):,} '
+                 f'({cross.get("complete_multi_host", 0):,} multi-host, '
+                 f'{cross.get("xshard_hops_mean", 0.0):.1f} fabric hops each); '
+                 f'end-to-end p50 {rtt.get("p50_us", 0.0):.1f} µs, '
+                 f'p99 {rtt.get("p99_us", 0.0):.1f} µs; stages telescope to RTT '
+                 f'for {cross.get("telescoping_exact", 0):,} paths'))
     barrier = tel.get("barrier", {})
     per_shard = barrier.get("per_shard", [])
     if per_shard:
-        rows = "".join(
-            f'<tr><td class="num">{s["shard"]}</td>'
-            f'<td class="num">{s["bound_fraction"]:.0%}</td>'
-            f'<td class="num">{s["lookahead_utilization"]:.0%}</td>'
-            f'<td class="num">{s["window_wall_mean_us"]:.1f}</td></tr>'
+        rows = [
+            (str(s["shard"]), f'{s["bound_fraction"]:.0%}',
+             f'{s["lookahead_utilization"]:.0%}', f'{s["window_wall_mean_us"]:.1f}')
             for s in per_shard
-        )
+        ]
         wd = tel.get("watchdog", {})
-        out.append(
-            '<div class="card"><div class="chart-title">Barrier profile / '
-            "straggler attribution</div>"
-            f'<div class="chart-unit">{barrier.get("windows", 0):,} sync '
-            f'windows; straggler: shard {barrier.get("straggler_shard")}; '
-            f'rack watchdog {wd.get("violations", 0)} violation(s) over '
-            f'{wd.get("windows_checked", 0):,} checked windows</div>'
-            '<table><tr><th class="num">shard</th>'
-            '<th class="num">bounds window</th>'
-            '<th class="num">lookahead util</th>'
-            '<th class="num">window wall mean µs</th></tr>'
-            + rows + "</table></div>"
-        )
+        out.append(card(
+            "Barrier profile / straggler attribution",
+            table(("shard", "bounds window", "lookahead util",
+                   "window wall mean µs"), rows, num=range(4)),
+            unit=f'{barrier.get("windows", 0):,} sync '
+                 f'windows; straggler: shard {barrier.get("straggler_shard")}; '
+                 f'rack watchdog {wd.get("violations", 0)} violation(s) over '
+                 f'{wd.get("windows_checked", 0):,} checked windows'))
     return "".join(out)
 
 
@@ -605,51 +435,37 @@ def _rack_section(report: Dict[str, Any]) -> str:
     for count in rack.get("shard_counts", []):
         point = rack["points"][str(count)]
         waits = [s["barrier_wait_fraction"] for s in point["shards"]]
-        rows.append(
-            f'<tr><td class="num">{count}</td>'
-            f'<td class="num">{point["aggregate_events_per_sec"]:,.0f}</td>'
-            f'<td class="num">{point["events_per_sec_wall"]:,.0f}</td>'
-            f'<td class="num">{point["ops_per_sec"]:,.0f}</td>'
-            f'<td class="num">{point["latency_mean_us"]:,.0f}</td>'
-            f'<td class="num">{max(waits):.2f}</td>'
-            f'<td class="num">{point["messages_cross_shard"]:,}</td></tr>'
-        )
+        rows.append((
+            str(count), f'{point["aggregate_events_per_sec"]:,.0f}',
+            f'{point["events_per_sec_wall"]:,.0f}', f'{point["ops_per_sec"]:,.0f}',
+            f'{point["latency_mean_us"]:,.0f}', f"{max(waits):.2f}",
+            f'{point["messages_cross_shard"]:,}',
+        ))
     identical = rack.get("simulated_identical")
     verdict = ("simulated output byte-identical across shard counts"
                if identical else
                "simulated output DIVERGED across shard counts")
-    shard_rows = []
     last = rack["points"][str(rack["shard_counts"][-1])]
-    for s in last["shards"]:
-        shard_rows.append(
-            f'<tr><td class="num">{s["shard"]}</td>'
-            f"<td>{_esc(', '.join(s['hosts']))}</td>"
-            f'<td class="num">{s["events_fired"]:,}</td>'
-            f'<td class="num">{s["events_per_sec_wall"]:,.0f}</td>'
-            f'<td class="num">{s["barrier_wait_fraction"]:.2f}</td></tr>'
-        )
+    shard_rows = [
+        (str(s["shard"]), ", ".join(s["hosts"]), f'{s["events_fired"]:,}',
+         f'{s["events_per_sec_wall"]:,.0f}', f'{s["barrier_wait_fraction"]:.2f}')
+        for s in last["shards"]
+    ]
     return (
         "<h2>Sharded rack</h2>"
-        '<div class="card"><div class="chart-title">Rack scaling by shard count</div>'
-        f'<div class="chart-unit">{spec.get("n_hosts", "?")} ES2 hosts + '
-        f'{spec.get("n_client_hosts", "?")} client hosts, '
-        f'{_esc(str(spec.get("config", "?")))} / '
-        f'{_esc(str(spec.get("application", "?")))}; '
-        f'aggregate speedup {rack.get("aggregate_speedup", 0.0):.2f}x; '
-        f"{verdict}</div><table>"
-        '<tr><th class="num">shards</th><th class="num">agg ev/s</th>'
-        '<th class="num">realized ev/s</th><th class="num">ops/s</th>'
-        '<th class="num">lat mean µs</th><th class="num">barrier wait max</th>'
-        '<th class="num">cross msgs</th></tr>'
-        + "".join(rows) + "</table></div>"
-        '<div class="card"><div class="chart-title">Per-shard breakdown '
-        f'({rack["shard_counts"][-1]} shards)</div>'
-        '<div class="chart-unit">events/s while advancing, and the fraction of '
-        "wall time spent waiting at window barriers</div><table>"
-        '<tr><th class="num">shard</th><th>hosts</th>'
-        '<th class="num">events</th><th class="num">ev/s busy</th>'
-        '<th class="num">barrier wait</th></tr>'
-        + "".join(shard_rows) + "</table></div>"
+        + card("Rack scaling by shard count",
+               table(("shards", "agg ev/s", "realized ev/s", "ops/s", "lat mean µs",
+                      "barrier wait max", "cross msgs"), rows, num=range(7)),
+               unit=f'{spec.get("n_hosts", "?")} ES2 hosts + '
+                    f'{spec.get("n_client_hosts", "?")} client hosts, '
+                    f'{spec.get("config", "?")} / {spec.get("application", "?")}; '
+                    f'aggregate speedup {rack.get("aggregate_speedup", 0.0):.2f}x; '
+                    f"{verdict}")
+        + card(f'Per-shard breakdown ({rack["shard_counts"][-1]} shards)',
+               table(("shard", "hosts", "events", "ev/s busy", "barrier wait"),
+                     shard_rows, num=(0, 2, 3, 4)),
+               unit="events/s while advancing, and the fraction of "
+                    "wall time spent waiting at window barriers")
         + _rack_telemetry_cards(rack)
     )
 
@@ -658,24 +474,18 @@ def _gap_histograms(report: Dict[str, Any]) -> str:
     hists = report.get("profile", {}).get("gap_histograms", {})
     out = []
     for config, entries in hists.items():
-        rows = "".join(
-            f"<tr><td>{_esc(key)}</td>"
-            f'<td class="num">{entry["count"]:,}</td>'
-            f'<td class="num">{entry["mean_ns"]:,.0f}</td>'
-            f'<td class="num">{entry["p99_bound_ns"]:,.0f}</td></tr>'
+        rows = [
+            (key, f'{entry["count"]:,}', f'{entry["mean_ns"]:,.0f}',
+             f'{entry["p99_bound_ns"]:,.0f}')
             for key, entry in entries.items()
-        )
+        ]
         if not rows:
             continue
-        out.append(
-            f'<div class="card"><div class="chart-title">{_esc(config)}: '
-            "simulated-time gaps by event type</div>"
-            '<div class="chart-unit">time between consecutive firings of each '
-            "event type (run-loop profiler)</div><table>"
-            '<tr><th>event type</th><th class="num">count</th>'
-            '<th class="num">mean ns</th><th class="num">p99 ≤ ns</th></tr>'
-            + rows + "</table></div>"
-        )
+        out.append(card(
+            f"{config}: simulated-time gaps by event type",
+            table(("event type", "count", "mean ns", "p99 ≤ ns"), rows, num=(1, 2, 3)),
+            unit="time between consecutive firings of each "
+                 "event type (run-loop profiler)"))
     return "".join(out)
 
 
@@ -691,7 +501,7 @@ def render_dashboard(report: Dict[str, Any]) -> str:
            f"window {next(iter(report.get('throughput', {}).values()), {}).get('timeline', {}).get('window_ns', 0) / 1e3:.0f} µs")
     body = (
         f"<h1>ES2 reproduction — bench dashboard</h1>"
-        f'<p class="sub">{_esc(sub)}</p>'
+        f'<p class="sub">{esc(sub)}</p>'
         + _tiles(report)
         + "<h2>Windowed telemetry</h2>"
         + _crosscheck_table(report)
@@ -704,22 +514,4 @@ def render_dashboard(report: Dict[str, Any]) -> str:
         + _gap_histograms(report)
         + '<div id="tooltip"></div>'
     )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        f"<title>ES2 bench dashboard — {_esc(rev)}</title>\n"
-        f"<style>{_css()}</style>\n"
-        "</head><body>\n"
-        + body
-        + f"\n<script>{_tooltip_js()}</script>\n"
-        "</body></html>\n"
-    )
-
-
-def write_dashboard(report: Dict[str, Any], path: str) -> str:
-    """Render and write the dashboard; returns ``path``."""
-    doc = render_dashboard(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-    return path
+    return page(f"ES2 bench dashboard — {rev}", body, script=_TOOLTIP_JS)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.obs.dashboard import render_dashboard
 from repro.units import MS
@@ -68,8 +69,7 @@ def main(argv=None) -> int:
         )
 
     doc = render_dashboard(report)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    Path(args.output).write_text(doc, encoding="utf-8")
     print(f"wrote {args.output} ({len(doc) // 1024} KiB, self-contained)")
     return 0
 

@@ -12,96 +12,51 @@ in ``ui.perfetto.dev`` or ``chrome://tracing``:
   intervals (``sched-in`` → ``sched-out``) and instant markers for
   redirected interrupt deliveries;
 * process "vhost" — instant markers for Algorithm 1's polling →
-  notification mode switches, one track per handler;
-* process "timeline" — Perfetto counter tracks (``ph: "C"``), one per
-  windowed metric from a :class:`~repro.obs.timeline.TimelineSampler`
-  (rates and gauges alike), so the windowed telemetry renders as stacked
-  counter strips above the causal spans.
+  notification mode switches, one track per handler.
 
 Timestamps are microseconds (the trace-event unit) as floats, preserving
-the simulator's nanosecond resolution.
+the simulator's nanosecond resolution.  The document format and its
+on-disk writer live in the render kit (:mod:`repro.obs.render`).
 """
 
 from __future__ import annotations
 
 import json
+from typing import Any, Dict, Iterable, List
 
-from typing import Any, Dict, Iterable, List, Optional
-
+from repro.obs.render import complete, instant, meta, trace_doc
 from repro.obs.spans import PathTrace
 
-__all__ = ["perfetto_trace", "write_perfetto", "export_spans_jsonl"]
+__all__ = ["perfetto_trace", "export_spans_jsonl"]
 
 #: Synthetic pid per exported "process" (track group).
 PID_PATH = 1
 PID_SCHED = 2
 PID_VHOST = 3
-PID_TIMELINE = 4
-
-
-def _meta(pid: int, name: str, tid: Optional[int] = None) -> Dict[str, Any]:
-    event: Dict[str, Any] = {
-        "ph": "M",
-        "pid": pid,
-        "name": "process_name" if tid is None else "thread_name",
-        "args": {"name": name},
-    }
-    if tid is not None:
-        event["tid"] = tid
-    return event
-
-
-def _us(t_ns: int) -> float:
-    return t_ns / 1e3
 
 
 def _path_events(traces: Iterable[PathTrace]) -> List[Dict[str, Any]]:
-    events: List[Dict[str, Any]] = [_meta(PID_PATH, "event path")]
+    events: List[Dict[str, Any]] = [meta(PID_PATH, "event path")]
     for trace in sorted(traces, key=lambda t: t.ctx):
         if not trace.marks:
             continue
         tid = trace.ctx
         label = f"req {trace.ctx} ({trace.kind or 'truncated'})"
-        events.append(_meta(PID_PATH, label, tid=tid))
+        events.append(meta(PID_PATH, label, tid=tid))
         tree = trace.to_span_tree()
         if len(trace.marks) >= 2:
-            events.append({
-                "name": tree["name"],
-                "cat": "span",
-                "ph": "X",
-                "ts": _us(tree["start"]),
-                "dur": _us(tree["end"] - tree["start"]),
-                "pid": PID_PATH,
-                "tid": tid,
-                "args": {
-                    "ctx": trace.ctx,
-                    "complete": trace.complete,
-                    "truncated": trace.truncated,
-                },
-            })
+            events.append(complete(
+                tree["name"], "span", tree["start"], tree["end"] - tree["start"],
+                PID_PATH, tid, {"ctx": trace.ctx, "complete": trace.complete,
+                                "truncated": trace.truncated}))
         for child in tree["children"]:
-            events.append({
-                "name": child["name"],
-                "cat": "span",
-                "ph": "X",
-                "ts": _us(child["start"]),
-                "dur": _us(child["end"] - child["start"]),
-                "pid": PID_PATH,
-                "tid": tid,
-                "args": {"point": child["point"], **child["attrs"]},
-            })
+            events.append(complete(
+                child["name"], "span", child["start"], child["end"] - child["start"],
+                PID_PATH, tid, {"point": child["point"], **child["attrs"]}))
         if trace.dropped:
             mark = trace.marks[-1]
-            events.append({
-                "name": f"dropped:{mark.attrs.get('reason', '?')}",
-                "cat": "span",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(mark.t),
-                "pid": PID_PATH,
-                "tid": tid,
-                "args": dict(mark.attrs),
-            })
+            events.append(instant(f"dropped:{mark.attrs.get('reason', '?')}", "span",
+                                  mark.t, PID_PATH, tid, dict(mark.attrs)))
     return events
 
 
@@ -113,7 +68,7 @@ def _sched_events(bus) -> List[Dict[str, Any]]:
     def tid_of(key: str) -> int:
         if key not in tids:
             tids[key] = len(tids) + 1
-            events.append(_meta(PID_SCHED, key, tid=tids[key]))
+            events.append(meta(PID_SCHED, key, tid=tids[key]))
         return tids[key]
 
     open_since: Dict[str, int] = {}
@@ -124,16 +79,8 @@ def _sched_events(bus) -> List[Dict[str, Any]]:
             continue
         if e.kind == "irq-redirect":
             key = f"{e.fields.get('vm', '?')}/vcpu{e.fields.get('target', '?')}"
-            events.append({
-                "name": f"irq-redirect v{e.fields.get('vector', '?')}",
-                "cat": "redirect",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(e.t),
-                "pid": PID_SCHED,
-                "tid": tid_of(key),
-                "args": dict(e.fields),
-            })
+            events.append(instant(f"irq-redirect v{e.fields.get('vector', '?')}",
+                                  "redirect", e.t, PID_SCHED, tid_of(key), dict(e.fields)))
             continue
         key = f"{e.fields.get('vm', '?')}/vcpu{e.fields.get('vcpu', '?')}"
         if e.kind == "sched-in":
@@ -141,30 +88,14 @@ def _sched_events(bus) -> List[Dict[str, Any]]:
             continue
         start = open_since.pop(key, None)
         if start is not None:
-            events.append({
-                "name": "online",
-                "cat": "sched",
-                "ph": "X",
-                "ts": _us(start),
-                "dur": _us(e.t - start),
-                "pid": PID_SCHED,
-                "tid": tid_of(key),
-                "args": {},
-            })
+            events.append(complete("online", "sched", start, e.t - start,
+                                   PID_SCHED, tid_of(key), {}))
     # vCPUs still on a core when the window closed: emit the open interval.
     for key, start in sorted(open_since.items()):
-        events.append({
-            "name": "online",
-            "cat": "sched",
-            "ph": "X",
-            "ts": _us(start),
-            "dur": _us(max(0, last_t - start)),
-            "pid": PID_SCHED,
-            "tid": tid_of(key),
-            "args": {"open": True},
-        })
+        events.append(complete("online", "sched", start, max(0, last_t - start),
+                               PID_SCHED, tid_of(key), {"open": True}))
     if events:
-        events.insert(0, _meta(PID_SCHED, "vCPU scheduling"))
+        events.insert(0, meta(PID_SCHED, "vCPU scheduling"))
     return events
 
 
@@ -175,81 +106,22 @@ def _mode_switch_events(bus) -> List[Dict[str, Any]]:
         handler = str(fields.get("handler", "?"))
         if handler not in tids:
             tids[handler] = len(tids) + 1
-            events.append(_meta(PID_VHOST, handler, tid=tids[handler]))
-        events.append({
-            "name": f"mode-switch:{fields.get('mode', '?')}",
-            "cat": "mode_switch",
-            "ph": "i",
-            "s": "t",
-            "ts": _us(t),
-            "pid": PID_VHOST,
-            "tid": tids[handler],
-            "args": dict(fields),
-        })
+            events.append(meta(PID_VHOST, handler, tid=tids[handler]))
+        events.append(instant(f"mode-switch:{fields.get('mode', '?')}", "mode_switch",
+                              t, PID_VHOST, tids[handler], dict(fields)))
     if events:
-        events.insert(0, _meta(PID_VHOST, "vhost"))
+        events.insert(0, meta(PID_VHOST, "vhost"))
     return events
 
 
-def _timeline_events(timeline, max_tracks: int = 64) -> List[Dict[str, Any]]:
-    """Counter tracks (``ph: "C"``) from a TimelineSampler's samples.
-
-    Only metrics with at least one nonzero value get a track (a flat zero
-    line is noise in the UI); ``max_tracks`` bounds the document size,
-    preferring rate metrics in sorted order, then gauges.
-    """
-    samples = timeline.samples
-    if not samples:
-        return []
-    active: List[str] = []
-    for mid in timeline.metric_ids():
-        if any(s.rates.get(mid) or s.gauges.get(mid) for s in samples):
-            active.append(mid)
-        if len(active) >= max_tracks:
-            break
-    events: List[Dict[str, Any]] = [_meta(PID_TIMELINE, "timeline")]
-    for s in samples:
-        ts = _us(s.t_end)
-        for mid in active:
-            value = s.rates.get(mid)
-            if value is None:
-                value = s.gauges.get(mid)
-            if value is None:
-                continue
-            events.append({
-                "name": mid,
-                "cat": "timeline",
-                "ph": "C",
-                "ts": ts,
-                "pid": PID_TIMELINE,
-                "args": {"value": value},
-            })
-    return events
-
-
-def perfetto_trace(traces: Iterable[PathTrace], bus=None, timeline=None) -> Dict[str, Any]:
-    """Build the Chrome ``trace_event`` document (JSON-object flavour)."""
+def perfetto_trace(traces: Iterable[PathTrace], bus=None) -> Dict[str, Any]:
+    """Build the Chrome ``trace_event`` document (JSON-object flavour);
+    write it with :func:`repro.obs.render.write_trace`."""
     events = _path_events(traces)
     if bus is not None:
         events.extend(_sched_events(bus))
         events.extend(_mode_switch_events(bus))
-    if timeline is not None:
-        events.extend(_timeline_events(timeline))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {"generator": "repro.obs.export (ES2 reproduction)"},
-    }
-
-
-def write_perfetto(traces: Iterable[PathTrace], path: str, bus=None,
-                   timeline=None) -> Dict[str, Any]:
-    """Serialize :func:`perfetto_trace` to ``path``; returns the document."""
-    doc = perfetto_trace(traces, bus=bus, timeline=timeline)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return doc
+    return trace_doc(events, __name__)
 
 
 def export_spans_jsonl(traces: Iterable[PathTrace], path: str) -> int:

@@ -1,9 +1,9 @@
 """Self-contained HTML Gantt dashboard for one flow run.
 
 ``render_flow_dashboard`` turns a schema-v2 ``flow-state.json`` document
-into a single offline HTML file — the same zero-external-resource
-contract, stylesheet, and CVD-validated palette as the bench dashboard
-(:mod:`repro.obs.dashboard`), so the two artifacts read as one system.
+into a single offline HTML file — built on the shared render kit
+(:mod:`repro.obs.render`), so it reads as one system with the bench and
+rack dashboards.
 
 Content:
 
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.obs.dashboard import base_css, esc, fmt
 from repro.obs.flowreport import flow_report
+from repro.obs.render import Markup, card, esc, fmt, page, table, tiles
 
-__all__ = ["render_flow_dashboard", "write_flow_dashboard"]
+__all__ = ["render_flow_dashboard"]
 
 #: Task kind -> fixed palette slot (never cycled, stable across runs).
 _KIND_SLOTS = {
@@ -54,9 +54,8 @@ def _kind_slot(kind: str) -> int:
     return _KIND_SLOTS.get(kind, _KIND_SLOTS["task"])
 
 
-def _flow_css() -> str:
-    """Gantt-specific additions on top of the shared stylesheet."""
-    return """
+#: Gantt-specific additions on top of the shared stylesheet.
+_FLOW_CSS = """
 .lane-label { fill: var(--ink-2); font-size: 11px; }
 .bar { rx: 2; }
 .bar.cached { opacity: 0.35; }
@@ -76,19 +75,14 @@ def _flow_css() -> str:
 
 def _tiles(report: Mapping[str, Any]) -> str:
     cache = report["cache"]
-    tiles = [
+    return tiles([
         ("busy makespan", f"{report['makespan_s']:.1f} s"),
         ("total work", f"{report['total_work_s']:.1f} s"),
         ("parallel efficiency", f"{report['parallel_efficiency']:.2f}×"),
         ("critical path", f"{report['critical_path']['wall_s']:.1f} s"),
         ("executed / cached", f"{cache['executed']} / {cache['cached']}"),
         ("budget overruns", str(len(report["budgets"]["over"]))),
-    ]
-    return '<div class="tiles">' + "".join(
-        f'<div class="tile"><div class="v">{esc(v)}</div>'
-        f'<div class="l">{esc(label)}</div></div>'
-        for label, v in tiles
-    ) + "</div>"
+    ])
 
 
 def _gantt(state: Mapping[str, Any], report: Mapping[str, Any]) -> str:
@@ -98,7 +92,7 @@ def _gantt(state: Mapping[str, Any], report: Mapping[str, Any]) -> str:
         if rec.get("started_unix", 0) > 0 and rec.get("finished_unix", 0) > 0
     ]
     if not rows:
-        return '<div class="card"><div class="note">no executed tasks to chart</div></div>'
+        return card("", '<div class="note">no executed tasks to chart</div>')
     rows.sort(key=lambda kv: kv[1]["started_unix"])
     critical = set(report["critical_path"]["tasks"])
     base = min(rec["started_unix"] - rec.get("queue_wait_s", 0.0) for _, rec in rows)
@@ -171,13 +165,9 @@ def _gantt(state: Mapping[str, Any], report: Mapping[str, Any]) -> str:
                "</span>outlined = critical path</span>"
                '<span><span class="sw" style="background: var(--s0); opacity:.25">'
                "</span>faded lead-in = queue wait</span>")
-    return (
-        '<div class="card"><div class="chart-title">Task Gantt</div>'
-        '<div class="chart-unit">wall-clock seconds from first task start; '
-        "bars colored by task kind, cache hits faded</div>"
-        + "".join(parts)
-        + f'<div class="legend">{legend}</div></div>'
-    )
+    return card("Task Gantt", "".join(parts) + f'<div class="legend">{legend}</div>',
+                unit="wall-clock seconds from first task start; "
+                     "bars colored by task kind, cache hits faded")
 
 
 def _cache_map(state: Mapping[str, Any]) -> str:
@@ -201,12 +191,9 @@ def _cache_map(state: Mapping[str, Any]) -> str:
             f'<div class="{classes}" title="{esc(tip)}" '
             f'style="background: var(--s{slot}); border-color: var(--s{slot})"></div>'
         )
-    return (
-        '<div class="card"><div class="chart-title">Cache-hit map</div>'
-        '<div class="chart-unit">one chip per task, state order — filled = executed '
-        "this invocation, hollow = served from cache, red outline = failed</div>"
-        f'<div class="chips">{"".join(chips)}</div></div>'
-    )
+    return card("Cache-hit map", f'<div class="chips">{"".join(chips)}</div>',
+                unit="one chip per task, state order — filled = executed "
+                     "this invocation, hollow = served from cache, red outline = failed")
 
 
 def _critical_path_card(report: Mapping[str, Any]) -> str:
@@ -218,19 +205,12 @@ def _critical_path_card(report: Mapping[str, Any]) -> str:
     for name in cp["tasks"]:
         wall = cp["walls"][name]
         cumulative += wall
-        rows.append(
-            f"<tr><td>{esc(name)}</td>"
-            f'<td class="num">{wall:.2f}</td>'
-            f'<td class="num">{cumulative:.2f}</td></tr>'
-        )
-    return (
-        '<div class="card"><div class="chart-title">Critical path</div>'
-        f'<div class="chart-unit">{cp["wall_s"]:.2f}s — '
-        f'{cp["share_of_makespan"] * 100:.0f}% of the busy makespan; no schedule '
-        "can finish the run faster than this chain</div><table>"
-        '<tr><th>task</th><th class="num">wall s</th><th class="num">cumulative s</th></tr>'
-        + "".join(rows) + "</table></div>"
-    )
+        rows.append((name, f"{wall:.2f}", f"{cumulative:.2f}"))
+    return card(
+        "Critical path",
+        table(("task", "wall s", "cumulative s"), rows, num=(1, 2)),
+        unit=f'{cp["wall_s"]:.2f}s — {cp["share_of_makespan"] * 100:.0f}% of the '
+             "busy makespan; no schedule can finish the run faster than this chain")
 
 
 def _resource_table(state: Mapping[str, Any]) -> str:
@@ -245,30 +225,24 @@ def _resource_table(state: Mapping[str, Any]) -> str:
         budget = float(rec.get("budget_s", 0.0))
         verdict = ""
         if rec.get("over_budget"):
-            verdict = f'<span class="badge over">+{rec.get("wall_s", 0.0) - budget:.1f}s</span>'
+            verdict = Markup(f'<span class="badge over">'
+                             f'+{rec.get("wall_s", 0.0) - budget:.1f}s</span>')
         elif budget:
             verdict = "ok"
-        rows.append(
-            f"<tr><td>{esc(name)}</td><td>{esc(rec.get('status', '?'))}</td>"
-            f"<td>{'cache' if rec.get('cached') else esc(rec.get('source') or '–')}</td>"
-            f'<td class="num">{rec.get("wall_s", 0.0):.2f}</td>'
-            f'<td class="num">{rec.get("cpu_user_s", 0.0):.2f}</td>'
-            f'<td class="num">{rec.get("cpu_sys_s", 0.0):.2f}</td>'
-            f'<td class="num">{fmt(rec.get("peak_rss_kb", 0))}</td>'
-            f'<td class="num">{rec.get("queue_wait_s", 0.0) * 1e3:.1f}</td>'
-            f"<td>{esc(rec.get('worker') or '–')}</td>"
-            f"<td>{verdict}</td></tr>"
-        )
-    return (
-        '<div class="card"><div class="chart-title">Per-task resources</div>'
-        '<div class="chart-unit">sorted by wall; CPU seconds are worker getrusage '
-        "deltas, RSS is the task's contribution to the worker's peak</div><table>"
-        '<tr><th>task</th><th>status</th><th>source</th><th class="num">wall s</th>'
-        '<th class="num">cpu u</th><th class="num">cpu s</th>'
-        '<th class="num">rss kB</th><th class="num">q-wait ms</th>'
-        "<th>worker</th><th>budget</th></tr>"
-        + "".join(rows) + "</table></div>"
-    )
+        rows.append((
+            name, rec.get("status", "?"),
+            "cache" if rec.get("cached") else rec.get("source") or "–",
+            f'{rec.get("wall_s", 0.0):.2f}', f'{rec.get("cpu_user_s", 0.0):.2f}',
+            f'{rec.get("cpu_sys_s", 0.0):.2f}', fmt(rec.get("peak_rss_kb", 0)),
+            f'{rec.get("queue_wait_s", 0.0) * 1e3:.1f}', rec.get("worker") or "–",
+            verdict,
+        ))
+    return card(
+        "Per-task resources",
+        table(("task", "status", "source", "wall s", "cpu u", "cpu s", "rss kB",
+               "q-wait ms", "worker", "budget"), rows, num=range(3, 8)),
+        unit="sorted by wall; CPU seconds are worker getrusage deltas, "
+             "RSS is the task's contribution to the worker's peak")
 
 
 def render_flow_dashboard(
@@ -294,21 +268,4 @@ def render_flow_dashboard(
         + _cache_map(state)
         + _resource_table(state)
     )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        f"<title>ES2 flow dashboard — {esc(report['run_key'])}</title>\n"
-        f"<style>{base_css()}{_flow_css()}</style>\n"
-        "</head><body>\n"
-        + body
-        + "\n</body></html>\n"
-    )
-
-
-def write_flow_dashboard(state: Mapping[str, Any], path: str) -> str:
-    """Render and write the flow dashboard; returns ``path``."""
-    doc = render_flow_dashboard(state)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-    return path
+    return page(f"ES2 flow dashboard — {report['run_key']}", body, style=_FLOW_CSS)

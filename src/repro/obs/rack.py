@@ -39,7 +39,6 @@ shards).
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.pathreport import build_path_report, format_path_report
@@ -54,10 +53,8 @@ __all__ = [
     "build_rack_telemetry",
     "strip_raw",
     "rack_perfetto_trace",
-    "write_rack_perfetto",
     "format_rack_telemetry",
     "render_rack_dashboard",
-    "write_rack_dashboard",
 ]
 
 #: shipped span mark: (t, ctx, point, attrs)
@@ -414,65 +411,41 @@ def strip_raw(telemetry: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------- perfetto
-def _meta(pid: int, name: str, tid: Optional[int] = None) -> Dict[str, Any]:
-    event: Dict[str, Any] = {
-        "ph": "M",
-        "pid": pid,
-        "name": "process_name" if tid is None else "thread_name",
-        "args": {"name": name},
-    }
-    if tid is not None:
-        event["tid"] = tid
-    return event
-
-
-def _us(t_ns: int) -> float:
-    return t_ns / 1e3
-
-
+# The render kit is imported inside each exporter, not at module level:
+# repro.cluster imports this module, and the kit's html import stays off
+# every simulator's import path.
 def _stitched_events(traces: Dict[Any, StitchedTrace]) -> List[Dict[str, Any]]:
-    events: List[Dict[str, Any]] = [_meta(PID_STITCHED, "rack: stitched event paths")]
+    from repro.obs.render import complete, meta
+
+    events: List[Dict[str, Any]] = [meta(PID_STITCHED, "rack: stitched event paths")]
     for tid, ctx in enumerate(sorted(traces, key=str), start=1):
         trace = traces[ctx]
         if len(trace.marks) < 2:
             continue
         hosts = trace.hosts()
-        events.append(_meta(PID_STITCHED, f"req {ctx}", tid=tid))
-        events.append({
-            "name": f"request/{trace.kind or 'truncated'}",
-            "cat": "span",
-            "ph": "X",
-            "ts": _us(trace.start),
-            "dur": _us(trace.total_ns),
-            "pid": PID_STITCHED,
-            "tid": tid,
-            "args": {"ctx": str(ctx), "complete": trace.complete,
-                     "hosts": hosts},
-        })
+        events.append(meta(PID_STITCHED, f"req {ctx}", tid=tid))
+        events.append(complete(
+            f"request/{trace.kind or 'truncated'}", "span", trace.start, trace.total_ns,
+            PID_STITCHED, tid, {"ctx": str(ctx), "complete": trace.complete,
+                                "hosts": hosts}))
         for stage in trace.stages():
-            events.append({
-                "name": stage.name,
-                "cat": "span",
-                "ph": "X",
-                "ts": _us(stage.start),
-                "dur": _us(stage.duration),
-                "pid": PID_STITCHED,
-                "tid": tid,
-                "args": {"point": stage.point,
-                         **{k: v for k, v in stage.attrs.items()}},
-            })
+            events.append(complete(stage.name, "span", stage.start, stage.duration,
+                                   PID_STITCHED, tid,
+                                   {"point": stage.point, **stage.attrs}))
     return events
 
 
 def _fabric_events(traces: Dict[Any, StitchedTrace]) -> List[Dict[str, Any]]:
     """One track per directed host hop; an X span per fabric transit."""
+    from repro.obs.render import complete, meta
+
     events: List[Dict[str, Any]] = []
     tids: Dict[str, int] = {}
 
     def tid_of(key: str) -> int:
         if key not in tids:
             tids[key] = len(tids) + 1
-            events.append(_meta(PID_FABRIC, key, tid=tids[key]))
+            events.append(meta(PID_FABRIC, key, tid=tids[key]))
         return tids[key]
 
     for ctx in sorted(traces, key=str):
@@ -484,25 +457,20 @@ def _fabric_events(traces: Dict[Any, StitchedTrace]) -> List[Dict[str, Any]]:
             elif mark.point == "xshard_rx" and pending is not None:
                 src = pending.attrs.get("src", pending.attrs.get("shard_host", "?"))
                 dst = mark.attrs.get("shard_host", "?")
-                events.append({
-                    "name": f"transit {src}->{dst}",
-                    "cat": "rack",
-                    "ph": "X",
-                    "ts": _us(pending.t),
-                    "dur": _us(mark.t - pending.t),
-                    "pid": PID_FABRIC,
-                    "tid": tid_of(f"{src} -> {dst}"),
-                    "args": {"ctx": str(ctx)},
-                })
+                events.append(complete(f"transit {src}->{dst}", "rack", pending.t,
+                                       mark.t - pending.t, PID_FABRIC,
+                                       tid_of(f"{src} -> {dst}"), {"ctx": str(ctx)}))
                 pending = None
     if events:
-        events.insert(0, _meta(PID_FABRIC, "rack: cross-shard fabric"))
+        events.insert(0, meta(PID_FABRIC, "rack: cross-shard fabric"))
     return events
 
 
 def _shard_group_events(telemetry: Dict[str, Any],
                         partitions: Sequence[Sequence[str]]) -> List[Dict[str, Any]]:
     """Per-shard track groups: host rate-family counter tracks."""
+    from repro.obs.render import counter, meta
+
     host_timelines = telemetry.get("raw", {}).get("host_timelines", {})
     host_shard: Dict[str, int] = {}
     for s, hosts in enumerate(partitions):
@@ -516,7 +484,7 @@ def _shard_group_events(telemetry: Dict[str, Any],
         if pid not in named_pids:
             named_pids.add(pid)
             hosts = ", ".join(partitions[s]) if s < len(partitions) else host
-            events.append(_meta(pid, f"shard {s} ({hosts})"))
+            events.append(meta(pid, f"shard {s} ({hosts})"))
         tl = host_timelines[host]
         window_ns = tl.get("window_ns", 0)
         for win in tl.get("windows", []):
@@ -527,39 +495,27 @@ def _shard_group_events(telemetry: Dict[str, Any],
                 family = _family_of(key)
                 if family is not None:
                     rates[family] = rates.get(family, 0.0) + delta * scale
-            ts = _us(win["t_end"])
             for family in RATE_FAMILIES:
                 if family in rates:
-                    events.append({
-                        "name": f"{host} {family}/s",
-                        "cat": "timeline",
-                        "ph": "C",
-                        "ts": ts,
-                        "pid": pid,
-                        "args": {"value": rates[family]},
-                    })
+                    events.append(counter(f"{host} {family}/s", "timeline",
+                                          win["t_end"], pid, rates[family]))
     return events
 
 
 def _barrier_events(telemetry: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Counter tracks: per-shard window wall (µs) on the simulated clock."""
+    from repro.obs.render import counter, meta
+
     barrier = telemetry.get("barrier", {})
     heat = barrier.get("heat", [])
     if not heat:
         return []
-    events: List[Dict[str, Any]] = [_meta(PID_BARRIER, "rack: barrier profile")]
+    events: List[Dict[str, Any]] = [meta(PID_BARRIER, "rack: barrier profile")]
     n_shards = len(heat[0]["wall_us"])
     for bucket in heat:
-        ts = _us(bucket["t_end_ns"])
         for s in range(n_shards):
-            events.append({
-                "name": f"shard {s} window wall us",
-                "cat": "rack",
-                "ph": "C",
-                "ts": ts,
-                "pid": PID_BARRIER,
-                "args": {"value": bucket["wall_us"][s]},
-            })
+            events.append(counter(f"shard {s} window wall us", "rack",
+                                  bucket["t_end_ns"], PID_BARRIER, bucket["wall_us"][s]))
     return events
 
 
@@ -569,7 +525,10 @@ def rack_perfetto_trace(report: Dict[str, Any]) -> Dict[str, Any]:
     Track groups: stitched end-to-end request paths, cross-shard fabric
     transits (one track per directed host hop), the barrier profile, and
     one telemetry group per shard with its hosts' rate-family counters.
+    Write it with :func:`repro.obs.render.write_trace`.
     """
+    from repro.obs.render import trace_doc
+
     telemetry = report.get("telemetry")
     if not telemetry:
         raise ValueError("report has no telemetry block: run with telemetry on")
@@ -586,20 +545,7 @@ def rack_perfetto_trace(report: Dict[str, Any]) -> Dict[str, Any]:
     events.extend(_fabric_events(traces))
     events.extend(_barrier_events(telemetry))
     events.extend(_shard_group_events(telemetry, partitions))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {"generator": "repro.obs.rack (ES2 reproduction)"},
-    }
-
-
-def write_rack_perfetto(report: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Serialize :func:`rack_perfetto_trace` to ``path``; returns the doc."""
-    doc = rack_perfetto_trace(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return doc
+    return trace_doc(events, __name__)
 
 
 # -------------------------------------------------------------- text render
@@ -659,7 +605,7 @@ def format_rack_telemetry(telemetry: Dict[str, Any]) -> str:
 def render_rack_dashboard(report: Dict[str, Any]) -> str:
     """A self-contained rack observability page (same conventions as the
     bench dashboard: zero external resources, palette-safe, offline)."""
-    from repro.obs.dashboard import base_css, esc
+    from repro.obs.render import card, esc, page, table
 
     telemetry = report.get("telemetry", {})
     spec = report.get("spec", {})
@@ -669,26 +615,19 @@ def render_rack_dashboard(report: Dict[str, Any]) -> str:
     if steady:
         fams = [f for f in RATE_FAMILIES
                 if any(f in rates for rates in steady.values())]
-        head = "".join(f'<th class="num">{esc(f)}/s</th>' for f in fams)
-        rows = "".join(
-            f"<tr><td>{esc(host)}</td>"
-            + "".join(f'<td class="num">{rates.get(f, 0.0):,.0f}</td>'
-                      for f in fams)
-            + "</tr>"
-            for host, rates in steady.items()
-        )
-        sections.append(
-            '<div class="card"><div class="chart-title">Per-host steady rates'
-            "</div><table><tr><th>host</th>" + head + "</tr>" + rows
-            + "</table></div>"
-        )
+        rows = [(host, *(f"{rates.get(f, 0.0):,.0f}" for f in fams))
+                for host, rates in steady.items()]
+        sections.append(card(
+            "Per-host steady rates",
+            table(("host", *(f"{f}/s" for f in fams)), rows,
+                  num=range(1, len(fams) + 1))))
 
     barrier = telemetry.get("barrier", {})
     heat = barrier.get("heat", [])
     if heat:
         n_shards = len(heat[0]["wall_us"])
         peak = max((max(b["wall_us"]) for b in heat), default=0.0) or 1.0
-        rows = []
+        grid = []
         for s in range(n_shards):
             cells = []
             for bucket in heat:
@@ -700,87 +639,59 @@ def render_rack_dashboard(report: Dict[str, Any]) -> str:
                     f'style="background:rgba(214,64,52,{alpha:.2f});'
                     'width:9px;height:18px;padding:0"></td>'
                 )
-            rows.append(f'<tr><td class="num">shard {s}</td>'
+            grid.append(f'<tr><td class="num">shard {s}</td>'
                         + "".join(cells) + "</tr>")
-        sections.append(
-            '<div class="card"><div class="chart-title">Barrier-wait heat '
-            "(per-shard window wall time)</div>"
-            '<div class="chart-unit">each cell is one bucket of sync '
-            "windows; darker = this shard computed longer (others waited); "
-            f"straggler: shard {barrier.get('straggler_shard')}</div>"
-            '<table style="border-collapse:collapse">' + "".join(rows)
-            + "</table></div>"
-        )
+        sections.append(card(
+            "Barrier-wait heat (per-shard window wall time)",
+            '<table style="border-collapse:collapse">' + "".join(grid) + "</table>",
+            unit="each cell is one bucket of sync windows; darker = this shard "
+                 "computed longer (others waited); "
+                 f"straggler: shard {barrier.get('straggler_shard')}"))
     per_shard = barrier.get("per_shard", [])
     if per_shard:
-        rows = "".join(
-            f'<tr><td class="num">{s["shard"]}</td>'
-            f"<td>{esc(', '.join(s['hosts']))}</td>"
-            f'<td class="num">{s["bound_fraction"]:.0%}</td>'
-            f'<td class="num">{s["lookahead_utilization"]:.0%}</td>'
-            f'<td class="num">{s["window_wall_mean_us"]:.1f}</td>'
-            f'<td class="num">{s["window_wall_max_us"]:.1f}</td>'
-            f'<td class="num">{s["barrier_wait_s"]:.3f}</td></tr>'
+        rows = [
+            (str(s["shard"]), ", ".join(s["hosts"]), f'{s["bound_fraction"]:.0%}',
+             f'{s["lookahead_utilization"]:.0%}', f'{s["window_wall_mean_us"]:.1f}',
+             f'{s["window_wall_max_us"]:.1f}', f'{s["barrier_wait_s"]:.3f}')
             for s in per_shard
-        )
-        sections.append(
-            '<div class="card"><div class="chart-title">Straggler attribution'
-            "</div><table><tr><th class=\"num\">shard</th><th>hosts</th>"
-            '<th class="num">bounds</th><th class="num">util</th>'
-            '<th class="num">wall mean µs</th><th class="num">wall max µs</th>'
-            '<th class="num">barrier wait s</th></tr>' + rows
-            + "</table></div>"
-        )
+        ]
+        sections.append(card(
+            "Straggler attribution",
+            table(("shard", "hosts", "bounds", "util", "wall mean µs",
+                   "wall max µs", "barrier wait s"), rows, num=(0, 2, 3, 4, 5, 6))))
 
     paths = telemetry.get("paths", {})
     stages = paths.get("stages", {})
     if stages:
-        rows = "".join(
-            f"<tr><td>{esc(name)}</td>"
-            f'<td class="num">{s["count"]:,}</td>'
-            f'<td class="num">{s["p50_us"]:.1f}</td>'
-            f'<td class="num">{s["p99_us"]:.1f}</td>'
-            f'<td class="num">{s["mean_us"]:.1f}</td>'
-            f'<td class="num">{s["share"]:.1%}</td></tr>'
+        rows = [
+            (name, f'{s["count"]:,}', f'{s["p50_us"]:.1f}', f'{s["p99_us"]:.1f}',
+             f'{s["mean_us"]:.1f}', f'{s["share"]:.1%}')
             for name, s in stages.items()
-        )
+        ]
         rtt = paths.get("rtt", {})
         counts = paths.get("counts", {})
         cross = paths.get("cross_host", {})
-        sections.append(
-            '<div class="card"><div class="chart-title">Stitched-path stage '
-            "attribution</div>"
-            f'<div class="chart-unit">{counts.get("complete", 0):,} complete '
-            f'of {counts.get("total", 0):,} stitched paths '
-            f'({cross.get("complete_multi_host", 0):,} multi-host); '
-            f'end-to-end p50 {rtt.get("p50_us", 0.0):.1f} µs, '
-            f'p99 {rtt.get("p99_us", 0.0):.1f} µs</div>'
-            '<table><tr><th>stage</th><th class="num">count</th>'
-            '<th class="num">p50 µs</th><th class="num">p99 µs</th>'
-            '<th class="num">mean µs</th><th class="num">share</th></tr>'
-            + rows + "</table></div>"
-        )
+        sections.append(card(
+            "Stitched-path stage attribution",
+            table(("stage", "count", "p50 µs", "p99 µs", "mean µs", "share"),
+                  rows, num=range(1, 6)),
+            unit=f'{counts.get("complete", 0):,} complete '
+                 f'of {counts.get("total", 0):,} stitched paths '
+                 f'({cross.get("complete_multi_host", 0):,} multi-host); '
+                 f'end-to-end p50 {rtt.get("p50_us", 0.0):.1f} µs, '
+                 f'p99 {rtt.get("p99_us", 0.0):.1f} µs'))
 
     wd = telemetry.get("watchdog", {})
     title = (
         f"Rack observability — {spec.get('n_hosts', '?')} ES2 hosts + "
         f"{spec.get('n_client_hosts', '?')} clients, "
         f"{report.get('n_shards', '?')} shards, "
-        f"{esc(str(spec.get('config', '?')))}"
+        f"{spec.get('config', '?')}"
     )
-    return (
-        "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-        f"<title>{title}</title><style>{base_css()}</style></head><body>"
-        f"<h1>{title}</h1>"
+    body = (
+        f"<h1>{esc(title)}</h1>"
         f'<div class="chart-unit">watchdog: {wd.get("windows_checked", 0):,} '
         f'windows checked, {wd.get("violations", 0):,} violations</div>'
-        + "".join(sections) + "</body></html>"
+        + "".join(sections)
     )
-
-
-def write_rack_dashboard(report: Dict[str, Any], path: str) -> str:
-    """Render and write the rack dashboard; returns the path."""
-    html_doc = render_rack_dashboard(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(html_doc)
-    return path
+    return page(title, body)

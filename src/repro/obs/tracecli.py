@@ -18,8 +18,9 @@ from typing import Any, Dict
 
 from repro.core.configs import paper_config
 from repro.experiments.testbed import multiplexed_testbed, single_vcpu_testbed
-from repro.obs.export import export_spans_jsonl, write_perfetto
+from repro.obs.export import export_spans_jsonl, perfetto_trace
 from repro.obs.pathreport import build_path_report, format_path_report
+from repro.obs.render import write_trace
 from repro.obs.spans import collect_traces
 from repro.units import MS
 
@@ -116,7 +117,8 @@ def main(argv=None) -> int:
     )
     print(format_path_report(result["report"], title=result["title"]))
     if args.perfetto:
-        doc = write_perfetto(result["traces"], args.perfetto, bus=result["bus"])
+        doc = perfetto_trace(result["traces"], bus=result["bus"])
+        write_trace(doc, args.perfetto)
         print(f"wrote {args.perfetto} ({len(doc['traceEvents'])} trace events; "
               "load it in ui.perfetto.dev)")
     if args.jsonl:

@@ -1,20 +1,16 @@
-"""Tests for the bench regression gate (scripts/bench_compare.py)."""
+"""Tests for the bench regression gate (repro.obs.bench_compare)."""
 
 from __future__ import annotations
 
 import copy
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_compare.py"
-_spec = importlib.util.spec_from_file_location("bench_compare", _SCRIPT)
-bench_compare = importlib.util.module_from_spec(_spec)
-sys.modules.setdefault("bench_compare", bench_compare)
-_spec.loader.exec_module(bench_compare)
+from repro.obs import bench_compare
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _report(**overrides):
@@ -129,7 +125,7 @@ class TestCli:
             bench_compare.load_report(path)
 
     def test_checked_in_baseline_is_loadable(self):
-        baseline = bench_compare.load_report(str(_SCRIPT.parent.parent / "BENCH_baseline.json"))
+        baseline = bench_compare.load_report(str(_ROOT / "BENCH_baseline.json"))
         metrics = dict(
             (mid, value) for mid, _, value in bench_compare._metrics(baseline)
         )

@@ -1,8 +1,8 @@
 """Tests for the self-contained HTML dashboard (repro.obs.dashboard).
 
-The dashboard ships as one file with zero external resources, so the
-checks here are structural: balanced markup, parseable embedded tooltip
-payloads, the expected chart/metric ids, and the acceptance-criterion
+The shared page checks (:mod:`tests.artifact_checks`) cover the offline
+contract and balanced markup; the checks here add the tooltip payload
+shape, the expected chart/metric ids, and the acceptance-criterion
 cross-check — steady-state exit rates reaggregated from the embedded
 timeline windows must match the bench aggregate within 1%.
 """
@@ -10,17 +10,14 @@ timeline windows must match the bench aggregate within 1%.
 from __future__ import annotations
 
 import json
-from html.parser import HTMLParser
 
 import pytest
 
 from repro.obs import bench, dashcli
-from repro.obs.dashboard import (
-    render_dashboard,
-    steady_state_window_rate,
-    write_dashboard,
-)
+from repro.obs.dashboard import render_dashboard, steady_state_window_rate
 from repro.units import MS
+
+from tests.artifact_checks import check_page
 
 
 @pytest.fixture(scope="module")
@@ -40,70 +37,15 @@ def doc(report):
     return render_dashboard(report)
 
 
-class _Scan(HTMLParser):
-    """Collects tag balance, element ids, and embedded JSON payloads."""
-
-    VOID = {"meta", "br", "hr", "img", "input", "link"}
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.stack = []
-        self.mismatches = []
-        self.ids = set()
-        self.json_blobs = []
-        self._json_depth = None
-
-    def handle_starttag(self, tag, attrs):
-        a = dict(attrs)
-        if "id" in a:
-            self.ids.add(a["id"])
-        if tag in self.VOID:
-            return
-        if tag == "script" and a.get("type") == "application/json":
-            self._json_depth = len(self.stack)
-            self.json_blobs.append("")
-        self.stack.append(tag)
-
-    def handle_startendtag(self, tag, attrs):
-        a = dict(attrs)
-        if "id" in a:
-            self.ids.add(a["id"])
-
-    def handle_endtag(self, tag):
-        if tag in self.VOID:
-            return
-        if not self.stack or self.stack[-1] != tag:
-            self.mismatches.append((tag, list(self.stack[-3:])))
-        else:
-            self.stack.pop()
-        if self._json_depth is not None and len(self.stack) == self._json_depth:
-            self._json_depth = None
-
-    def handle_data(self, data):
-        if self._json_depth is not None:
-            self.json_blobs[-1] += data
-
-
 def test_dashboard_is_self_contained(doc):
-    lowered = doc.lower()
-    assert "http://" not in lowered
-    assert "https://" not in lowered
-    assert "<link" not in lowered
-    assert "<img" not in lowered
-    assert "@import" not in lowered
-    assert "src=" not in lowered
-    assert lowered.count("<svg") >= 5  # the charts themselves are inline
+    check_page(doc)
+    assert doc.lower().count("<svg") >= 5  # the charts themselves are inline
 
 
 def test_dashboard_markup_balanced_and_payloads_parse(doc):
-    scan = _Scan()
-    scan.feed(doc)
-    scan.close()
-    assert scan.mismatches == []
-    assert scan.stack == []
-    assert scan.json_blobs  # one tooltip payload per rendered chart
-    for blob in scan.json_blobs:
-        payload = json.loads(blob)
+    scan = check_page(doc)
+    assert scan.payloads  # one tooltip payload per rendered chart
+    for payload in scan.payloads:
         assert payload["tmin"] <= payload["tmax"]
         assert payload["t"]  # shared time base
         for s in payload["series"]:
@@ -111,9 +53,7 @@ def test_dashboard_markup_balanced_and_payloads_parse(doc):
 
 
 def test_dashboard_has_expected_charts_and_metric_ids(doc, report):
-    scan = _Scan()
-    scan.feed(doc)
-    scan.close()
+    scan = check_page(doc)
     for name in report["throughput"]:
         assert f"exits-{name}" in scan.ids
         assert f"net-{name}" in scan.ids
@@ -147,11 +87,6 @@ def test_report_watchdog_verdict_is_clean(report):
         wd = point["timeline"]["watchdog"]
         assert wd["violations"] == 0
         assert wd["windows_checked"] > 0
-
-
-def test_write_dashboard_roundtrip(tmp_path, report, doc):
-    path = write_dashboard(report, str(tmp_path / "dash.html"))
-    assert (tmp_path / "dash.html").read_text(encoding="utf-8") == doc
 
 
 def test_dashcli_renders_existing_report(tmp_path, report, capsys):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 
+from repro.flow import cli
 from repro.flow.graph import Task, TaskGraph
 from repro.flow.runner import FlowRunner
-from repro.obs.flowdash import render_flow_dashboard, write_flow_dashboard
+from repro.obs.flowdash import render_flow_dashboard
 from repro.obs.flowreport import flow_report
 
+from tests.artifact_checks import check_page
 from tests.test_flow import t_burn, t_sum
 
 
@@ -29,11 +31,8 @@ def _state(tmp_path, jobs=2):
 class TestRender:
     def test_self_contained_html_with_all_sections(self, tmp_path):
         html = render_flow_dashboard(_state(tmp_path))
-        assert html.startswith("<!DOCTYPE html>")
-        # Offline contract: inline everything, reference nothing.
-        body = html.split("</style>", 1)[1]
-        for banned in ("http://", "https://", "<script", "src="):
-            assert banned not in body, banned
+        check_page(html)
+        assert "<script" not in html
         for section in ("Task Gantt", "Critical path", "Cache-hit map",
                         "Per-task resources", "<svg"):
             assert section in html, section
@@ -75,10 +74,13 @@ class TestRender:
         html = render_flow_dashboard(doc)
         assert "no executed tasks to chart" in html
 
-    def test_write_flow_dashboard(self, tmp_path):
+    def test_flow_cli_writes_dashboard(self, tmp_path, capsys):
+        _state(tmp_path / "state")
         out = tmp_path / "gantt.html"
-        write_flow_dashboard(_state(tmp_path / "state"), str(out))
+        assert cli.main(["dashboard", "--state-dir", str(tmp_path / "state"),
+                         "--output", str(out)]) == 0
         assert out.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
+        assert str(out) in capsys.readouterr().out
 
     def test_task_names_are_escaped(self):
         doc = {"schema": 2, "run_key": "x", "mode": "full", "code_version": "cv",

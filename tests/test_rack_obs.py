@@ -42,6 +42,8 @@ from repro.obs.rack import (
 from repro.obs.spans import Mark
 from repro.units import MS
 
+from tests.artifact_checks import check_page, check_trace
+
 pytestmark = pytest.mark.rack_smoke
 
 WARMUP = 1 * MS
@@ -235,23 +237,17 @@ def test_rack_telemetry_per_host_block(rack_runs):
 # --------------------------------------------------------------- surfacing
 def test_rack_perfetto_export(rack_runs):
     _spec, _off, on = rack_runs
-    doc = rack_perfetto_trace(on[2])
-    events = doc["traceEvents"]
+    events = check_trace(rack_perfetto_trace(on[2]), phases="MXCi")
     pids = {e["pid"] for e in events}
     assert 1 in pids          # stitched request paths
     assert 2 in pids          # cross-shard fabric transits
     assert {100, 101} <= pids  # one telemetry track group per shard
-    for event in events:
-        assert event["ph"] in ("M", "X", "C", "i")
-        if event["ph"] == "X":
-            assert event["dur"] >= 0 and event["ts"] >= 0
-    # json-serializable without NaN (the on-disk contract)
-    json.dumps(doc, allow_nan=False)
 
 
 def test_rack_dashboard_renders(rack_runs):
     _spec, _off, on = rack_runs
     html_doc = render_rack_dashboard(on[4])
+    check_page(html_doc)
     assert "Barrier-wait heat" in html_doc
     assert "Stitched-path stage" in html_doc
     assert "steady rates" in html_doc

@@ -9,12 +9,15 @@ asserting the byte-identity and reporting contracts, not performance.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
 
 from repro.cluster import reduced_rack_spec, run_rack_once, simulated_digest
 from repro.units import MS
+
+from tests.artifact_checks import check_page, check_trace
 
 pytestmark = pytest.mark.rack_smoke
 
@@ -78,3 +81,17 @@ def test_bench_rack_block():
         assert point["counters"]  # merged per-host counter snapshot
     assert block["points"]["1"]["events_fired"] == block["points"]["4"]["events_fired"]
     assert block["aggregate_speedup"] > 0
+
+
+def test_rack_cli_writes_trace_and_dashboard(tmp_path, capsys):
+    from repro.__main__ import main
+
+    trace, dash = tmp_path / "rack.perfetto.json", tmp_path / "rack.html"
+    assert main(["rack", "--measure-ms", "3", "--warmup-ms", "1", "--shards", "2",
+                 "--configs", "PI+H+R", "--trace", str(trace),
+                 "--dashboard", str(dash)]) == 0
+    out = capsys.readouterr().out
+    assert str(trace) in out and str(dash) in out
+    events = check_trace(json.loads(trace.read_text(encoding="utf-8")), phases="MXCi")
+    assert any(e["ph"] == "X" for e in events)
+    check_page(dash.read_text(encoding="utf-8"))

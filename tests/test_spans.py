@@ -16,8 +16,9 @@ import pytest
 from repro.core.configs import paper_config
 from repro.experiments.testbed import multiplexed_testbed, single_vcpu_testbed
 from repro.obs import TraceBus
-from repro.obs.export import export_spans_jsonl, perfetto_trace, write_perfetto
+from repro.obs.export import export_spans_jsonl, perfetto_trace
 from repro.obs.pathreport import build_path_report, format_path_report
+from repro.obs.render import write_trace
 from repro.obs.spans import (
     SPAN_MARK_KIND,
     STAGE_OF_POINT,
@@ -28,6 +29,8 @@ from repro.obs.spans import (
 )
 from repro.units import MS
 from repro.workloads.ping import PingWorkload
+
+from tests.artifact_checks import check_trace
 
 
 # ------------------------------------------------------------------ unit
@@ -305,16 +308,10 @@ def test_perfetto_export_is_valid_trace_event_json(ping_run, tmp_path):
     tb, _ = ping_run
     traces = list(collect_traces(tb.sim.trace).values())
     path = tmp_path / "trace.perfetto.json"
-    doc = write_perfetto(traces, str(path), bus=tb.sim.trace)
-    parsed = json.loads(path.read_text())  # strict JSON (allow_nan=False)
-    assert parsed == doc
-    events = parsed["traceEvents"]
-    assert events
-    for e in events:
-        assert e["ph"] in ("X", "M", "i")
-        assert isinstance(e["pid"], int) and "name" in e
-        if e["ph"] == "X":
-            assert e["dur"] >= 0 and e["ts"] >= 0
+    doc = perfetto_trace(traces, bus=tb.sim.trace)
+    write_trace(doc, str(path))
+    assert json.loads(path.read_text()) == doc
+    events = check_trace(doc, phases="XMi")
     # Spans, per-request thread names, and X events are all present.
     assert any(e["ph"] == "X" and e.get("cat") == "span" for e in events)
     names = [e["args"]["name"] for e in events if e["name"] == "thread_name"]
