@@ -58,7 +58,7 @@ def _diff(label_a: str, a: str, label_b: str, b: str) -> None:
 
 def main() -> int:
     kwargs = dict(quotas=QUOTAS, seed=SEED, warmup_ns=WARMUP_NS,
-                  measure_ns=MEASURE_NS, cache=False)
+                  measure_ns=MEASURE_NS)
     serial = _canonical_json(run_fig4("udp", jobs=1, **kwargs))
     parallel = _canonical_json(run_fig4("udp", jobs=2, **kwargs))
     if serial != parallel:

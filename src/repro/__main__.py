@@ -8,7 +8,10 @@ Examples::
     python -m repro fig7
     python -m repro fig9 --rates 800 1800 2600
     python -m repro sriov
-    python -m repro all            # everything (long)
+
+Options left out fall back to the experiment's own ``run_*`` defaults,
+which are the ``flow run`` full-mode parameters.  The whole reproduction,
+cached and resumable, is ``python -m repro flow run --print-report``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from repro.experiments.ablations import format_redirect_ablation, run_redirect_p
 from repro.experiments.coalescing import format_coalescing, run_coalescing
 from repro.experiments.fig4 import format_fig4, run_fig4
 from repro.experiments.fig5 import format_fig5, run_fig5
-from repro.experiments.fig6 import DEFAULT_PACKET_SIZES, format_fig6, run_fig6
+from repro.experiments.fig6 import format_fig6, run_fig6
 from repro.experiments.fig7 import format_fig7, run_fig7
 from repro.experiments.fig8 import format_fig8, run_fig8
-from repro.experiments.fig9 import DEFAULT_RATES, find_knee, format_fig9, run_fig9
+from repro.experiments.fig9 import find_knee, format_fig9, run_fig9
 from repro.experiments.rack import (
     DEFAULT_RACK_CONFIGS,
     DEFAULT_SHARD_COUNTS,
@@ -39,8 +42,10 @@ from repro.units import MS
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="simulation seed")
-    p.add_argument("--warmup-ms", type=int, default=200)
-    p.add_argument("--measure-ms", type=int, default=500)
+    p.add_argument("--warmup-ms", type=int, default=None,
+                   help="warm-up window (default: the experiment's own)")
+    p.add_argument("--measure-ms", type=int, default=None,
+                   help="measurement window (default: the experiment's own)")
     p.add_argument(
         "--sched-policy",
         choices=("cfs", "rr", "mlfq", "deadline"),
@@ -53,16 +58,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=0,
         help="worker processes for sweeps (0 = all CPUs, 1 = serial)",
     )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every sweep point instead of consulting the result cache",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-es2)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("table1", "fig5", "fig8", "sriov", "ablation", "coalescing", "all"):
+    for name in ("table1", "fig5", "fig8", "sriov", "ablation", "coalescing"):
         p = sub.add_parser(name)
         _add_common(p)
 
@@ -84,25 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig6")
     _add_common(p)
     p.add_argument("--direction", choices=("send", "receive", "both"), default="both")
-    p.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_PACKET_SIZES))
+    p.add_argument("--sizes", type=int, nargs="+", default=None)
 
     p = sub.add_parser("fig7")
     _add_common(p)
-    p.add_argument("--duration-ms", type=int, default=1500)
+    p.add_argument("--duration-ms", type=int, default=None)
 
     p = sub.add_parser("fig9")
     _add_common(p)
-    p.add_argument("--rates", type=int, nargs="+", default=list(DEFAULT_RATES))
-    p.add_argument("--duration-ms", type=int, default=2000)
+    p.add_argument("--rates", type=int, nargs="+", default=None)
+    p.add_argument("--duration-ms", type=int, default=None)
 
     p = sub.add_parser(
         "rack",
         help="sharded rack: multi-host fan-out, ES2 on/off, shard-count scaling",
     )
     _add_common(p)
-    # Rack windows are rack-sized: many hosts per point, so the defaults
-    # are short — the grid still covers every (config, shards) cell.
-    p.set_defaults(warmup_ms=2, measure_ms=20)
     p.add_argument("--shards", type=int, nargs="+",
                    default=list(DEFAULT_SHARD_COUNTS),
                    help="shard counts to compare (default: 1 4)")
@@ -127,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--redirection", nargs="+", default=None,
                    choices=("off", "hybrid", "on"))
     p.add_argument("--adaptive", choices=("off", "on", "both"), default="both")
-    p.add_argument("--duration-ms", type=int, default=800)
+    p.add_argument("--duration-ms", type=int, default=None)
 
     # `repro bench` has its own (short) windows and output options; it
     # delegates to repro.obs.bench so the schema lives in one place.
@@ -183,87 +175,68 @@ def main(argv=None) -> int:
 
         return flow_main(argv[1:])
     args = build_parser().parse_args(argv)
-    warmup = args.warmup_ms * MS
-    measure = args.measure_ms * MS
-    jobs = args.jobs
-    cache = not args.no_cache
-    if args.cache_dir is not None or args.sched_policy is not None:
+    if args.sched_policy is not None:
         import os
 
-        if args.cache_dir is not None:
-            os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-        if args.sched_policy is not None:
-            # Environment, not a parameter: sweep workers inherit it, and
-            # default-SchedParams testbeds resolve it uniformly.
-            os.environ["REPRO_SCHED_POLICY"] = args.sched_policy
+        # Environment, not a parameter: sweep workers inherit it, and
+        # default-SchedParams testbeds resolve it uniformly.
+        os.environ["REPRO_SCHED_POLICY"] = args.sched_policy
 
-    def seed(default):
-        """Resolve the seed CLI option against a default."""
-        return args.seed if args.seed is not None else default
+    # Only the options the user gave reach a runner; the rest fall back to
+    # the run_* signature, the one home of every default.
+    common = dict(jobs=args.jobs)
+    if args.seed is not None:
+        common["seed"] = args.seed
+    window = {}
+    if args.warmup_ms is not None:
+        window["warmup_ns"] = args.warmup_ms * MS
+    if args.measure_ms is not None:
+        window["measure_ns"] = args.measure_ms * MS
+    duration = {}
+    if getattr(args, "duration_ms", None) is not None:
+        duration["duration_ns"] = args.duration_ms * MS
 
     cmd = args.command
-    if cmd in ("table1", "all"):
-        print(format_table1(run_table1(seed=seed(1), warmup_ns=warmup, measure_ns=measure,
-                                       jobs=jobs, cache=cache)))
-    if cmd == "fig4" or cmd == "all":
-        protos = ("udp", "tcp") if cmd == "all" or args.__dict__.get("protocol", "both") == "both" \
-            else (args.protocol,)
+    if cmd == "table1":
+        print(format_table1(run_table1(**common, **window)))
+    elif cmd == "fig4":
+        protos = ("udp", "tcp") if args.protocol == "both" else (args.protocol,)
         for proto in protos:
-            print(format_fig4(run_fig4(proto, seed=seed(1), warmup_ns=warmup,
-                                       measure_ns=measure, jobs=jobs, cache=cache), proto))
-    if cmd in ("fig5", "all"):
-        print(format_fig5(run_fig5(seed=seed(1), warmup_ns=warmup, measure_ns=measure,
-                                   jobs=jobs, cache=cache)))
-    if cmd == "fig6" or cmd == "all":
-        directions = ("send", "receive") if cmd == "all" or args.__dict__.get("direction", "both") == "both" \
-            else (args.direction,)
-        sizes = tuple(args.__dict__.get("sizes", DEFAULT_PACKET_SIZES))
+            print(format_fig4(run_fig4(proto, **common, **window), proto))
+    elif cmd == "fig5":
+        print(format_fig5(run_fig5(**common, **window)))
+    elif cmd == "fig6":
+        directions = ("send", "receive") if args.direction == "both" else (args.direction,)
+        sizes = {} if args.sizes is None else dict(packet_sizes=tuple(args.sizes))
         for direction in directions:
-            print(format_fig6(run_fig6(direction, packet_sizes=sizes, seed=seed(3),
-                                       warmup_ns=warmup, measure_ns=measure,
-                                       jobs=jobs, cache=cache), direction))
-    if cmd == "fig7" or cmd == "all":
-        duration = args.__dict__.get("duration_ms", 1500) * MS
-        print(format_fig7(run_fig7(seed=seed(3), duration_ns=duration, jobs=jobs, cache=cache)))
-    if cmd in ("fig8", "all"):
+            print(format_fig6(run_fig6(direction, **sizes, **common, **window), direction))
+    elif cmd == "fig7":
+        print(format_fig7(run_fig7(**common, **duration)))
+    elif cmd == "fig8":
         for app in ("memcached", "apache"):
-            print(format_fig8(run_fig8(app, seed=seed(3), warmup_ns=warmup,
-                                       measure_ns=measure, jobs=jobs, cache=cache), app))
-    if cmd == "fig9" or cmd == "all":
-        rates = tuple(args.__dict__.get("rates", DEFAULT_RATES))
-        duration = args.__dict__.get("duration_ms", 2000) * MS
-        results = run_fig9(rates=rates, seed=seed(3), duration_ns=duration,
-                           jobs=jobs, cache=cache)
+            print(format_fig8(run_fig8(app, **common, **window), app))
+    elif cmd == "fig9":
+        rates = {} if args.rates is None else dict(rates=tuple(args.rates))
+        results = run_fig9(**rates, **common, **duration)
         print(format_fig9(results))
         for cfg in sorted({c for (c, _) in results}):
             print(f"knee[{cfg}] = {find_knee(results, cfg)}/s")
-    if cmd in ("sriov", "all"):
-        print(format_sriov(run_sriov(seed=seed(3), warmup_ns=warmup, measure_ns=measure,
-                                     jobs=jobs, cache=cache)))
-    if cmd in ("ablation", "all"):
-        print(format_redirect_ablation(run_redirect_policy_ablation(seed=seed(3),
-                                                                    jobs=jobs, cache=cache)))
-    if cmd in ("coalescing", "all"):
-        print(format_coalescing(run_coalescing(seed=seed(5), warmup_ns=warmup,
-                                               measure_ns=measure, jobs=jobs, cache=cache)))
-    if cmd == "rack" or cmd == "all":
-        # Rack defaults when reached via `all` (its points are whole racks;
-        # the common 200/500 ms windows would run for minutes).
-        rack_warmup = warmup if cmd == "rack" else 2 * MS
-        rack_measure = measure if cmd == "rack" else 20 * MS
-        trace_path = args.__dict__.get("trace")
-        dash_path = args.__dict__.get("dashboard")
+    elif cmd == "sriov":
+        print(format_sriov(run_sriov(**common, **window)))
+    elif cmd == "ablation":
+        print(format_redirect_ablation(run_redirect_policy_ablation(**common)))
+    elif cmd == "coalescing":
+        print(format_coalescing(run_coalescing(**common, **window)))
+    elif cmd == "rack":
         telemetry = None
-        if trace_path or dash_path:
+        if args.trace or args.dashboard:
             from repro.cluster import RackTelemetry
 
             telemetry = RackTelemetry()
         rack_results = run_rack(
-            configs=tuple(args.__dict__.get("configs", DEFAULT_RACK_CONFIGS)),
-            shard_counts=tuple(args.__dict__.get("shards", DEFAULT_SHARD_COUNTS)),
-            application=args.__dict__.get("application", "memcached"),
-            seed=seed(3), warmup_ns=rack_warmup, measure_ns=rack_measure,
-            telemetry=telemetry)
+            configs=tuple(args.configs), shard_counts=tuple(args.shards),
+            application=args.application, telemetry=telemetry,
+            **common, **window)
         print(format_rack(rack_results))
         if telemetry is not None:
             from repro.obs.rack import rack_perfetto_trace, render_rack_dashboard
@@ -272,25 +245,23 @@ def main(argv=None) -> int:
             # Export the most instrumented cell: last config, max shards.
             key = max((k for k in rack_results), key=lambda k: k[1])
             report = rack_results[key]
-            if trace_path:
-                write_trace(rack_perfetto_trace(report), trace_path)
+            if args.trace:
+                write_trace(rack_perfetto_trace(report), args.trace)
                 print(f"rack perfetto trace ({key[0]}, {key[1]} shards) "
-                      f"-> {trace_path}")
-            if dash_path:
-                Path(dash_path).write_text(render_rack_dashboard(report), encoding="utf-8")
+                      f"-> {args.trace}")
+            if args.dashboard:
+                Path(args.dashboard).write_text(render_rack_dashboard(report),
+                                                encoding="utf-8")
                 print(f"rack dashboard ({key[0]}, {key[1]} shards) "
-                      f"-> {dash_path}")
-    if cmd == "schedsweep" or cmd == "all":
+                      f"-> {args.dashboard}")
+    elif cmd == "schedsweep":
         from repro.experiments.schedzoo import REDIRECTION_MODES, SCHED_POLICIES
 
-        policies = tuple(args.__dict__.get("policies") or SCHED_POLICIES)
-        modes = tuple(args.__dict__.get("redirection") or (m for m, _ in REDIRECTION_MODES))
-        adaptive_opt = args.__dict__.get("adaptive", "both")
-        adaptive = {"off": (False,), "on": (True,), "both": (False, True)}[adaptive_opt]
-        duration = args.__dict__.get("duration_ms", 800) * MS
+        policies = tuple(args.policies or SCHED_POLICIES)
+        modes = tuple(args.redirection or (m for m, _ in REDIRECTION_MODES))
+        adaptive = {"off": (False,), "on": (True,), "both": (False, True)}[args.adaptive]
         print(format_sched_sweep(run_sched_sweep(
-            policies=policies, modes=modes, adaptive=adaptive,
-            seed=seed(3), duration_ns=duration, jobs=jobs, cache=cache)))
+            policies=policies, modes=modes, adaptive=adaptive, **common, **duration)))
     return 0
 
 

@@ -160,10 +160,6 @@ class CostModel:
                 kwargs[name] = value * factor
         return CostModel(**kwargs)
 
-    def fingerprint(self) -> str:
-        """Stable short hash of every cost value (for cache keys / logs)."""
-        return _fingerprint(self)
-
 
 @dataclass
 class SchedParams:
@@ -305,19 +301,6 @@ class FeatureSet:
     def with_quota(self, quota: int) -> "FeatureSet":
         """Copy of this feature set with a different quota."""
         return replace(self, quota=quota)
-
-    def fingerprint(self) -> str:
-        """Stable short hash of every feature knob (for cache keys / logs)."""
-        return _fingerprint(self)
-
-
-def _fingerprint(obj) -> str:
-    """16-hex-digit digest of an object's canonical rendering."""
-    import hashlib
-
-    from repro.parallel.cache import canonical
-
-    return hashlib.sha256(canonical(obj).encode("utf-8")).hexdigest()[:16]
 
 
 def default_cost_model() -> CostModel:

@@ -56,7 +56,6 @@ def run_redirect_policy_ablation(
     duration_ns: int = int(1.5 * SEC),
     interval_ns: int = 10 * MS,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[str, LatencySeries]:
     """Ping-RTT comparison across redirection policy variants."""
     if variants is None:
@@ -75,7 +74,7 @@ def run_redirect_policy_ablation(
         )
         for name, feats in variants.items()
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_redirect_ablation(results: Dict[str, LatencySeries]) -> str:

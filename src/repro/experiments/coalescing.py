@@ -81,7 +81,6 @@ def run_coalescing(
     measure_ns: int = DEFAULT_MEASURE_NS,
     ping_duration_ns: int = SEC,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[str, CoalescingPoint]:
     """UDP-receive exits + ping latency for Baseline / Baseline+vIC / ES2."""
     sweep = [
@@ -98,7 +97,7 @@ def run_coalescing(
         )
         for name in _variants()
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_coalescing(results: Dict[str, CoalescingPoint]) -> str:

@@ -70,7 +70,6 @@ def run_fig4(
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> List[QuotaPoint]:
     """Sweep the quota for one protocol; the first point is the baseline."""
     if protocol not in ("udp", "tcp"):
@@ -92,7 +91,7 @@ def run_fig4(
         )
         for quota in (None, *quotas)
     ]
-    merged = run_sweep(sweep, jobs=jobs, cache=cache)
+    merged = run_sweep(sweep, jobs=jobs)
     return [merged[quota] for quota in (None, *quotas)]
 
 

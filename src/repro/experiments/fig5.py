@@ -70,7 +70,6 @@ def run_fig5(
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[Tuple[str, str, str], MeasuredRun]:
     """Run all (protocol, direction, config) cells of Fig. 5."""
     sweep = [
@@ -91,7 +90,7 @@ def run_fig5(
         for direction in ("send", "receive")
         for name in FIG5_CONFIGS
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig5(results: Dict[Tuple[str, str, str], MeasuredRun]) -> str:

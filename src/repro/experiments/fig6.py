@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.configs import PAPER_CONFIGS, paper_config
-from repro.experiments.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, measure_window
+from repro.experiments.runner import measure_window
 from repro.experiments.testbed import multiplexed_testbed
 from repro.metrics.report import format_table
 from repro.parallel import SweepPoint, run_sweep
@@ -60,11 +60,10 @@ def run_fig6(
     packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
     configs: Sequence[str] = PAPER_CONFIGS,
     seed: int = 3,
-    warmup_ns: int = DEFAULT_WARMUP_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
+    warmup_ns: int = 300 * MS,
+    measure_ns: int = 600 * MS,
     window_bytes: int = DEFAULT_WINDOW_BYTES,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[Tuple[str, int], float]:
     """Measure throughput (Gbps) for each (config, packet size) cell."""
     if direction not in ("send", "receive"):
@@ -86,7 +85,7 @@ def run_fig6(
         for name in configs
         for size in packet_sizes
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig6(results: Dict[Tuple[str, int], float], direction: str) -> str:

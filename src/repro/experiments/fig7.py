@@ -43,7 +43,6 @@ def run_fig7(
     duration_ns: int = int(1.5 * SEC),
     interval_ns: int = 10 * MS,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[str, LatencySeries]:
     """Collect an RTT series per configuration."""
     sweep = [
@@ -56,7 +55,7 @@ def run_fig7(
         )
         for name in configs
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig7(results: Dict[str, LatencySeries]) -> str:

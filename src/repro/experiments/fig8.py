@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.core.configs import PAPER_CONFIGS, paper_config
-from repro.experiments.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS
 from repro.experiments.testbed import multiplexed_testbed
 from repro.metrics.report import format_table
 from repro.parallel import SweepPoint, run_sweep
@@ -46,10 +45,9 @@ def run_fig8(
     application: str = "memcached",
     configs: Sequence[str] = PAPER_CONFIGS,
     seed: int = 3,
-    warmup_ns: int = DEFAULT_WARMUP_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
+    warmup_ns: int = 300 * MS,
+    measure_ns: int = 600 * MS,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[str, float]:
     """Measure application throughput (ops/s or requests/s) per config."""
     if application not in ("memcached", "apache"):
@@ -68,7 +66,7 @@ def run_fig8(
         )
         for name in configs
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig8(results: Dict[str, float], application: str) -> str:

@@ -42,7 +42,6 @@ def run_fig9(
     seed: int = 3,
     duration_ns: int = 2 * SEC,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[Tuple[str, int], float]:
     """Average connection time (ms) per (config, rate) cell."""
     sweep = [
@@ -54,7 +53,7 @@ def run_fig9(
         for name in configs
         for rate in rates
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def find_knee(results: Dict[Tuple[str, int], float], config: str, factor: float = 3.0) -> int:

@@ -15,8 +15,8 @@ hosts to every server VM — driven by the sharded simulator
 Unlike the figure sweeps this experiment does **not** fan out through
 ``run_sweep``: each point is already a multi-process run (its shards),
 and nesting process pools would oversubscribe the machine.  Points run
-serially; ``jobs``/``cache`` are accepted for task-signature
-compatibility with the flow DAG.
+serially; ``jobs`` is accepted for task-signature compatibility with the
+flow DAG.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def run_rack(
     measure_ns: int = 20 * MS,
     telemetry: Optional[RackTelemetry] = None,
     jobs=None,          # noqa: ARG001 - flow-task signature compatibility
-    cache=False,        # noqa: ARG001 - points are their own process fan-out
 ) -> Dict[Tuple[str, int], dict]:
     """Run the rack grid; keys are ``(config, n_shards)``.
 

@@ -96,7 +96,6 @@ def run_sched_sweep(
     duration_ns: int = int(0.8 * SEC),
     interval_ns: int = 10 * MS,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[Tuple[str, str, str], Dict[str, object]]:
     """Run the full grid; keys are ``(policy, mode, "adaptive"|"static")``."""
     sweep = []
@@ -118,7 +117,7 @@ def run_sched_sweep(
                         ),
                     )
                 )
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def sched_sweep_summary(results: Dict[Tuple[str, str, str], Dict[str, object]]) -> Dict[str, Dict]:

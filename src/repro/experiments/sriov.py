@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import FeatureSet
-from repro.experiments.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, measure_window
+from repro.experiments.runner import measure_window
 from repro.experiments.testbed import Testbed
 from repro.metrics.latency import LatencySeries
 from repro.metrics.report import format_table
@@ -91,11 +91,10 @@ def _sriov_point(
 
 def run_sriov(
     seed: int = 3,
-    warmup_ns: int = DEFAULT_WARMUP_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
+    warmup_ns: int = 300 * MS,
+    measure_ns: int = 600 * MS,
     ping_duration_ns: int = int(1.2 * SEC),
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[str, SriovRun]:
     """Run the Section-VII experiment for each SR-IOV configuration."""
     sweep = [
@@ -113,7 +112,7 @@ def run_sriov(
         )
         for name, features in SRIOV_CONFIGS.items()
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_sriov(results: Dict[str, SriovRun]) -> str:

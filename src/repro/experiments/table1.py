@@ -39,7 +39,6 @@ def run_table1(
     measure_ns: int = DEFAULT_MEASURE_NS,
     payload_size: int = 1024,
     jobs: Optional[int] = None,
-    cache=False,
 ) -> Dict[str, MeasuredRun]:
     """Run the Table-I experiment; returns results keyed by config name."""
     sweep = [
@@ -56,7 +55,7 @@ def run_table1(
         )
         for name in ("Baseline", "PI")
     ]
-    return run_sweep(sweep, jobs=jobs, cache=cache)
+    return run_sweep(sweep, jobs=jobs)
 
 
 def format_table1(results: Dict[str, MeasuredRun]) -> str:

@@ -3,10 +3,9 @@
 Subcommands::
 
     repro flow run [--mode full|reduced] [--only TASK ...] [--resume]
-                   [--force] [--dry-run] [--jobs N] [--no-cache]
-                   [--state-dir DIR] [--cache-dir DIR] [--assert-cached]
-                   [--print-report] [--report-out F] [--bench-out F]
-                   [--dashboard-out F]
+                   [--force] [--dry-run] [--jobs N] [--state-dir DIR]
+                   [--assert-cached] [--print-report] [--report-out F]
+                   [--bench-out F] [--dashboard-out F]
     repro flow list [--mode ...]       # print the DAG (topological order)
     repro flow status [--state-dir] [--json]
     repro flow report [--state-dir] [--json] [--out FILE]
@@ -16,9 +15,11 @@ Subcommands::
 Resume is the default: a re-invocation with unchanged code and
 configuration lands in the same run directory and only re-runs tasks
 whose inputs changed (``--resume`` exists to state that intent
-explicitly; ``--force`` recomputes everything).  ``--assert-cached``
-makes a run fail unless *every* selected task resolved from cache — the
-CI proof that resume/incremental-re-run actually works.
+explicitly; ``--force`` recomputes everything: the per-task results are
+the only result cache, so no sweep point is served from disk).
+``--assert-cached`` makes a run fail unless *every* selected task
+resolved from cache — the CI proof that resume/incremental-re-run
+actually works.
 
 The observability trio reads ``flow-state.json`` (live dir or archived
 artifact): ``report`` prints the critical-path/resource analysis
@@ -43,7 +44,7 @@ from pathlib import Path
 
 from repro.flow.graph import FlowError
 from repro.flow.runner import FlowRunner
-from repro.flow.state import FlowState, flow_root
+from repro.flow.state import FlowState, code_version, flow_root
 from repro.flow.tasks import MODES, build_graph
 from repro.parallel.sweep import effective_jobs
 
@@ -73,12 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=0,
                      help="task-level worker processes (0 = all CPUs, 1 = serial; "
                           "serial runs give each sweep all CPUs instead)")
-    run.add_argument("--no-cache", action="store_true",
-                     help="disable the sweep-point result cache inside experiments")
     run.add_argument("--state-dir", default=None,
-                     help="flow state root (default: $REPRO_FLOW_DIR or <cache>/flow)")
-    run.add_argument("--cache-dir", default=None,
-                     help="sweep result-cache directory (sets REPRO_CACHE_DIR)")
+                     help="flow state root (default: $REPRO_FLOW_DIR or "
+                          "~/.cache/repro-es2/flow)")
     run.add_argument("--assert-cached", action="store_true",
                      help="exit 3 unless every selected task resolved from cache")
     run.add_argument("--print-report", action="store_true",
@@ -213,14 +211,12 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.cache_dir is not None:
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
     task_jobs = effective_jobs(args.jobs)
     # Parallelism lives at exactly one level: many tasks x serial sweeps,
     # or one task at a time x parallel sweeps.  Results are identical
     # either way (sweep determinism contract).
     inner_jobs = 1 if task_jobs > 1 else 0
-    graph = build_graph(args.mode, jobs=inner_jobs, cache=not args.no_cache)
+    graph = build_graph(args.mode, jobs=inner_jobs)
     runner = FlowRunner(graph, mode=args.mode, state_root=args.state_dir,
                         jobs=task_jobs)
 
@@ -255,8 +251,6 @@ def _cmd_run(args) -> int:
     if args.bench_out:
         bench = task_result("bench")
         if bench is not None:
-            from repro.parallel.cache import code_version
-
             # Flow provenance: which orchestrated run produced this report.
             # bench_compare prints it so two reports are always attributable.
             bench = dict(bench)

@@ -44,8 +44,8 @@ class Task:
     fn: Callable[..., Any]
     deps: Tuple[str, ...] = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    #: runtime knobs (worker counts, cache toggles) merged into the call
-    #: but excluded from cache keys — they must never change results.
+    #: runtime knobs (worker counts) merged into the call but excluded
+    #: from cache keys — they must never change results.
     volatile: Mapping[str, Any] = field(default_factory=dict)
     kind: str = "task"  #: coarse grouping for display: calibrate/sweep/render/bench/...
     description: str = ""

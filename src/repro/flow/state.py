@@ -1,13 +1,13 @@
 """Resumable on-disk state for flow runs.
 
 A flow run lives in a **run directory** under ``$REPRO_FLOW_DIR`` (default
-``<cache>/flow``), keyed by the graph's *structure* (task names, deps,
-callables) and mode.  Task kwargs and the ``repro`` code-version hash are
-deliberately not part of the directory key — they live in each task's
-:func:`task_key` — so re-invoking after a parameter or code edit lands in
-the *same* run directory and re-runs exactly the invalidated downstream
-cone, while an identical re-invocation resumes where the previous one
-stopped.
+``~/.cache/repro-es2/flow``), keyed by the graph's *structure* (task
+names, deps, callables) and mode.  Task kwargs and the ``repro``
+code-version hash are deliberately not part of the directory key — they
+live in each task's :func:`task_key` — so re-invoking after a parameter
+or code edit lands in the *same* run directory and re-runs exactly the
+invalidated downstream cone, while an identical re-invocation resumes
+where the previous one stopped.
 
 Inside a run directory:
 
@@ -27,7 +27,10 @@ Inside a run directory:
 
 A task's cache key folds in its dependencies' **output digests**, so a
 task re-runs iff its own declaration changed, the code changed, or any
-upstream output changed — the incremental-re-run contract.
+upstream output changed — the incremental-re-run contract.  This is the
+repo's only result cache: keys and digests both rest on
+:func:`canonical`, and :func:`code_version` hashes every ``repro``
+source file.
 """
 
 from __future__ import annotations
@@ -37,17 +40,18 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.flow.graph import Task
-from repro.parallel.cache import canonical, code_version, default_cache_dir
 
 __all__ = [
     "STATE_SCHEMA_VERSION",
     "FlowState",
     "TaskRecord",
+    "canonical",
+    "code_version",
     "flow_root",
     "output_digest",
     "run_key_for",
@@ -65,12 +69,61 @@ STATE_SCHEMA_VERSION = 2
 STATUSES = ("pending", "running", "done", "failed", "skipped")
 
 
+_CODE_VERSION: Optional[str] = None
+
+
+def code_version() -> str:
+    """Content hash of the ``repro`` package source (memoized per process)."""
+    global _CODE_VERSION
+    if _CODE_VERSION is None:
+        import repro
+
+        root = Path(repro.__file__).resolve().parent
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        _CODE_VERSION = digest.hexdigest()[:16]
+    return _CODE_VERSION
+
+
+def canonical(value: Any) -> str:
+    """Deterministic textual form of a task argument or result.
+
+    ``repr`` alone is unstable for dicts/sets and silent about dataclass
+    subclassing; this walks containers and dataclasses explicitly so equal
+    values always hash equally.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        inner = ", ".join(
+            f"{f.name}={canonical(getattr(value, f.name))}" for f in fields(value)
+        )
+        return f"{type(value).__qualname__}({inner})"
+    if isinstance(value, Mapping):
+        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
+        return "{" + ", ".join(f"{canonical(k)}: {canonical(v)}" for k, v in items) + "}"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(canonical(v) for v in sorted(value, key=repr)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(canonical(v) for v in value) + "]"
+    if callable(value) and hasattr(value, "__qualname__"):
+        # repr() of a function embeds its memory address, which would make
+        # every cache key unique per process; the dotted name is stable.
+        return f"{getattr(value, '__module__', '?')}.{value.__qualname__}"
+    if type(value).__repr__ is object.__repr__ and hasattr(value, "__dict__"):
+        # The default repr is an address too; the instance state is not.
+        return f"{type(value).__qualname__}({canonical(vars(value))})"
+    return repr(value)
+
+
 def flow_root() -> Path:
-    """``$REPRO_FLOW_DIR`` or ``<result-cache>/flow``."""
+    """``$REPRO_FLOW_DIR`` or ``~/.cache/repro-es2/flow``."""
     env = os.environ.get("REPRO_FLOW_DIR")
     if env:
         return Path(env)
-    return default_cache_dir() / "flow"
+    return Path.home() / ".cache" / "repro-es2" / "flow"
 
 
 def run_key_for(tasks, mode: str) -> str:
@@ -211,7 +264,7 @@ class FlowState:
         return state
 
     def save(self, path: os.PathLike) -> None:
-        """Atomic write (temp file + rename), mirroring the result cache."""
+        """Atomic write (temp file + rename)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")

@@ -17,8 +17,9 @@ This module is the single declaration of *what the full reproduction is*:
   the EXPERIMENTS.md source text.
 
 Every task callable lives at module level and takes ``(deps, **kwargs)``
-so it can cross process boundaries; runtime knobs (``jobs``, ``cache``)
-ride in the task's *volatile* kwargs and never reach cache keys.
+so it can cross process boundaries; the one runtime knob (the inner sweep
+``jobs``) rides in the task's *volatile* kwargs and never reaches cache
+keys.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def calibrate_task(deps, seed=1, warmup_ns=20 * MS, measure_ns=60 * MS):
     return readout
 
 
-def experiment_task(deps, runner, params, jobs=None, cache=True):
+def experiment_task(deps, runner, params, jobs=None):
     """One experiment sweep; ``calibrate`` gates it through ``deps``."""
-    return runner(jobs=jobs, cache=cache, **params)
+    return runner(jobs=jobs, **params)
 
 
 def render_task(deps, source, formatter, format_args=()):
@@ -215,19 +216,18 @@ def _budget(mode: str, kind: str) -> Optional[float]:
     return _BUDGETS.get(mode, {}).get(kind)
 
 
-def build_graph(mode: str = "full", jobs: Optional[int] = None,
-                cache: bool = True) -> TaskGraph:
+def build_graph(mode: str = "full", jobs: Optional[int] = None) -> TaskGraph:
     """The reproduction DAG for one mode.
 
-    ``jobs``/``cache`` are the **inner** sweep-level settings each
-    experiment fans out with; they ride in volatile kwargs, so they never
-    influence cache keys (results are jobs-independent by the sweep
-    determinism contract).
+    ``jobs`` is the **inner** sweep-level worker count each experiment
+    fans out with; it rides in volatile kwargs, so it never influences
+    cache keys (results are jobs-independent by the sweep determinism
+    contract).
     """
     if mode not in MODES:
         raise FlowError(f"unknown flow mode {mode!r} (expected one of {MODES})")
     graph = TaskGraph()
-    volatile = dict(jobs=jobs, cache=cache)
+    volatile = dict(jobs=jobs)
     graph.add(Task(
         name="calibrate", fn=calibrate_task, kind="calibrate",
         budget_s=_budget(mode, "calibrate"),

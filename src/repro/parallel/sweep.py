@@ -9,9 +9,7 @@ module is the single fan-out choke point:
   (:class:`SweepPoint`);
 * results are merged **order-independently** — keyed by the point's index,
   collected from ``imap_unordered`` — so worker scheduling cannot influence
-  the output;
-* an optional :class:`~repro.parallel.cache.ResultCache` short-circuits
-  points whose (config, seed, code version) triple was already computed.
+  the output.
 
 Determinism contract: for a fixed code version, ``run_sweep(points)`` and
 ``run_sweep(points, jobs=N)`` return identical mappings for every ``N``.
@@ -22,9 +20,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
-
-from repro.parallel.cache import ResultCache
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 __all__ = ["SweepPoint", "run_sweep", "effective_jobs", "pool_context"]
 
@@ -72,8 +68,6 @@ def pool_context():
 def run_sweep(
     points: Iterable[SweepPoint],
     jobs: Optional[int] = None,
-    cache: Union[bool, ResultCache] = False,
-    cache_dir: Optional[os.PathLike] = None,
 ) -> Dict[Any, Any]:
     """Run every sweep point and return ``{point.key: result}``.
 
@@ -82,11 +76,6 @@ def run_sweep(
     jobs:
         Worker processes: ``None``/1 runs serially in-process, ``<= 0``
         uses every core, otherwise the given count.
-    cache:
-        ``True`` (or a :class:`ResultCache` instance) consults and fills
-        the on-disk result cache; unchanged points are skipped on re-runs.
-    cache_dir:
-        Cache location override when ``cache`` is ``True``.
     """
     point_list: List[SweepPoint] = list(points)
     seen_keys = set()
@@ -95,44 +84,15 @@ def run_sweep(
             raise ValueError(f"duplicate sweep key {point.key!r}")
         seen_keys.add(point.key)
 
-    resolved_cache: Optional[ResultCache] = None
-    if isinstance(cache, ResultCache):
-        resolved_cache = cache
-    elif cache:
-        resolved_cache = ResultCache(cache_dir)
-
-    results: Dict[int, Any] = {}
-    pending: List[int] = []
-    cache_keys: Dict[int, str] = {}
-    for index, point in enumerate(point_list):
-        if resolved_cache is not None:
-            cache_keys[index] = resolved_cache.key_for(point.fn, point.kwargs)
-            hit, value = resolved_cache.get(cache_keys[index])
-            if hit:
-                resolved_cache.hits += 1
-                results[index] = value
-                continue
-            resolved_cache.misses += 1
-        pending.append(index)
-
-    n_jobs = min(effective_jobs(jobs), max(1, len(pending)))
+    n_jobs = min(effective_jobs(jobs), max(1, len(point_list)))
     if n_jobs <= 1:
-        for index in pending:
-            point = point_list[index]
-            results[index] = point.fn(**dict(point.kwargs))
-    else:
-        payloads = [
-            (index, point_list[index].fn, dict(point_list[index].kwargs))
-            for index in pending
-        ]
-        with pool_context().Pool(processes=n_jobs) as pool:
-            # Completion order is scheduling noise; keying by index makes
-            # the merge independent of it.
-            for index, value in pool.imap_unordered(_execute, payloads, chunksize=1):
-                results[index] = value
-
-    if resolved_cache is not None:
-        for index in pending:
-            resolved_cache.put(cache_keys[index], results[index])
-
+        return {point.key: point.fn(**dict(point.kwargs)) for point in point_list}
+    results: Dict[int, Any] = {}
+    payloads = [(index, point.fn, dict(point.kwargs))
+                for index, point in enumerate(point_list)]
+    with pool_context().Pool(processes=n_jobs) as pool:
+        # Completion order is scheduling noise; keying by index makes
+        # the merge independent of it.
+        for index, value in pool.imap_unordered(_execute, payloads, chunksize=1):
+            results[index] = value
     return {point.key: results[index] for index, point in enumerate(point_list)}

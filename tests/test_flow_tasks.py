@@ -58,11 +58,11 @@ class TestRegistry:
             assert rp["seed"] == fp["seed"], f"{task.name}: reduced mode changed the seed"
 
     def test_inner_jobs_ride_in_volatile_kwargs_only(self):
-        g1 = build_graph("reduced", jobs=1, cache=False)
-        g8 = build_graph("reduced", jobs=8, cache=True)
+        g1 = build_graph("reduced", jobs=1)
+        g8 = build_graph("reduced", jobs=8)
         for task in g1.tasks:
             if task.kind == "sweep":
-                assert task.volatile == dict(jobs=1, cache=False)
+                assert task.volatile == dict(jobs=1)
                 assert "jobs" not in task.kwargs
         # Same structure and declarations -> same run directory, whatever
         # the worker count: resume works across -j values.
@@ -153,20 +153,19 @@ class TestCli:
 
 
 class TestFlatRunnerContract:
-    def test_flow_output_byte_identical_to_flat_call(self, tmp_path, monkeypatch):
+    def test_flow_output_byte_identical_to_flat_call(self, tmp_path):
         """The acceptance criterion: the DAG produces the same bytes the
         flat script's direct call does, for the same parameters."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         from repro.experiments.table1 import FLOW_REDUCED, format_table1, run_table1
 
-        graph = build_graph("reduced", jobs=1, cache=False)
+        graph = build_graph("reduced", jobs=1)
         runner = FlowRunner(graph, mode="reduced", state_root=tmp_path / "flow",
                             jobs=1, echo=None)
         result = runner.run(only=["render-table1"])
         assert result.ok
         assert set(result.executed) == {"calibrate", "table1", "render-table1"}
 
-        direct = run_table1(seed=1, jobs=1, cache=False, **FLOW_REDUCED)
+        direct = run_table1(seed=1, jobs=1, **FLOW_REDUCED)
         assert result.results["render-table1"] == format_table1(direct)
 
         # And the calibration gate recorded sane readouts on the way in.
@@ -174,3 +173,25 @@ class TestFlatRunnerContract:
         assert readout["Baseline"]["throughput_gbps"] > 0
         assert readout["PI+H+R"]["interrupt_delivery_per_sec"] < \
             readout["Baseline"]["interrupt_delivery_per_sec"]
+
+
+class TestForce:
+    def test_force_recomputes_every_sweep_point(self, tmp_path, monkeypatch):
+        """The task cache is the only result cache: ``force=True`` must
+        run every point again, not read it back from anywhere."""
+        from repro.experiments import table1
+
+        calls = []
+        original = table1._table1_point
+
+        def recording_point(**kwargs):
+            calls.append(kwargs["name"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(table1, "_table1_point", recording_point)
+        graph = build_graph("reduced", jobs=1)
+        for force in (False, True):
+            result = FlowRunner(graph, mode="reduced", state_root=tmp_path,
+                                jobs=1, echo=None).run(only=["table1"], force=force)
+            assert "table1" in result.executed
+        assert calls == ["Baseline", "PI"] * 2

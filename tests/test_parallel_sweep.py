@@ -1,9 +1,10 @@
-"""The parallel sweep subsystem: fan-out, determinism, result cache, seeds.
+"""The parallel sweep subsystem: fan-out and determinism.
 
-The contract under test is the ISSUE's determinism requirement: for a fixed
-code version, serial and ``jobs=N`` runs of the same sweep are
-byte-identical per point, and re-runs are served from the on-disk cache
-without recomputation.
+The contract under test is the determinism requirement: for a fixed code
+version, serial and ``jobs=N`` runs of the same sweep are byte-identical
+per point.  The canonical rendering the flow keys and digests results
+with (:mod:`repro.flow.state`) is checked here too, because it is what
+makes "byte-identical" a hash comparison.
 """
 
 from __future__ import annotations
@@ -12,28 +13,16 @@ import pickle
 
 import pytest
 
-from repro.config import CostModel, FeatureSet
-from repro.parallel import (
-    ResultCache,
-    SweepPoint,
-    canonical,
-    code_version,
-    derive_seed,
-    effective_jobs,
-    run_sweep,
-)
+from repro.config import FeatureSet
+from repro.flow.state import canonical, code_version, output_digest
+from repro.metrics.latency import LatencySeries
+from repro.parallel import SweepPoint, effective_jobs, run_sweep
 from repro.units import MS
 
 
 # Sweep-point functions must live at module level (pickled by reference).
 def _square(x, seed=0):
     return x * x + seed
-
-
-def _record_call(x, log_path):
-    with open(log_path, "a") as fh:
-        fh.write(f"{x}\n")
-    return x + 1
 
 
 def _table1_small(name):
@@ -56,22 +45,6 @@ class TestEffectiveJobs:
 
     def test_explicit_count(self):
         assert effective_jobs(7) == 7
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(1, "fig4:udp:8") == derive_seed(1, "fig4:udp:8")
-
-    def test_distinct_keys_give_distinct_seeds(self):
-        seeds = {derive_seed(1, f"point:{i}") for i in range(200)}
-        assert len(seeds) == 200
-
-    def test_distinct_masters_give_distinct_seeds(self):
-        assert derive_seed(1, "x") != derive_seed(2, "x")
-
-    def test_fits_in_63_bits(self):
-        for i in range(50):
-            assert 0 <= derive_seed(i, "k") < 2 ** 63
 
 
 class TestRunSweep:
@@ -108,52 +81,6 @@ class TestSerialParallelDeterminism:
             assert pickle.dumps(serial[key]) == pickle.dumps(fanned[key])
 
 
-class TestResultCache:
-    def test_rerun_skips_computation(self, tmp_path):
-        log = tmp_path / "calls.log"
-        cache = ResultCache(tmp_path / "cache")
-        points = [SweepPoint(key=i, fn=_record_call,
-                             kwargs={"x": i, "log_path": str(log)})
-                  for i in range(3)]
-        first = run_sweep(points, cache=cache)
-        assert log.read_text().splitlines() == ["0", "1", "2"]
-        assert (cache.hits, cache.misses) == (0, 3)
-        second = run_sweep(points, cache=cache)
-        # No new side effects: every point was served from disk.
-        assert log.read_text().splitlines() == ["0", "1", "2"]
-        assert cache.hits == 3
-        assert first == second
-
-    def test_changed_kwargs_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_sweep([SweepPoint(key="a", fn=_square, kwargs={"x": 2})], cache=cache)
-        run_sweep([SweepPoint(key="a", fn=_square, kwargs={"x": 3})], cache=cache)
-        assert cache.hits == 0
-        assert cache.misses == 2
-
-    def test_key_includes_seed_and_code_version(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        k1 = cache.key_for(_square, {"x": 1, "seed": 1})
-        k2 = cache.key_for(_square, {"x": 1, "seed": 2})
-        assert k1 != k2
-        assert len(code_version()) == 16
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.key_for(_square, {"x": 5})
-        cache.put(key, 25)
-        hit, value = cache.get(key)
-        assert hit and value == 25
-        cache._path(key).write_bytes(b"not a pickle")
-        hit, _ = cache.get(key)
-        assert not hit
-
-    def test_cache_true_uses_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
-        run_sweep([SweepPoint(key="a", fn=_square, kwargs={"x": 4})], cache=True)
-        assert any((tmp_path / "env-cache").rglob("*.pkl"))
-
-
 class TestCanonicalAndFingerprint:
     def test_canonical_dict_order_independent(self):
         assert canonical({"b": 1, "a": 2}) == canonical({"a": 2, "b": 1})
@@ -161,13 +88,17 @@ class TestCanonicalAndFingerprint:
     def test_canonical_distinguishes_dataclasses(self):
         assert canonical(FeatureSet(pi=True)) != canonical(FeatureSet(pi=False))
 
-    def test_featureset_fingerprint_stable_and_sensitive(self):
-        a = FeatureSet(pi=True, hybrid=True)
-        assert a.fingerprint() == FeatureSet(pi=True, hybrid=True).fingerprint()
-        assert a.fingerprint() != FeatureSet(pi=True).fingerprint()
-        assert len(a.fingerprint()) == 16
+    def test_output_digest_ignores_identity_and_tracks_samples(self):
+        """A result holding an object with the default repr digests by
+        value: no memory address may leak into ``output_digest``."""
+        def result(samples):
+            return {"PI+H+R": LatencySeries(samples)}
 
-    def test_costmodel_fingerprint_sensitive(self):
-        a = CostModel()
-        b = CostModel(vm_exit_transition_ns=601)
-        assert a.fingerprint() != b.fingerprint()
+        # All three stay alive, so they cannot share an address.
+        first, second, moved = result([10, 20]), result([10, 20]), result([10, 21])
+        assert output_digest(first) == output_digest(second)
+        assert output_digest(first) != output_digest(moved)
+
+    def test_code_version_is_a_short_stable_hash(self):
+        assert code_version() == code_version()
+        assert len(code_version()) == 16

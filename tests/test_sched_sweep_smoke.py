@@ -34,7 +34,6 @@ def test_sched_sweep_smoke():
         duration_ns=150 * MS,
         interval_ns=10 * MS,
         jobs=1,
-        cache=False,
     )
     assert set(results) == {(p, m, "static") for p in policies for m in modes}
     for point in results.values():
@@ -69,7 +68,6 @@ def test_adaptive_cell_reports_controller_stats():
         duration_ns=100 * MS,
         interval_ns=10 * MS,
         jobs=1,
-        cache=False,
     )
     point = results[("cfs", "on", "adaptive")]
     stats = point["adaptive_stats"]
