@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test perfbench-test lint bench-smoke sched-sweep rack-smoke bench bench-compare profile trace-smoke dashboard determinism ci experiments flow flow-smoke flow-report flow-dashboard
+.PHONY: test perfbench-test lint bench-smoke sched-sweep rack-smoke bench bench-compare trace-smoke dashboard determinism ci experiments flow flow-smoke flow-report flow-dashboard
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -43,14 +43,9 @@ bench:
 # Re-run the bench and diff it against the checked-in baseline (exit 1 on
 # a >25% throughput / >60% p99 regression — the CI gate thresholds).
 bench-compare:
-	REPRO_REV=current PYTHONPATH=src $(PYTHON) -m repro bench --no-profile
+	REPRO_REV=current PYTHONPATH=src $(PYTHON) -m repro bench
 	PYTHONPATH=src $(PYTHON) -m repro.obs.bench_compare BENCH_baseline.json BENCH_current.json \
 		--max-throughput-drop 25 --max-p99-increase 60
-
-# Where the run loop spends its time: the bench with the per-event-type
-# profile printed (heaviest wall time first).  Start perf work here.
-profile:
-	PYTHONPATH=src $(PYTHON) -m repro bench --profile-top 15
 
 # Self-contained HTML dashboard (windowed telemetry + path report) from a
 # fresh smoke bench run.  Render an existing report instead with
@@ -70,9 +65,9 @@ determinism:
 # Mirror of the GitHub workflow job list (.github/workflows/ci.yml) so
 # local and hosted CI agree:
 #   lint -> lint, test + perfbench-test -> test (the sched-conformance
-#   matrix re-runs a subset of it), bench-smoke -> bench-smoke,
-#   sched-sweep -> sched-sweep, rack-smoke -> rack, determinism ->
-#   determinism, trace-smoke + bench-compare -> path-trace, flow-smoke ->
+#   matrix re-runs a subset of it), bench-smoke + bench-compare ->
+#   bench-smoke, sched-sweep -> sched-sweep, rack-smoke -> rack,
+#   determinism -> determinism, trace-smoke -> path-trace, flow-smoke ->
 #   experiments-dag.
 ci: lint test perfbench-test bench-smoke sched-sweep rack-smoke determinism trace-smoke bench-compare flow-smoke
 

@@ -28,9 +28,9 @@ the contract the determinism guard's sharded leg enforces.
 Observability piggybacks on the same pipes: each barrier reply carries
 the shard's window wall time and cumulative event count (the barrier
 profile's raw material), and the finish reply carries the per-host
-telemetry bundles (span marks, timeline windows, watchdog verdicts,
-profiler summaries) that :mod:`repro.obs.rack` stitches and aggregates
-into the report's ``telemetry`` block.  All of it is observer-only —
+telemetry bundles (span marks, timeline windows, watchdog verdicts)
+that :mod:`repro.obs.rack` stitches and aggregates into the report's
+``telemetry`` block.  All of it is observer-only —
 the ``simulated`` block never changes with telemetry on or off.
 """
 
@@ -148,10 +148,10 @@ class ShardedSimulator:
         ``warmup_ns`` (client op counters and latency reset there) and
         closes at the final horizon.  The returned report separates
         ``simulated`` (layout-invariant, byte-comparable across shard
-        counts) from ``perf`` (wall-clock scaling, barrier overheads)
-        and — when a :class:`RackTelemetry` config was given —
-        ``telemetry`` (stitched paths, rack-wide timeline, barrier
-        profile; never feeds back into ``simulated``).
+        counts) from ``perf`` (the rack's own wall clock: event rates,
+        barrier waits) and — when a :class:`RackTelemetry` config was
+        given — ``telemetry`` (stitched paths, rack-wide timeline,
+        barrier profile; never feeds back into ``simulated``).
         """
         if duration_ns <= 0:
             raise ClusterError("rack run needs a positive measurement duration")

@@ -134,8 +134,6 @@ class Shard:
                 sim.enable_spans(sample_every=cfg.sample_every, scope=name)
             if cfg.timeline and isinstance(host, RackServerHost):
                 host.enable_timeline(window_ns=cfg.timeline_window_ns)
-            if cfg.profile:
-                sim.enable_profiling()
 
     # -------------------------------------------------------------- control
     def start(self) -> None:
@@ -190,9 +188,9 @@ class Shard:
 
         Plain picklable values only (the coordinator lives in another
         process): span marks as tuples, timeline windows as dicts carrying
-        raw *deltas* (rates are recomputed after any merge), watchdog
-        verdicts, and profiler summaries.  Returns None when telemetry was
-        never enabled for this shard.
+        raw *deltas* (rates are recomputed after any merge) and watchdog
+        verdicts.  Returns None when telemetry was never enabled for this
+        shard.
         """
         if self.telemetry_cfg is None:
             return None
@@ -231,7 +229,5 @@ class Shard:
                     "windows_checked": wd.windows_checked,
                     "violations": [v.as_dict() for v in wd.violations],
                 }
-            if sim.obs.profiler is not None:
-                bundle["profile"] = sim.obs.profiler.summary(top=12)
             out[name] = bundle
         return out

@@ -54,8 +54,6 @@ class RackTelemetry:
     #: windowed counter/gauge sampling + invariant watchdog (server hosts)
     timeline: bool = True
     timeline_window_ns: int = 100_000
-    #: run-loop event profiler on every host simulator
-    profile: bool = False
     #: TraceBus ring capacity per host (marks retained for stitching)
     span_capacity: int = 262144
 

@@ -142,11 +142,11 @@ def render_fig9_task(deps, source="fig9"):
     return "\n".join(lines)
 
 
-def bench_task(deps, profile=False, revision="flow"):
+def bench_task(deps, revision="flow"):
     """The machine-readable bench report (schema-versioned dict)."""
     from repro.obs.bench import run_bench
 
-    return run_bench(profile=profile, revision=revision)
+    return run_bench(revision=revision)
 
 
 def bench_compare_task(deps, source="bench", baseline="BENCH_baseline.json"):

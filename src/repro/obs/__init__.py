@@ -10,8 +10,6 @@ through per-module ad-hoc counters:
   ``sched``, ``net``); zero-cost when disabled.
 * :class:`CounterRegistry` — per-subsystem counter registration, so one
   call can snapshot or reset every counter in a simulation.
-* :class:`EventProfiler` — per-event-type wall-time and sim-time
-  histograms for the simulator run loop.
 * :class:`SpanRecorder` / :mod:`repro.obs.spans` — causal per-request
   trace contexts and milestone marks over the TraceBus, reconstructed
   into critical-path trees (:func:`collect_traces`), aggregated by
@@ -48,7 +46,6 @@ from typing import Optional
 
 from repro.obs.counters import CounterRegistry
 from repro.obs.pathreport import build_path_report, format_path_report
-from repro.obs.profile import EventProfiler, ProfileEntry
 from repro.obs.spans import PathTrace, SpanRecorder, collect_traces, completed
 from repro.obs.timeline import TimelineSampler, WindowSample, downsample
 from repro.obs.tracebus import KIND_CATEGORY, TRACE_CATEGORIES, TraceBus, TraceEvent
@@ -57,8 +54,6 @@ from repro.obs.watchdog import InvariantWatchdog, WatchdogError, WatchdogViolati
 __all__ = [
     "Observability",
     "CounterRegistry",
-    "EventProfiler",
-    "ProfileEntry",
     "TraceBus",
     "TraceEvent",
     "TRACE_CATEGORIES",
@@ -80,14 +75,13 @@ __all__ = [
 
 class Observability:
     """Per-simulator observability root: the counter registry plus the
-    (optional) run-loop profiler.  The trace recorder stays on
-    ``sim.trace`` — it predates this package and hot paths reach it
-    directly — but :meth:`repro.sim.simulator.Simulator.trace_bus`
+    optional observers (spans, timeline, watchdog).  The trace recorder
+    stays on ``sim.trace`` — it predates this package and hot paths reach
+    it directly — but :meth:`repro.sim.simulator.Simulator.trace_bus`
     installs a :class:`TraceBus` there."""
 
     def __init__(self) -> None:
         self.counters = CounterRegistry()
-        self.profiler: Optional[EventProfiler] = None
         #: per-request span recorder; installed by ``Simulator.enable_spans``
         self.spans: Optional[SpanRecorder] = None
         #: windowed sampler; installed by ``Simulator.enable_timeline``

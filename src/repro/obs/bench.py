@@ -13,11 +13,11 @@ observability layer* and emits a canonical, schema-versioned
   per-stage event-path attribution (:mod:`repro.obs.pathreport`) measured
   on a spans-enabled run of the same point,
 * the full per-subsystem counter snapshot (:class:`~repro.obs.CounterRegistry`),
-* simulator wall-rate (events/second of host time) and the per-event-type
-  profile (:class:`~repro.obs.EventProfiler`),
 
-so a perf regression — simulated *or* of the simulator itself — becomes a
-diffable artifact in CI rather than an anecdote.
+so a regression of the simulated system becomes a diffable artifact in CI
+rather than an anecdote.  The report is a function of code and seed: it
+carries no wall-clock field, so two runs of one revision write the same
+bytes.  How fast the simulator runs is measured by ``perfbench/``.
 
 Unlike the rest of :mod:`repro.obs`, this module imports the experiment
 layer; it is deliberately **not** imported from ``repro.obs.__init__``.
@@ -30,7 +30,6 @@ import os
 import platform
 import subprocess
 import sys
-import time
 from typing import Any, Dict, Optional
 
 from repro.core.configs import paper_config
@@ -67,22 +66,24 @@ __all__ = [
 #: block gains ``telemetry`` — stitched cross-shard path counts/RTT and
 #: stage shares, rack-wide watchdog totals, and the barrier/straggler
 #: profile of the widest layout.  Additive: every v5 path is unchanged.
-BENCH_SCHEMA_VERSION = 6
+#: v7: no wall-clock field and no run-loop profile: a function of code and seed.
+BENCH_SCHEMA_VERSION = 7
 
 #: Default windows — identical to ``tests/test_bench_smoke.py``.
 DEFAULT_WARMUP_NS = 20 * MS
 DEFAULT_MEASURE_NS = 60 * MS
 DEFAULT_LATENCY_NS = 250 * MS
 DEFAULT_SCHED_NS = 100 * MS
-# 16 ms keeps the 4-shard aggregate-rate scaling well clear of barrier-
-# overhead noise (8 ms hovers at ~2.5x on a loaded runner; 16 ms is ~3x).
+# The rack block's window is part of its simulated result: another value
+# moves every rack metric in the report and the checked-in baseline.
 DEFAULT_RACK_NS = 16 * MS
 RACK_WARMUP_NS = 1 * MS
 
 #: policies measured by the ``sched`` block
 SCHED_ZOO_POLICIES = ("cfs", "rr", "mlfq", "deadline")
 
-#: shard counts measured by the ``rack`` block (the scaling comparison)
+#: shard counts measured by the ``rack`` block: the simulated output must
+#: be identical at both (the ``simulated_identical`` verdict)
 RACK_SHARD_COUNTS = (1, 4)
 
 
@@ -164,35 +165,21 @@ def _timeline_block(tb, t_start: int, t_end: int,
     }
 
 
-def _throughput_point(
-    name: str, seed: int, warmup_ns: int, measure_ns: int, profile: bool,
-    profile_top: int = 8,
-) -> Dict[str, Any]:
+def _throughput_point(name: str, seed: int, warmup_ns: int,
+                      measure_ns: int) -> Dict[str, Any]:
     """One single-vCPU TCP-send configuration, measured through the obs layer."""
     tb = single_vcpu_testbed(paper_config(name, quota=4), seed=seed)
     tb.enable_timeline()
-    if profile:
-        tb.sim.enable_profiling()
     wl = NetperfTcpSend(tb, tb.tested, n_streams=1, payload_size=1024)
-    wall0 = time.perf_counter()
     run = measure_window(tb, wl, warmup_ns, measure_ns, config_name=name)
-    wall = time.perf_counter() - wall0
-    point: Dict[str, Any] = {
+    return {
         "throughput_gbps": run.throughput_gbps,
         "tig": run.tig,
         "exits_per_sec": {"total": run.total_exit_rate, **run.exit_rates.as_dict()},
         "counters": tb.sim.obs.counters.flat(),
         "timeline": _timeline_block(tb, warmup_ns, warmup_ns + measure_ns),
-        "sim": {
-            "events_fired": tb.sim.events_fired,
-            "wall_seconds": wall,
-            "events_per_sec_wall": tb.sim.events_fired / wall if wall > 0 else 0.0,
-        },
+        "sim": {"events_fired": tb.sim.events_fired},
     }
-    if profile:
-        point["profile_top"] = tb.sim.obs.profiler.summary(top=profile_top)
-        point["gap_histograms"] = tb.sim.obs.profiler.gap_histograms(top=profile_top)
-    return point
 
 
 def _hybrid_point(seed: int, warmup_ns: int, measure_ns: int) -> Dict[str, Any]:
@@ -276,7 +263,7 @@ def _sched_policy_point(
 
 def _rack_block(seed: int, measure_ns: int,
                 warmup_ns: int = RACK_WARMUP_NS) -> Dict[str, Any]:
-    """The sharded-rack scaling block: same spec at 1 and N shards.
+    """The sharded-rack block: same spec at 1 and N shards.
 
     The per-shard counter snapshots are merged deterministically (summed
     per key over hosts in sorted order); the ``simulated_identical``
@@ -310,25 +297,15 @@ def _rack_block(seed: int, measure_ns: int,
             "ops_per_sec": totals["ops_per_sec"],
             "latency_mean_us": totals["latency_mean_us"],
             "events_fired": totals["events_fired"],
-            "events_per_sec_wall": report["perf"]["events_per_sec_wall"],
-            "aggregate_events_per_sec": report["perf"]["aggregate_events_per_sec"],
             "messages_cross_shard": report["perf"]["messages_cross_shard"],
             "barrier_rounds": report["perf"]["barrier_rounds"],
-            "wall_seconds": report["perf"]["wall_seconds"],
             "counters": counters,
             "shards": [
-                {
-                    "shard": s["shard"],
-                    "hosts": s["hosts"],
-                    "events_fired": s["events_fired"],
-                    "events_per_sec_wall": s["events_per_sec_wall"],
-                    "barrier_wait_fraction": s["barrier_wait_fraction"],
-                }
+                {"shard": s["shard"], "hosts": s["hosts"],
+                 "events_fired": s["events_fired"]}
                 for s in report["perf"]["shards"]
             ],
         }
-    first, last = points[str(RACK_SHARD_COUNTS[0])], points[str(RACK_SHARD_COUNTS[-1])]
-    base_rate = first["aggregate_events_per_sec"]
     return {
         "shard_counts": list(RACK_SHARD_COUNTS),
         "spec": {"n_hosts": spec.n_hosts, "n_client_hosts": spec.n_client_hosts,
@@ -336,8 +313,6 @@ def _rack_block(seed: int, measure_ns: int,
                  "application": spec.application, "seed": spec.seed,
                  "lookahead_ns": spec.lookahead_ns},
         "simulated_identical": len(set(digests)) == 1,
-        "aggregate_speedup": last["aggregate_events_per_sec"] / base_rate
-        if base_rate > 0 else 0.0,
         "points": points,
         "telemetry": _rack_telemetry_summary(last_report),
     }
@@ -346,15 +321,14 @@ def _rack_block(seed: int, measure_ns: int,
 def _rack_telemetry_summary(report: Dict[str, Any]) -> Dict[str, Any]:
     """The JSON-embeddable core of one rack report's telemetry block.
 
-    Keeps the trajectory-worthy aggregates (path counts and RTT, stage
-    shares, watchdog totals, barrier/straggler profile) and drops the
-    raw marks/windows — a bench document must stay diff-sized.
+    Keeps the simulated aggregates (path counts and RTT, stage shares,
+    watchdog totals) and drops the raw marks/windows — a bench document
+    must stay diff-sized — and the wall-clock barrier profile.
     """
     tel = report.get("telemetry")
     if not tel:
         return {}
     paths = tel["paths"]
-    barrier = tel["barrier"]
     return {
         "paths": {
             "counts": dict(paths["counts"]),
@@ -364,17 +338,6 @@ def _rack_telemetry_summary(report: Dict[str, Any]) -> Dict[str, Any]:
                             for name, s in paths["stages"].items()},
         },
         "watchdog": dict(tel["watchdog"]),
-        "barrier": {
-            "windows": barrier["windows"],
-            "straggler_shard": barrier["straggler_shard"],
-            "per_shard": [
-                {"shard": s["shard"],
-                 "bound_fraction": s["bound_fraction"],
-                 "lookahead_utilization": s["lookahead_utilization"],
-                 "window_wall_mean_us": s["window_wall_mean_us"]}
-                for s in barrier["per_shard"]
-            ],
-        },
     }
 
 
@@ -383,18 +346,13 @@ def run_bench(
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
     latency_duration_ns: int = DEFAULT_LATENCY_NS,
-    profile: bool = True,
     revision: Optional[str] = None,
-    profile_top: int = 8,
     sched_duration_ns: int = DEFAULT_SCHED_NS,
     rack_duration_ns: int = DEFAULT_RACK_NS,
 ) -> Dict[str, Any]:
     """Run the smoke sweep and return the full report as a dict."""
-    wall0 = time.perf_counter()
     throughput = {
-        name: _throughput_point(name, seed, warmup_ns, measure_ns,
-                                profile=profile and name == "PI",
-                                profile_top=profile_top)
+        name: _throughput_point(name, seed, warmup_ns, measure_ns)
         for name in ("Baseline", "PI")
     }
     hybrid = _hybrid_point(seed, warmup_ns, measure_ns)
@@ -410,12 +368,6 @@ def run_bench(
         "adaptive": _sched_policy_point("cfs", seed, sched_duration_ns, adaptive=True),
     }
     rack = _rack_block(seed, rack_duration_ns)
-    wall = time.perf_counter() - wall0
-    total_events = sum(p["sim"]["events_fired"] for p in throughput.values())
-    gap_histograms = {
-        name: point.pop("gap_histograms")
-        for name, point in throughput.items() if "gap_histograms" in point
-    }
     watchdog_violations = sum(
         p["timeline"]["watchdog"]["violations"]
         for p in (*throughput.values(), *latency.values())
@@ -423,7 +375,6 @@ def run_bench(
     report: Dict[str, Any] = {
         "schema": {"name": "repro-bench", "version": BENCH_SCHEMA_VERSION},
         "revision": revision if revision is not None else current_revision(),
-        "generated_unix": int(time.time()),
         "host": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -441,10 +392,7 @@ def run_bench(
         "latency_ms": latency,
         "sched": sched,
         "rack": rack,
-        "profile": {"gap_histograms": gap_histograms},
         "watchdog_violations": watchdog_violations,
-        "wall_seconds": wall,
-        "events_per_sec_wall": total_events / wall if wall > 0 else 0.0,
     }
     return report
 
@@ -508,16 +456,13 @@ def format_bench(report: Dict[str, Any]) -> str:
     if rack:
         for count in rack["shard_counts"]:
             point = rack["points"][str(count)]
-            waits = [s["barrier_wait_fraction"] for s in point["shards"]]
             lines.append(
-                f"  rack {count} shard(s)  agg {point['aggregate_events_per_sec']:,.0f} ev/s  "
-                f"{point['ops_per_sec']:.0f} ops/s  "
-                f"barrier-wait max {max(waits):.2f}  "
+                f"  rack {count} shard(s)  {point['ops_per_sec']:.0f} ops/s  "
+                f"{point['events_fired']} events  "
                 f"cross msgs {point['messages_cross_shard']}"
             )
         lines.append(
-            f"  rack scaling {rack['aggregate_speedup']:.2f}x aggregate, "
-            f"simulated output "
+            "  rack simulated output "
             + ("identical across shard counts"
                if rack["simulated_identical"] else "DIVERGED across shard counts")
         )
@@ -525,36 +470,15 @@ def format_bench(report: Dict[str, Any]) -> str:
         if tel:
             counts = tel["paths"]["counts"]
             rtt = tel["paths"]["rtt"]
-            barrier = tel["barrier"]
             lines.append(
                 f"  rack telemetry  {counts['complete']}/{counts['total']} "
                 f"stitched paths  rtt p50 {rtt['p50_us']:.0f} us  "
                 f"p99 {rtt['p99_us']:.0f} us  "
-                f"straggler shard {barrier['straggler_shard']}  "
                 f"watchdog {tel['watchdog']['violations']} violation(s)"
             )
     violations = report.get("watchdog_violations")
     if violations is not None:
         lines.append(f"  watchdog {violations} violation(s) across timeline-checked points")
-    lines.append(
-        f"  simulator {report['events_per_sec_wall']:,.0f} events/s wall "
-        f"({report['wall_seconds']:.1f} s total)"
-    )
-    return "\n".join(lines)
-
-
-def format_profile(report: Dict[str, Any]) -> str:
-    """Render the PI point's per-event-type profile (empty string if absent)."""
-    prof = report.get("throughput", {}).get("PI", {}).get("profile_top")
-    if not prof:
-        return ""
-    lines = ["  event-type profile (PI point, heaviest wall time first):"]
-    lines.append(f"    {'event type':<48} {'count':>9} {'wall ms':>9} {'mean us':>9}")
-    for key, entry in prof.items():
-        lines.append(
-            f"    {key:<48} {entry['count']:>9} "
-            f"{entry['wall_total_ns'] / 1e6:>9.1f} {entry['wall_mean_ns'] / 1e3:>9.1f}"
-        )
     return "\n".join(lines)
 
 
@@ -575,30 +499,17 @@ def main(argv=None) -> int:
     parser.add_argument("--rack-ms", type=int, default=DEFAULT_RACK_NS // MS,
                         help="measurement window for the sharded-rack block")
     parser.add_argument("--output", default=None, help="output path (default BENCH_<rev>.json)")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip the per-event-type run-loop profile")
-    parser.add_argument("--profile-top", type=int, default=0, metavar="N",
-                        help="print the N heaviest event types from the run-loop "
-                             "profile (implies profiling; default: report-only)")
     args = parser.parse_args(argv)
-    if args.profile_top > 0 and args.no_profile:
-        parser.error("--profile-top conflicts with --no-profile")
     report = run_bench(
         seed=args.seed,
         warmup_ns=args.warmup_ms * MS,
         measure_ns=args.measure_ms * MS,
         latency_duration_ns=args.latency_ms * MS,
-        profile=not args.no_profile,
-        profile_top=args.profile_top if args.profile_top > 0 else 8,
         sched_duration_ns=args.sched_ms * MS,
         rack_duration_ns=args.rack_ms * MS,
     )
     path = write_report(report, args.output)
     print(format_bench(report))
-    if args.profile_top > 0:
-        summary = format_profile(report)
-        if summary:
-            print(summary)
     print(f"wrote {path}")
     return 0
 

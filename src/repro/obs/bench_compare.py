@@ -3,8 +3,7 @@
 Usage::
 
     PYTHONPATH=src python -m repro.obs.bench_compare BASELINE.json CURRENT.json \
-        [--max-throughput-drop PCT] [--max-p99-increase PCT] \
-        [--gate-events-rate RATIO]
+        [--max-throughput-drop PCT] [--max-p99-increase PCT]
 
 Compares every throughput point (Gbps, lower is worse) and every ping
 latency point (p99 ms, higher is worse) shared by the two reports and
@@ -13,13 +12,8 @@ exits non-zero when any metric regresses beyond the threshold (default
 gate — schema growth must not break the trajectory.  Stdlib only, so the
 gate runs anywhere the repo runs.  ``repro flow diff`` and the flow's
 ``bench-compare`` task call :func:`compare` directly, so the CI gate's
-thresholds and metric selection live only here.
-
-``--gate-events-rate`` additionally gates on the run-loop rate
-(``events_per_sec_wall``): the current report must reach at least RATIO
-times the baseline's rate.  It is opt-in because wall-clock rates are
-machine-dependent — CI uses it only as a non-blocking annotation; the
-hard gate stays on the simulated metrics above.
+thresholds and metric selection live only here.  Every compared metric
+is simulated; simulator speed is gated by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -73,14 +67,12 @@ def _metrics(report: Dict[str, Any]) -> Iterator[Tuple[str, str, float]]:
 
 
 def _rack_info(report: Dict[str, Any]) -> Dict[str, float]:
-    """Schema v5/v6 rack metrics: listed for trajectory, never gated.
+    """Schema v5+ rack metrics: listed for trajectory, never gated.
 
-    Everything here is either wall-clock scaling on whatever machine ran
-    the bench (shard processes racing for cores) or observability output
-    whose interesting failure modes (missing marks, broken stitching)
-    already fail tests, so thresholding it would gate on CI hardware,
-    not on the code.  Byte-identity — the rack's *correctness* claim —
-    is enforced by the determinism guard, not here.
+    The rack's telemetry is observability output whose interesting
+    failure modes (missing marks, broken stitching) already fail tests.
+    Byte-identity — the rack's *correctness* claim — is enforced by the
+    determinism guard, not here.
     """
     rack = report.get("rack")
     if not rack:
@@ -88,12 +80,7 @@ def _rack_info(report: Dict[str, Any]) -> Dict[str, float]:
     info: Dict[str, float] = {}
     for count in rack.get("shard_counts", []):
         point = rack["points"][str(count)]
-        info[f"rack[{count}].aggregate_events_per_sec"] = \
-            float(point["aggregate_events_per_sec"])
         info[f"rack[{count}].ops_per_sec"] = float(point["ops_per_sec"])
-        waits = [s["barrier_wait_fraction"] for s in point["shards"]]
-        info[f"rack[{count}].barrier_wait_max"] = float(max(waits)) if waits else 0.0
-    info["rack.aggregate_speedup"] = float(rack.get("aggregate_speedup", 0.0))
     info["rack.simulated_identical"] = 1.0 if rack.get("simulated_identical") else 0.0
     tel = rack.get("telemetry") or {}
     if tel:
@@ -110,11 +97,6 @@ def _rack_info(report: Dict[str, Any]) -> Dict[str, float]:
         wd = tel.get("watchdog", {})
         info["rack.telemetry.watchdog_violations"] = \
             float(wd.get("violations", 0))
-        barrier = tel.get("barrier", {})
-        utils = [s.get("lookahead_utilization", 0.0)
-                 for s in barrier.get("per_shard", [])]
-        if utils:
-            info["rack.telemetry.lookahead_util_min"] = float(min(utils))
     return info
 
 
@@ -174,9 +156,6 @@ def main(argv=None) -> int:
                         metavar="PCT", help="allowed throughput drop in percent (default 10)")
     parser.add_argument("--max-p99-increase", type=float, default=DEFAULT_MAX_P99_INCREASE_PCT,
                         metavar="PCT", help="allowed p99 latency increase in percent (default 10)")
-    parser.add_argument("--gate-events-rate", type=float, default=None, metavar="RATIO",
-                        help="require current events_per_sec_wall >= RATIO * baseline's "
-                             "(opt-in; machine-dependent, keep out of hard CI gates)")
     args = parser.parse_args(argv)
 
     baseline = load_report(args.baseline)
@@ -197,20 +176,6 @@ def main(argv=None) -> int:
         max_p99_increase_pct=args.max_p99_increase,
     )
     print("\n".join(lines))
-    if args.gate_events_rate is not None:
-        base_rate = float(baseline.get("events_per_sec_wall", 0.0))
-        cur_rate = float(current.get("events_per_sec_wall", 0.0))
-        if base_rate <= 0:
-            print("events_per_sec_wall: baseline has no rate; events gate skipped")
-        else:
-            ratio = cur_rate / base_rate
-            print(f"events_per_sec_wall: {base_rate:,.0f} -> {cur_rate:,.0f} "
-                  f"({ratio:.2f}x, required >= {args.gate_events_rate:.2f}x)")
-            if ratio < args.gate_events_rate:
-                regressions.append(
-                    f"events_per_sec_wall: {cur_rate:,.0f} is {ratio:.2f}x baseline "
-                    f"(required >= {args.gate_events_rate:.2f}x)"
-                )
     violations = current.get("watchdog_violations", 0)
     if violations:
         regressions.append(

@@ -1,4 +1,4 @@
-"""Self-contained HTML dashboard for a schema-v3 bench report.
+"""Self-contained HTML dashboard for one bench report.
 
 ``render_dashboard`` turns one ``BENCH_<rev>.json`` document (see
 :mod:`repro.obs.bench`) into a single HTML file with **zero external
@@ -14,9 +14,9 @@ Content:
   timeline, with a cross-check table proving the windowed series
   reaggregates to the bench's steady-state figure;
 * network-rate, gauge, and hybrid mode-residency charts;
+* the scheduler-zoo and sharded-rack panels;
 * the per-stage event-path attribution table
-  (:mod:`repro.obs.pathreport` output embedded in the report);
-* the run-loop sim-gap histograms (``profile.gap_histograms``).
+  (:mod:`repro.obs.pathreport` output embedded in the report).
 
 The page shell, stylesheet, tiles, cards and tables come from the render
 kit (:mod:`repro.obs.render`); this module keeps the charts and the
@@ -381,52 +381,31 @@ def _sched_section(report: Dict[str, Any]) -> str:
     return "<h2>Scheduler policies</h2>" + "".join(out)
 
 
-def _rack_telemetry_cards(rack: Dict[str, Any]) -> str:
-    """Schema v6 rack-observability cards (stitching + barrier profile)."""
-    tel = rack.get("telemetry")
-    if not tel:
-        return ""
-    out = []
-    paths = tel.get("paths", {})
+def _stitched_paths_card(rack: Dict[str, Any]) -> str:
+    """Schema v6 rack observability: the stitched cross-shard paths."""
+    paths = (rack.get("telemetry") or {}).get("paths", {})
     shares = paths.get("stage_share", {})
-    if shares:
-        counts = paths.get("counts", {})
-        rtt = paths.get("rtt", {})
-        cross = paths.get("cross_host", {})
-        out.append(card(
-            "Stitched cross-shard event paths",
-            table(("stage", "share of RTT"),
-                  [(name, f"{share:.1%}") for name, share in shares.items()],
-                  num=(1,)),
-            unit=f'{counts.get("complete", 0):,} complete of '
-                 f'{counts.get("total", 0):,} '
-                 f'({cross.get("complete_multi_host", 0):,} multi-host, '
-                 f'{cross.get("xshard_hops_mean", 0.0):.1f} fabric hops each); '
-                 f'end-to-end p50 {rtt.get("p50_us", 0.0):.1f} µs, '
-                 f'p99 {rtt.get("p99_us", 0.0):.1f} µs; stages telescope to RTT '
-                 f'for {cross.get("telescoping_exact", 0):,} paths'))
-    barrier = tel.get("barrier", {})
-    per_shard = barrier.get("per_shard", [])
-    if per_shard:
-        rows = [
-            (str(s["shard"]), f'{s["bound_fraction"]:.0%}',
-             f'{s["lookahead_utilization"]:.0%}', f'{s["window_wall_mean_us"]:.1f}')
-            for s in per_shard
-        ]
-        wd = tel.get("watchdog", {})
-        out.append(card(
-            "Barrier profile / straggler attribution",
-            table(("shard", "bounds window", "lookahead util",
-                   "window wall mean µs"), rows, num=range(4)),
-            unit=f'{barrier.get("windows", 0):,} sync '
-                 f'windows; straggler: shard {barrier.get("straggler_shard")}; '
-                 f'rack watchdog {wd.get("violations", 0)} violation(s) over '
-                 f'{wd.get("windows_checked", 0):,} checked windows'))
-    return "".join(out)
+    if not shares:
+        return ""
+    counts = paths.get("counts", {})
+    rtt = paths.get("rtt", {})
+    cross = paths.get("cross_host", {})
+    return card(
+        "Stitched cross-shard event paths",
+        table(("stage", "share of RTT"),
+              [(name, f"{share:.1%}") for name, share in shares.items()],
+              num=(1,)),
+        unit=f'{counts.get("complete", 0):,} complete of '
+             f'{counts.get("total", 0):,} '
+             f'({cross.get("complete_multi_host", 0):,} multi-host, '
+             f'{cross.get("xshard_hops_mean", 0.0):.1f} fabric hops each); '
+             f'end-to-end p50 {rtt.get("p50_us", 0.0):.1f} µs, '
+             f'p99 {rtt.get("p99_us", 0.0):.1f} µs; stages telescope to RTT '
+             f'for {cross.get("telescoping_exact", 0):,} paths')
 
 
 def _rack_section(report: Dict[str, Any]) -> str:
-    """Sharded-rack scaling panel (schema v5 ``rack`` block; additive)."""
+    """Sharded-rack panel (schema v5 ``rack`` block; additive)."""
     rack = report.get("rack")
     if not rack:
         return ""
@@ -434,59 +413,28 @@ def _rack_section(report: Dict[str, Any]) -> str:
     rows = []
     for count in rack.get("shard_counts", []):
         point = rack["points"][str(count)]
-        waits = [s["barrier_wait_fraction"] for s in point["shards"]]
         rows.append((
-            str(count), f'{point["aggregate_events_per_sec"]:,.0f}',
-            f'{point["events_per_sec_wall"]:,.0f}', f'{point["ops_per_sec"]:,.0f}',
-            f'{point["latency_mean_us"]:,.0f}', f"{max(waits):.2f}",
-            f'{point["messages_cross_shard"]:,}',
+            str(count), f'{point["events_fired"]:,}', f'{point["ops_per_sec"]:,.0f}',
+            f'{point["latency_mean_us"]:,.0f}', f'{point["messages_cross_shard"]:,}',
         ))
     identical = rack.get("simulated_identical")
     verdict = ("simulated output byte-identical across shard counts"
                if identical else
                "simulated output DIVERGED across shard counts")
-    last = rack["points"][str(rack["shard_counts"][-1])]
-    shard_rows = [
-        (str(s["shard"]), ", ".join(s["hosts"]), f'{s["events_fired"]:,}',
-         f'{s["events_per_sec_wall"]:,.0f}', f'{s["barrier_wait_fraction"]:.2f}')
-        for s in last["shards"]
-    ]
+    wd = (rack.get("telemetry") or {}).get("watchdog")
+    watchdog = (f'; rack watchdog {wd.get("violations", 0)} violation(s) over '
+                f'{wd.get("windows_checked", 0):,} checked windows' if wd else "")
     return (
         "<h2>Sharded rack</h2>"
-        + card("Rack scaling by shard count",
-               table(("shards", "agg ev/s", "realized ev/s", "ops/s", "lat mean µs",
-                      "barrier wait max", "cross msgs"), rows, num=range(7)),
+        + card("Rack by shard count",
+               table(("shards", "events", "ops/s", "lat mean µs", "cross msgs"),
+                     rows, num=range(5)),
                unit=f'{spec.get("n_hosts", "?")} ES2 hosts + '
                     f'{spec.get("n_client_hosts", "?")} client hosts, '
                     f'{spec.get("config", "?")} / {spec.get("application", "?")}; '
-                    f'aggregate speedup {rack.get("aggregate_speedup", 0.0):.2f}x; '
-                    f"{verdict}")
-        + card(f'Per-shard breakdown ({rack["shard_counts"][-1]} shards)',
-               table(("shard", "hosts", "events", "ev/s busy", "barrier wait"),
-                     shard_rows, num=(0, 2, 3, 4)),
-               unit="events/s while advancing, and the fraction of "
-                    "wall time spent waiting at window barriers")
-        + _rack_telemetry_cards(rack)
+                    f"{verdict}{watchdog}")
+        + _stitched_paths_card(rack)
     )
-
-
-def _gap_histograms(report: Dict[str, Any]) -> str:
-    hists = report.get("profile", {}).get("gap_histograms", {})
-    out = []
-    for config, entries in hists.items():
-        rows = [
-            (key, f'{entry["count"]:,}', f'{entry["mean_ns"]:,.0f}',
-             f'{entry["p99_bound_ns"]:,.0f}')
-            for key, entry in entries.items()
-        ]
-        if not rows:
-            continue
-        out.append(card(
-            f"{config}: simulated-time gaps by event type",
-            table(("event type", "count", "mean ns", "p99 ≤ ns"), rows, num=(1, 2, 3)),
-            unit="time between consecutive firings of each "
-                 "event type (run-loop profiler)"))
-    return "".join(out)
 
 
 # --------------------------------------------------------------------- entry
@@ -510,8 +458,6 @@ def render_dashboard(report: Dict[str, Any]) -> str:
         + _rack_section(report)
         + "<h2>Event-path attribution</h2>"
         + _path_table(report)
-        + "<h2>Simulator profile</h2>"
-        + _gap_histograms(report)
         + '<div id="tooltip"></div>'
     )
     return page(f"ES2 bench dashboard — {rev}", body, script=_TOOLTIP_JS)

@@ -2,7 +2,7 @@
 
 The sharded rack (:mod:`repro.cluster`) runs each host on a private
 simulator, possibly in another process — so every observability layer
-built for the single box (spans, timeline, watchdog, profiler) produces
+built for the single box (spans, timeline, watchdog) produces
 *per-host* data marooned inside a shard.  This module is the coordinator
 side that puts the rack-wide picture back together:
 
@@ -15,8 +15,8 @@ side that puts the rack-wide picture back together:
   marks from every host into one end-to-end :class:`StitchedTrace`
   whose telescoping stages still sum exactly to the client-observed RTT.
 * **per-shard telemetry aggregation** — shards ship counter snapshots,
-  timeline windows (raw deltas), watchdog verdicts and profiler
-  summaries over the barrier pipes at finish;
+  timeline windows (raw deltas) and watchdog verdicts over the barrier
+  pipes at finish;
   :func:`aggregate_timelines` re-aggregates the aligned windows into a
   rack-wide view with a per-host breakdown of headline rate families.
 * **barrier/straggler profiling** — each barrier reply piggybacks the
@@ -381,8 +381,6 @@ def build_rack_telemetry(config: Dict[str, Any],
             }
             watchdog_totals["windows_checked"] += wd["windows_checked"]
             watchdog_totals["violations"] += len(wd["violations"])
-        if "profile" in bundle:
-            entry["profile_top"] = list(bundle["profile"])[:3]
         per_host[host] = entry
     return {
         "config": dict(config),
@@ -399,8 +397,6 @@ def build_rack_telemetry(config: Dict[str, Any],
                 for h, b in host_bundles.items()
                 if b.get("watchdog", {}).get("violations")
             },
-            "profiles": {h: b["profile"] for h, b in host_bundles.items()
-                         if "profile" in b},
         },
     }
 

@@ -28,7 +28,7 @@ byte-identical (the boundary callback only reads).  The sampler event is
 tracked and cancelled by :meth:`stop`, so ``run_until_empty`` still
 drains.
 
-Like :mod:`repro.obs.profile`, this module must not import from
+Like every module in :mod:`repro.obs`, this one must not import from
 ``repro.sim`` (the simulator imports this package); the ``sim`` object
 it holds is used through its public surface only (``now``, ``at``,
 ``obs``, ``queue``).
@@ -150,9 +150,12 @@ class TimelineSampler:
         """Register a cumulative-time source (``fn(now) -> cumulative ns``).
 
         Each window emits ``gauges[metric_id]`` = (delta over the window)
-        / window length — a residency *fraction* in [0, 1].
+        / window length — a residency *fraction* in [0, 1].  A source
+        added while the sampler runs is measured from the current instant.
         """
         self._cumulative[metric_id] = fn
+        if self.running:
+            self._prev_cumulative[metric_id] = fn(self.sim.now)
 
     def add_listener(self, fn: Callable) -> None:
         """``fn(sample, prev_flat, cur_flat)`` fires after each window

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.obs import (
-    EventProfiler,
     InvariantWatchdog,
     Observability,
     SpanRecorder,
@@ -84,7 +82,6 @@ class Simulator:
         self.obs = Observability()
         #: barrier-time entry point for remotely-stamped events (repro.cluster)
         self.ingress = CrossShardIngress(self)
-        self._profiler: Optional[EventProfiler] = None
         self._events_fired = 0
         self._events_inlined = 0
         self._fuse_limit: Optional[int] = None
@@ -183,16 +180,6 @@ class Simulator:
         self.obs.timeline = None
         self.obs.watchdog = None
 
-    def enable_profiling(self) -> EventProfiler:
-        """Install per-event-type wall/sim-time profiling on the run loop."""
-        if self._profiler is None:
-            self._profiler = self.obs.profiler = EventProfiler()
-        return self._profiler
-
-    def disable_profiling(self) -> None:
-        """Remove the run-loop profiler (profile data is discarded)."""
-        self._profiler = self.obs.profiler = None
-
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay <= 0:
@@ -261,13 +248,7 @@ class Simulator:
             raise SimulationError("event heap yielded an event in the past")
         self.now = ev.time
         self._events_fired += 1
-        prof = self._profiler
-        if prof is None:
-            ev.fn(*ev.args)
-        else:
-            t0 = perf_counter_ns()
-            ev.fn(*ev.args)
-            prof.record(ev.fn, perf_counter_ns() - t0, self.now)
+        ev.fn(*ev.args)
         return True
 
     def run_until(self, time: int) -> None:
@@ -278,29 +259,17 @@ class Simulator:
         if time < self.now:
             raise SimulationError(f"run_until({time}) is in the past (now={self.now})")
         pop_until = self.queue.pop_until
-        prof = self._profiler
         prev_limit = self._fuse_limit
         self._fuse_limit = time
         fired = 0
         try:
-            if prof is None:
-                while True:
-                    ev = pop_until(time)
-                    if ev is None:
-                        break
-                    self.now = ev.time
-                    fired += 1
-                    ev.fn(*ev.args)
-            else:
-                while True:
-                    ev = pop_until(time)
-                    if ev is None:
-                        break
-                    self.now = ev.time
-                    fired += 1
-                    t0 = perf_counter_ns()
-                    ev.fn(*ev.args)
-                    prof.record(ev.fn, perf_counter_ns() - t0, self.now)
+            while True:
+                ev = pop_until(time)
+                if ev is None:
+                    break
+                self.now = ev.time
+                fired += 1
+                ev.fn(*ev.args)
         finally:
             self._events_fired += fired
             self._fuse_limit = prev_limit

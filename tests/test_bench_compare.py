@@ -131,3 +131,11 @@ class TestCli:
         )
         assert "throughput[PI].gbps" in metrics
         assert any(mid.startswith("latency[") for mid in metrics)
+
+    def test_checked_in_baseline_gates_the_scheduler_zoo(self):
+        baseline = bench_compare.load_report(str(_ROOT / "BENCH_baseline.json"))
+        current = copy.deepcopy(baseline)
+        current["sched"]["policies"]["cfs"]["p99_ms"] *= 2
+        _, regressions = bench_compare.compare(
+            baseline, current, max_drop_pct=25, max_p99_increase_pct=60)
+        assert [r.split(":")[0] for r in regressions] == ["sched[cfs].p99_ms"]

@@ -3,25 +3,32 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.obs import bench
+from repro.obs.bench_compare import _metrics, load_report
+
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
 
 
-def _tiny_report(**overrides):
-    kwargs = dict(
+def _tiny_report():
+    return bench.run_bench(
         seed=1,
         warmup_ns=bench.DEFAULT_WARMUP_NS // 4,
         measure_ns=bench.DEFAULT_MEASURE_NS // 4,
         latency_duration_ns=bench.DEFAULT_LATENCY_NS // 5,
-        profile=True,
         revision="test",
     )
-    kwargs.update(overrides)
-    return bench.run_bench(**kwargs)
 
 
-def test_report_schema_and_content():
-    report = _tiny_report()
+@pytest.fixture(scope="module")
+def report():
+    return _tiny_report()
+
+
+def test_report_schema_and_content(report):
     assert report["schema"] == {"name": "repro-bench", "version": bench.BENCH_SCHEMA_VERSION}
     assert report["revision"] == "test"
     assert set(report["throughput"]) == {"Baseline", "PI"}
@@ -31,9 +38,6 @@ def test_report_schema_and_content():
         assert point["exits_per_sec"]["total"] >= 0
         assert point["counters"]  # full registry snapshot present
         assert point["sim"]["events_fired"] > 0
-    # The profiled point carries the heaviest event types.
-    assert report["throughput"]["PI"]["profile_top"]
-    assert "profile_top" not in report["throughput"]["Baseline"]
     hybrid = report["hybrid"]
     assert hybrid["baseline"]["io_exits_per_sec"] > 0
     factor = hybrid["io_exit_reduction_factor"]
@@ -46,12 +50,20 @@ def test_report_schema_and_content():
     json.dumps(report, allow_nan=False)
 
 
-def test_write_report_and_roundtrip(tmp_path):
-    report = _tiny_report(profile=False)
+def test_write_report_and_roundtrip(report, tmp_path):
     path = bench.write_report(report, str(tmp_path / "BENCH_test.json"))
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh) == report
     assert bench.format_bench(report)
+    # The report is a function of code and seed: a second run writes
+    # the same bytes.
+    again = bench.write_report(_tiny_report(), str(tmp_path / "BENCH_again.json"))
+    assert Path(again).read_bytes() == Path(path).read_bytes()
+
+
+def test_checked_in_baseline_gates_every_metric(report):
+    baseline = {mid for mid, _, _ in _metrics(load_report(str(BASELINE)))}
+    assert {mid for mid, _, _ in _metrics(report)} <= baseline
 
 
 def test_default_artifact_name_uses_revision(tmp_path, monkeypatch):
@@ -76,7 +88,6 @@ def test_cli_main_writes_artifact(tmp_path, capsys):
         "--latency-ms", "50",
         "--sched-ms", "40",
         "--rack-ms", "4",
-        "--no-profile",
         "--output", str(out),
     ])
     assert rc == 0

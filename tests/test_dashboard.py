@@ -27,7 +27,6 @@ def report():
         warmup_ns=5 * MS,
         measure_ns=15 * MS,
         latency_duration_ns=50 * MS,
-        profile=True,
         revision="dash-test",
     )
 

@@ -261,7 +261,6 @@ def test_bench_rack_telemetry_summary(rack_runs):
     summary = _rack_telemetry_summary(on[4])
     assert summary["paths"]["counts"]["complete"] > 0
     assert 0.99 < sum(summary["paths"]["stage_share"].values()) < 1.01
-    assert summary["barrier"]["straggler_shard"] in range(4)
     assert "raw" not in json.dumps(summary)
 
 

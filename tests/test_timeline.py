@@ -250,6 +250,22 @@ def test_clean_run_has_no_violations_and_residency_partitions_windows():
     assert checked > 0
 
 
+def test_late_enable_measures_residency_from_the_enable_instant():
+    # A sampler started after a warm-up must not charge the warm-up to
+    # its first window (fatal watchdog: a residency-sum violation raises).
+    tb = multiplexed_testbed(paper_config("PI+H+R", quota=4), seed=3)
+    wl = PingWorkload(tb, tb.tested, interval_ns=1 * MS)
+    wl.start()
+    tb.run_for(50 * MS)
+    tl = tb.enable_timeline()
+    tb.run_for(1 * MS)
+    tl.stop()
+    residency = [v for s in tl.samples for mid, v in s.gauges.items()
+                 if ".residency." in mid]
+    assert residency
+    assert all(0.0 <= v <= 1.0 for v in residency)
+
+
 def test_watchdog_catches_injected_conservation_violation():
     tb = multiplexed_testbed(paper_config("PI+H+R", quota=4), seed=7)
     tb.enable_timeline()

@@ -7,6 +7,7 @@ The trace bus itself (filters, ring eviction, clear) is covered by
 from __future__ import annotations
 
 from repro.core.configs import paper_config
+from repro.experiments.runner import measure_window
 from repro.experiments.testbed import single_vcpu_testbed
 from repro.obs import TraceBus
 from repro.sim.trace import NullTracer
@@ -84,3 +85,24 @@ class TestInstrumentedTracePoints:
         for _, f in redirects:
             assert f["target"] != f["orig"]
             assert f["vm"] == "vm0"
+
+
+def _measured_fingerprint(traced: bool):
+    tb = single_vcpu_testbed(paper_config("PI", quota=4), seed=7)
+    if traced:
+        tb.sim.trace_bus()
+    wl = NetperfUdpSend(tb, tb.tested, n_streams=1, payload_size=512)
+    run = measure_window(tb, wl, 10 * MS, 30 * MS, config_name="PI")
+    return (
+        f"{run.throughput_gbps:.12f}",
+        f"{run.tig:.12f}",
+        run.exit_rates.as_dict(),
+        tb.sim.now,
+        tb.sim.events_fired,
+    )
+
+
+def test_observability_does_not_perturb_the_simulation():
+    # A fixed-seed run with a full trace bus installed must produce
+    # byte-identical results to the plain run: observers, not participants.
+    assert _measured_fingerprint(traced=False) == _measured_fingerprint(traced=True)
