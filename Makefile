@@ -14,10 +14,10 @@ perfbench-test:
 # dependency-free subset linter when ruff is not installed.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests scripts benchmarks examples; \
+		ruff check src tests scripts examples; \
 	else \
 		echo "ruff not found; using scripts/lint.py fallback"; \
-		$(PYTHON) scripts/lint.py src tests scripts benchmarks examples; \
+		$(PYTHON) scripts/lint.py src tests scripts examples; \
 	fi
 
 # Reduced end-to-end sweep for CI (stays within a one-minute budget).

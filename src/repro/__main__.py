@@ -33,6 +33,7 @@ from repro.experiments.rack import (
     DEFAULT_SHARD_COUNTS,
     format_rack,
     run_rack,
+    showcase_key,
 )
 from repro.experiments.schedzoo import format_sched_sweep, run_sched_sweep
 from repro.experiments.sriov import format_sriov, run_sriov
@@ -242,8 +243,7 @@ def main(argv=None) -> int:
             from repro.obs.rack import rack_perfetto_trace, render_rack_dashboard
             from repro.obs.render import write_trace
 
-            # Export the most instrumented cell: last config, max shards.
-            key = max((k for k in rack_results), key=lambda k: k[1])
+            key = showcase_key(rack_results)
             report = rack_results[key]
             if args.trace:
                 write_trace(rack_perfetto_trace(report), args.trace)

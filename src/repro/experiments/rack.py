@@ -33,7 +33,7 @@ from repro.cluster import (
 from repro.metrics.report import format_table
 from repro.units import MS
 
-__all__ = ["run_rack", "format_rack", "rack_identical", "FLOW_REDUCED",
+__all__ = ["run_rack", "format_rack", "rack_identical", "showcase_key", "FLOW_REDUCED",
            "DEFAULT_SHARD_COUNTS", "DEFAULT_RACK_CONFIGS"]
 
 #: shard counts every rack run compares (the scaling axis)
@@ -95,6 +95,12 @@ def rack_identical(results: Dict[Tuple[str, int], dict]) -> Dict[str, bool]:
     return verdict
 
 
+def showcase_key(results: Dict[Tuple[str, int], dict]) -> Tuple[str, int]:
+    """The cell the telemetry views show: the last config, at its most shards."""
+    last = list(results)[-1][0]
+    return max((key for key in results if key[0] == last), key=lambda key: key[1])
+
+
 def format_rack(results: Dict[Tuple[str, int], dict]) -> str:
     """Render the rack grid as a paper-style text table."""
     identical = rack_identical(results)
@@ -126,15 +132,15 @@ def format_rack(results: Dict[Tuple[str, int], dict]) -> str:
               "(fan-out clients -> ES2 server hosts)",
     )
     # When the grid ran with telemetry, append the rack observability
-    # report for the most instrumented cell (last config, max shards).
-    telemetered = [(k, r) for k, r in results.items() if "telemetry" in r]
+    # report for the showcase cell.
+    telemetered = {k: r for k, r in results.items() if "telemetry" in r}
     if telemetered:
         from repro.obs.rack import format_rack_telemetry
 
-        (config, n_shards), report = max(telemetered, key=lambda kr: kr[0][1])
+        config, n_shards = showcase_key(telemetered)
         return (
             table
             + f"\n\nRack telemetry ({config}, {n_shards} shards)\n"
-            + format_rack_telemetry(report["telemetry"])
+            + format_rack_telemetry(telemetered[(config, n_shards)]["telemetry"])
         )
     return table

@@ -286,10 +286,10 @@ class FlowState:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            if doc.get("schema") != STATE_SCHEMA_VERSION:
+            if not isinstance(doc, dict) or doc.get("schema") != STATE_SCHEMA_VERSION:
                 return None
             return cls.from_dict(doc)
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return None
 
 
@@ -324,7 +324,7 @@ class RunDirectory:
     def load_result(self, name: str) -> Tuple[bool, Any]:
         """``(ok, value)``; any failure degrades to a recompute."""
         try:
-            with open(self.result_path(name), "rb") as fh:
-                return True, pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+            # From memory, a corrupt length field fails as truncated data.
+            return True, pickle.loads(self.result_path(name).read_bytes())
+        except Exception:  # a damaged pickle can raise almost anything
             return False, None

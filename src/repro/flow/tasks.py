@@ -9,7 +9,8 @@ This module is the single declaration of *what the full reproduction is*:
   mode and each experiment module's ``FLOW_REDUCED`` overrides in
   ``reduced`` mode (short windows + trimmed grids — what CI runs
   end-to-end);
-* one **render task per sweep** producing the paper-style text table;
+* one **render task per sweep**: it checks the sweep's paper claims
+  (:mod:`repro.experiments.claims`), then renders the paper-style table;
 * the **bench report** (``bench``), with ``bench-compare`` (regression
   gate vs the checked-in baseline) and ``dashboard`` (self-contained
   HTML) downstream of it;
@@ -28,6 +29,7 @@ from typing import Optional
 
 from repro.experiments import ablations, coalescing, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments import rack, schedzoo, sriov, table1
+from repro.experiments.claims import failed_claims
 from repro.flow.graph import FlowError, Task, TaskGraph
 from repro.units import MS, SEC
 
@@ -126,16 +128,25 @@ def experiment_task(deps, runner, params, jobs=None):
     return runner(jobs=jobs, **params)
 
 
-def render_task(deps, source, formatter, format_args=()):
-    """Render one sweep's results as the paper-style text table."""
+def _check_claims(source, results, mode):
+    """Raise naming every paper claim ``source``'s results break."""
+    failed = failed_claims(source, results, mode)
+    if failed:
+        raise FlowError(f"{source}: paper claim failed: " + "; ".join(failed))
+
+
+def render_task(deps, source, formatter, mode, format_args=()):
+    """Check one sweep's paper claims, then render it as the paper-style table."""
+    _check_claims(source, deps[source], mode)
     return formatter(deps[source], *format_args)
 
 
-def render_fig9_task(deps, source="fig9"):
+def render_fig9_task(deps, mode, source="fig9"):
     """Fig 9 render plus the per-configuration knee lines the flat script printed."""
     from repro.experiments.fig9 import find_knee, format_fig9
 
     results = deps[source]
+    _check_claims(source, results, mode)
     lines = [format_fig9(results)]
     for cfg in sorted({c for (c, _) in results}):
         lines.append(f"knee[{cfg}] = {find_knee(results, cfg)}/s")
@@ -251,13 +262,13 @@ def build_graph(mode: str = "full", jobs: Optional[int] = None) -> TaskGraph:
             graph.add(Task(
                 name=render_name, fn=render_fig9_task, deps=(name,), kind="render",
                 budget_s=_budget(mode, "render"),
-                kwargs=dict(source=name), description=f"{label} table + knees",
+                kwargs=dict(source=name, mode=mode), description=f"{label} table + knees",
             ))
         else:
             graph.add(Task(
                 name=render_name, fn=render_task, deps=(name,), kind="render",
                 budget_s=_budget(mode, "render"),
-                kwargs=dict(source=name, formatter=formatter, format_args=format_args),
+                kwargs=dict(source=name, formatter=formatter, mode=mode, format_args=format_args),
                 description=f"{label} table",
             ))
         sections.append((label, render_name))

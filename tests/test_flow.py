@@ -6,10 +6,14 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.table1 import run_table1
 from repro.flow.graph import FlowError, Task, TaskGraph
 from repro.flow.runner import FlowRunner
-from repro.flow.state import FlowState, TaskRecord, output_digest, task_key
+from repro.flow.state import FlowState, RunDirectory, TaskRecord, output_digest, task_key
+from repro.units import MS
 
 # -- module-level task callables (they must cross process boundaries) -----
 
@@ -86,7 +90,49 @@ class TestGraph:
         assert task_key(t1, {}) == task_key(t2, {})
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8)
+_FUZZ = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _state_doc(field, value):
+    """A valid state document with its ``field`` set to ``value``."""
+    return {**FlowState(run_key="k", mode="full", tasks={"a": TaskRecord(name="a")}).to_dict(),
+            field: value}
+
+
+@pytest.fixture(scope="module")
+def stored_result(tmp_path_factory):
+    """The bytes ``store_result`` writes for a real (tiny) Table I sweep."""
+    run_dir = RunDirectory(tmp_path_factory.mktemp("flow"), "k")
+    run_dir.store_result("table1", run_table1(seed=1, warmup_ns=1 * MS, measure_ns=2 * MS, jobs=1))
+    return run_dir.result_path("table1").read_bytes()
+
+
 class TestState:
+    @_FUZZ
+    @given(doc=_JSON | st.builds(_state_doc, st.sampled_from(["schema", "last_run", "tasks"]), _JSON))
+    def test_any_json_state_file_loads_or_starts_fresh(self, tmp_path, doc):
+        (tmp_path / "flow-state.json").write_text(json.dumps(doc))
+        assert isinstance(FlowState.load(tmp_path / "flow-state.json"), (FlowState, type(None)))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_result_pickle_degrades_to_recompute(self, tmp_path, stored_result, data):
+        """One flipped byte or a truncation loads as a value or as a miss."""
+        pos = data.draw(st.integers(0, len(stored_result) - 1))
+        damaged = bytearray(stored_result[:pos] if data.draw(st.booleans()) else stored_result)
+        if len(damaged) > pos:
+            damaged[pos] ^= data.draw(st.integers(1, 255))
+        run_dir = RunDirectory(tmp_path, "k")
+        run_dir.store_result("table1", None)
+        run_dir.result_path("table1").write_bytes(bytes(damaged))
+        ok, value = run_dir.load_result("table1")
+        assert ok or value is None
+
     def test_roundtrip(self, tmp_path):
         state = FlowState(run_key="k" * 16, mode="reduced")
         state.tasks["a"] = TaskRecord(name="a", status="done", kind="sweep",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from repro.experiments import claims
+from repro.experiments.fig4 import QuotaPoint
 from repro.flow.runner import FlowRunner
 from repro.flow.state import run_key_for, task_key
 from repro.flow.tasks import MODES, build_graph, task_names
@@ -99,6 +101,32 @@ class TestRegistry:
                          volatile=t.volatile, kind=t.kind,
                          description=t.description, budget_s=None)
              for t in budgeted.tasks], "full")
+
+
+class TestClaims:
+    def test_every_sweep_but_schedsweep_is_gated_and_missing_input_fails(self):
+        sweeps = {t.name for t in build_graph("full").tasks if t.kind == "sweep"}
+        assert set(claims.CLAIMS) <= sweeps and sweeps - set(claims.CLAIMS) == {"schedsweep"}
+        for task, table in claims.CLAIMS.items():
+            assert table and claims.failed_claims(task, {}, "full") == [c[0] for c in table], task
+
+    def test_full_only_claims_skip_in_reduced_mode_and_fail_in_full(self):
+        grid = [QuotaPoint(None, 90_000.0, 95_000.0, 0.5),  # the reduced grid: no quota 8
+                QuotaPoint(16, 1_900.0, 2_500.0, 0.7), QuotaPoint(4, 0.0, 900.0, 0.6)]
+        assert claims.failed_claims("fig4-udp", grid, "reduced") == []
+        assert claims.failed_claims("fig4-udp", grid, "full") == [
+            "UDP 256 B: quota 8 I/O exits < 2k/s", "UDP 256 B: quota 8 I/O exits < Baseline/20"]
+
+    def test_broken_claim_fails_the_run_and_names_it(self, capsys, tmp_path, monkeypatch):
+        from repro.flow.cli import main
+
+        broken = ("PI has 7 Others exits", lambda r: r["PI"].exit_rates.others == 7, claims.BOTH)
+        monkeypatch.setitem(claims.CLAIMS, "table1", claims.CLAIMS["table1"] + (broken,))
+        assert main(["run", "--mode", "reduced", "--only", "render-table1", "--jobs", "1",
+                     "--state-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED  render-table1" in out
+        assert "table1: paper claim failed: PI has 7 Others exits" in out
 
 
 class TestCli:

@@ -1,8 +1,8 @@
 """Integration tests for the paper's headline claims (fast versions).
 
-The benchmark suite measures these with longer windows; the versions here
-are cheap enough for the regular test run and pin the *qualitative* claims
-so regressions in any subsystem surface immediately.
+The flow checks every claim at longer windows (``repro.experiments.claims``);
+these versions are cheap enough for the regular test run and pin the
+*qualitative* claims so regressions in any subsystem surface immediately.
 """
 
 from __future__ import annotations

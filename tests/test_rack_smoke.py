@@ -87,10 +87,12 @@ def test_rack_cli_writes_trace_and_dashboard(tmp_path, capsys):
 
     trace, dash = tmp_path / "rack.perfetto.json", tmp_path / "rack.html"
     assert main(["rack", "--measure-ms", "3", "--warmup-ms", "1", "--shards", "2",
-                 "--configs", "PI+H+R", "--trace", str(trace),
+                 "--configs", "Baseline", "PI+H+R", "--trace", str(trace),
                  "--dashboard", str(dash)]) == 0
     out = capsys.readouterr().out
     assert str(trace) in out and str(dash) in out
+    # The telemetry report, the trace and the dashboard show the last config's cell.
+    assert out.count("(PI+H+R, 2 shards)") == 3 and "(Baseline, 2 shards)" not in out
     events = check_trace(json.loads(trace.read_text(encoding="utf-8")), phases="MXCi")
     assert any(e["ph"] == "X" for e in events)
     check_page(dash.read_text(encoding="utf-8"))
