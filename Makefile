@@ -58,7 +58,9 @@ trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro trace ping --duration-ms 250 \
 		--perfetto path-trace-ping.perfetto.json --jsonl path-trace-ping.jsonl
 
-# Fixed-seed serial-vs-parallel sweep equivalence (exit 1 on divergence).
+# Fixed-seed equivalence of the fig4 point tasks under the flow runner with
+# --jobs 1 vs --jobs 2 and with the timeline sampler, plus the rack shard
+# legs (exit 1 on divergence).
 determinism:
 	$(PYTHON) scripts/determinism_guard.py
 

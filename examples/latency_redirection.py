@@ -11,15 +11,16 @@ across configurations, including two redirection-policy ablations.
 Run:  python examples/latency_redirection.py
 """
 
-from repro.experiments.ablations import format_redirect_ablation, run_redirect_policy_ablation
-from repro.experiments.fig7 import format_fig7, run_fig7
+from repro.experiments.ablations import format_redirect_ablation, redirect_policy_ablation_points
+from repro.experiments.fig7 import fig7_points, format_fig7
+from repro.parallel import run_sweep
 from repro.units import MS, SEC
 
 
 def main() -> None:
     print("Ping RTT under vCPU multiplexing (paper Fig. 7)")
     print("=" * 60)
-    results = run_fig7(seed=3, duration_ns=int(1.5 * SEC), interval_ns=10 * MS)
+    results = run_sweep(fig7_points(seed=3, duration_ns=int(1.5 * SEC), interval_ns=10 * MS))
     print(format_fig7(results))
     print()
     base = results["Baseline"]
@@ -29,7 +30,7 @@ def main() -> None:
     print()
     print("Redirection-policy ablation")
     print("=" * 60)
-    ablation = run_redirect_policy_ablation(seed=3, duration_ns=SEC)
+    ablation = run_sweep(redirect_policy_ablation_points(seed=3, duration_ns=SEC))
     print(format_redirect_ablation(ablation))
 
 

@@ -10,7 +10,8 @@ prints the value each protocol should use (the paper selects 8 and 4).
 Run:  python examples/quota_tuning.py
 """
 
-from repro.experiments.fig4 import format_fig4, run_fig4
+from repro.experiments.fig4 import fig4_points, format_fig4
+from repro.parallel import run_sweep
 from repro.units import MS
 
 WARMUP = 150 * MS
@@ -19,7 +20,7 @@ MEASURE = 350 * MS
 
 def pick_quota(points) -> int:
     """Largest quota whose I/O-exit rate is near the best achievable."""
-    candidates = [p for p in points if p.quota is not None]
+    candidates = [p for p in points.values() if p.quota is not None]
     best = min(p.io_exit_rate for p in candidates)
     threshold = max(2 * best, 1_000.0)
     eligible = [p.quota for p in candidates if p.io_exit_rate <= threshold]
@@ -28,7 +29,7 @@ def pick_quota(points) -> int:
 
 def main() -> None:
     for protocol in ("udp", "tcp"):
-        points = run_fig4(protocol, seed=1, warmup_ns=WARMUP, measure_ns=MEASURE)
+        points = run_sweep(fig4_points(protocol, seed=1, warmup_ns=WARMUP, measure_ns=MEASURE))
         print(format_fig4(points, protocol))
         print(f"--> selected quota for {protocol.upper()}: {pick_quota(points)}")
         print()

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """CI determinism guard: serial, parallel, and timeline runs must agree.
 
-Runs one fixed-seed Fig.-4 point set three ways — serially, with
-``--jobs 2``, and serially with windowed telemetry + invariant watchdog
-enabled (``REPRO_TIMELINE=1``) — serializes each result list to canonical
+Runs one fixed-seed Fig.-4 point set three ways — as point and merge
+tasks under the flow runner with one worker and with two
+(``FlowRunner(jobs=1)`` vs ``FlowRunner(jobs=2)``, the fan-out behind
+``flow run --jobs`` and ``python -m repro <experiment> --jobs``), and
+serially with windowed telemetry + invariant watchdog enabled
+(``REPRO_TIMELINE=1``) — serializes each merged result to canonical
 JSON, and fails (exit 1) if any pair differs by a single byte.  This is
 the executable form of two contracts: worker scheduling must never
-influence results (``repro.parallel.sweep``), and the timeline sampler is
+influence results (``repro.flow.runner``), and the timeline sampler is
 an observer whose boundary events never perturb simulated metrics
 (``repro.obs.timeline``).
 
@@ -26,10 +29,15 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.experiments.fig4 import run_fig4  # noqa: E402
+from repro.experiments.fig4 import fig4_points  # noqa: E402
+from repro.flow.graph import TaskGraph  # noqa: E402
+from repro.flow.runner import FlowRunner  # noqa: E402
+from repro.flow.tasks import sweep_tasks  # noqa: E402
+from repro.parallel import run_sweep  # noqa: E402
 from repro.units import MS  # noqa: E402
 
 SEED = 1
@@ -43,8 +51,21 @@ RACK_WARMUP_NS = 1 * MS
 RACK_MEASURE_NS = 6 * MS
 
 
-def _canonical_json(points) -> str:
-    return json.dumps([dataclasses.asdict(p) for p in points], sort_keys=True, indent=1)
+def _canonical_json(results) -> str:
+    return json.dumps([dataclasses.asdict(p) for p in results.values()], sort_keys=True,
+                      indent=1)
+
+
+def _flow_run(points, jobs: int):
+    """The merged fig4 result of one flow run over the points."""
+    with tempfile.TemporaryDirectory(prefix="determinism-guard-") as state_root:
+        result = FlowRunner(TaskGraph(sweep_tasks("fig4-udp", points)),
+                            state_root=state_root, jobs=jobs, echo=None).run()
+    if not result.ok:
+        for error in result.failed.values():
+            print(error, end="", file=sys.stderr)
+        raise SystemExit(1)
+    return result.results["fig4-udp"]
 
 
 def _diff(label_a: str, a: str, label_b: str, b: str) -> None:
@@ -57,17 +78,17 @@ def _diff(label_a: str, a: str, label_b: str, b: str) -> None:
 
 
 def main() -> int:
-    kwargs = dict(quotas=QUOTAS, seed=SEED, warmup_ns=WARMUP_NS,
-                  measure_ns=MEASURE_NS)
-    serial = _canonical_json(run_fig4("udp", jobs=1, **kwargs))
-    parallel = _canonical_json(run_fig4("udp", jobs=2, **kwargs))
+    points = fig4_points("udp", quotas=QUOTAS, seed=SEED, warmup_ns=WARMUP_NS,
+                         measure_ns=MEASURE_NS)
+    serial = _canonical_json(_flow_run(points, jobs=1))
+    parallel = _canonical_json(_flow_run(points, jobs=2))
     if serial != parallel:
         _diff("serial", serial, "parallel", parallel)
         return 1
     prev_timeline = os.environ.get("REPRO_TIMELINE")
     os.environ["REPRO_TIMELINE"] = "1"
     try:
-        timeline = _canonical_json(run_fig4("udp", jobs=1, **kwargs))
+        timeline = _canonical_json(run_sweep(points))
     finally:
         if prev_timeline is None:
             del os.environ["REPRO_TIMELINE"]
@@ -77,7 +98,8 @@ def main() -> int:
         _diff("plain", serial, "timeline", timeline)
         return 1
     print(f"determinism guard OK: fig4 udp seed={SEED} quotas={QUOTAS} "
-          "identical under jobs=1, jobs=2, and with the timeline sampler enabled")
+          "identical under FlowRunner(jobs=1), FlowRunner(jobs=2), and serially "
+          "with the timeline sampler enabled")
 
     # Sharded leg: the rack's simulated block is layout-invariant.
     from repro.cluster import (

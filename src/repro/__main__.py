@@ -9,25 +9,27 @@ Examples::
     python -m repro fig9 --rates 800 1800 2600
     python -m repro sriov
 
-Options left out fall back to the experiment's own ``run_*`` defaults,
-which are the ``flow run`` full-mode parameters.  The whole reproduction,
-cached and resumable, is ``python -m repro flow run --print-report``.
+Options left out fall back to the experiment's own ``<x>_points``
+defaults, the ``flow run`` full-mode parameters; the points run as flow
+tasks in a throwaway state directory, so nothing is cached.  The whole
+reproduction, cached and resumable, is ``python -m repro flow run --print-report``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
-from repro.experiments.ablations import format_redirect_ablation, run_redirect_policy_ablation
-from repro.experiments.coalescing import format_coalescing, run_coalescing
-from repro.experiments.fig4 import format_fig4, run_fig4
-from repro.experiments.fig5 import format_fig5, run_fig5
-from repro.experiments.fig6 import format_fig6, run_fig6
-from repro.experiments.fig7 import format_fig7, run_fig7
-from repro.experiments.fig8 import format_fig8, run_fig8
-from repro.experiments.fig9 import find_knee, format_fig9, run_fig9
+from repro.experiments.ablations import format_redirect_ablation, redirect_policy_ablation_points
+from repro.experiments.coalescing import coalescing_points, format_coalescing
+from repro.experiments.fig4 import fig4_points, format_fig4
+from repro.experiments.fig5 import fig5_points, format_fig5
+from repro.experiments.fig6 import fig6_points, format_fig6
+from repro.experiments.fig7 import fig7_points, format_fig7
+from repro.experiments.fig8 import fig8_points, format_fig8
+from repro.experiments.fig9 import fig9_points, format_fig9
 from repro.experiments.rack import (
     DEFAULT_RACK_CONFIGS,
     DEFAULT_SHARD_COUNTS,
@@ -35,9 +37,12 @@ from repro.experiments.rack import (
     run_rack,
     showcase_key,
 )
-from repro.experiments.schedzoo import format_sched_sweep, run_sched_sweep
-from repro.experiments.sriov import format_sriov, run_sriov
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.schedzoo import format_sched_sweep, sched_sweep_points
+from repro.experiments.sriov import format_sriov, sriov_points
+from repro.experiments.table1 import format_table1, table1_points
+from repro.flow.graph import TaskGraph
+from repro.flow.runner import FlowRunner
+from repro.flow.tasks import sweep_tasks
 from repro.units import MS
 
 
@@ -57,7 +62,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=0,
-        help="worker processes for sweeps (0 = all CPUs, 1 = serial)",
+        help="worker processes for the sweep points (0 = all CPUs, 1 = serial)",
     )
 
 
@@ -179,13 +184,13 @@ def main(argv=None) -> int:
     if args.sched_policy is not None:
         import os
 
-        # Environment, not a parameter: sweep workers inherit it, and
+        # Environment, not a parameter: forked task workers inherit it, and
         # default-SchedParams testbeds resolve it uniformly.
         os.environ["REPRO_SCHED_POLICY"] = args.sched_policy
 
-    # Only the options the user gave reach a runner; the rest fall back to
-    # the run_* signature, the one home of every default.
-    common = dict(jobs=args.jobs)
+    # Only the options the user gave reach a grid; the rest fall back to
+    # the <x>_points signature, the one home of every default.
+    common = {}
     if args.seed is not None:
         common["seed"] = args.seed
     window = {}
@@ -198,37 +203,7 @@ def main(argv=None) -> int:
         duration["duration_ns"] = args.duration_ms * MS
 
     cmd = args.command
-    if cmd == "table1":
-        print(format_table1(run_table1(**common, **window)))
-    elif cmd == "fig4":
-        protos = ("udp", "tcp") if args.protocol == "both" else (args.protocol,)
-        for proto in protos:
-            print(format_fig4(run_fig4(proto, **common, **window), proto))
-    elif cmd == "fig5":
-        print(format_fig5(run_fig5(**common, **window)))
-    elif cmd == "fig6":
-        directions = ("send", "receive") if args.direction == "both" else (args.direction,)
-        sizes = {} if args.sizes is None else dict(packet_sizes=tuple(args.sizes))
-        for direction in directions:
-            print(format_fig6(run_fig6(direction, **sizes, **common, **window), direction))
-    elif cmd == "fig7":
-        print(format_fig7(run_fig7(**common, **duration)))
-    elif cmd == "fig8":
-        for app in ("memcached", "apache"):
-            print(format_fig8(run_fig8(app, **common, **window), app))
-    elif cmd == "fig9":
-        rates = {} if args.rates is None else dict(rates=tuple(args.rates))
-        results = run_fig9(**rates, **common, **duration)
-        print(format_fig9(results))
-        for cfg in sorted({c for (c, _) in results}):
-            print(f"knee[{cfg}] = {find_knee(results, cfg)}/s")
-    elif cmd == "sriov":
-        print(format_sriov(run_sriov(**common, **window)))
-    elif cmd == "ablation":
-        print(format_redirect_ablation(run_redirect_policy_ablation(**common)))
-    elif cmd == "coalescing":
-        print(format_coalescing(run_coalescing(**common, **window)))
-    elif cmd == "rack":
+    if cmd == "rack":
         telemetry = None
         if args.trace or args.dashboard:
             from repro.cluster import RackTelemetry
@@ -254,16 +229,56 @@ def main(argv=None) -> int:
                                                 encoding="utf-8")
                 print(f"rack dashboard ({key[0]}, {key[1]} shards) "
                       f"-> {args.dashboard}")
-    elif cmd == "schedsweep":
+        return 0
+
+    # (points, formatter, format args) per table, in print order.
+    if cmd == "table1":
+        tables = [(table1_points(**common, **window), format_table1, ())]
+    elif cmd == "fig4":
+        protos = ("udp", "tcp") if args.protocol == "both" else (args.protocol,)
+        tables = [(fig4_points(proto, **common, **window), format_fig4, (proto,))
+                  for proto in protos]
+    elif cmd == "fig5":
+        tables = [(fig5_points(**common, **window), format_fig5, ())]
+    elif cmd == "fig6":
+        directions = ("send", "receive") if args.direction == "both" else (args.direction,)
+        sizes = {} if args.sizes is None else dict(packet_sizes=tuple(args.sizes))
+        tables = [(fig6_points(direction, **sizes, **common, **window), format_fig6,
+                   (direction,)) for direction in directions]
+    elif cmd == "fig7":
+        tables = [(fig7_points(**common, **duration), format_fig7, ())]
+    elif cmd == "fig8":
+        tables = [(fig8_points(app, **common, **window), format_fig8, (app,))
+                  for app in ("memcached", "apache")]
+    elif cmd == "fig9":
+        rates = {} if args.rates is None else dict(rates=tuple(args.rates))
+        tables = [(fig9_points(**rates, **common, **duration), format_fig9, ())]
+    elif cmd == "sriov":
+        tables = [(sriov_points(**common, **window), format_sriov, ())]
+    elif cmd == "ablation":
+        tables = [(redirect_policy_ablation_points(**common), format_redirect_ablation, ())]
+    elif cmd == "coalescing":
+        tables = [(coalescing_points(**common, **window), format_coalescing, ())]
+    else:  # schedsweep
         from repro.experiments.schedzoo import REDIRECTION_MODES, SCHED_POLICIES
 
         policies = tuple(args.policies or SCHED_POLICIES)
         modes = tuple(args.redirection or (m for m, _ in REDIRECTION_MODES))
         adaptive = {"off": (False,), "on": (True,), "both": (False, True)}[args.adaptive]
-        print(format_sched_sweep(run_sched_sweep(
-            policies=policies, modes=modes, adaptive=adaptive, **common, **duration)))
-    return 0
+        tables = [(sched_sweep_points(policies=policies, modes=modes, adaptive=adaptive,
+                                      **common, **duration), format_sched_sweep, ())]
 
+    graph = TaskGraph(task for i, (points, _, _) in enumerate(tables)
+                      for task in sweep_tasks(str(i), points))
+    with tempfile.TemporaryDirectory(prefix="repro-cli-") as state_root:
+        result = FlowRunner(graph, state_root=state_root, jobs=args.jobs, echo=None).run()
+    for error in result.failed.values():
+        print(error, end="", file=sys.stderr)
+    if result.failed:
+        return 1
+    for i, (_, formatter, format_args) in enumerate(tables):
+        print(formatter(result.results[str(i)], *format_args))
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -3,7 +3,7 @@
 :class:`ShardedSimulator` partitions a :class:`~repro.cluster.topology.
 RackSpec` into N shards, runs each shard in its own process (the
 fork-preferring :func:`~repro.parallel.sweep.pool_context`, the same
-fan-out every repro sweep uses), and drives the **window-barrier
+context the flow runner's workers use), and drives the **window-barrier
 protocol**:
 
 1. every shard advances all of its hosts to the common window end

@@ -1,22 +1,23 @@
-"""Experiment harness: testbed builders and per-table/figure runners.
+"""Experiment harness: testbed builders and per-table/figure grids.
 
 Each module reproduces one table or figure of the paper's evaluation
-(Section VI); see DESIGN.md for the experiment index and EXPERIMENTS.md for
-paper-vs-measured results.
+(Section VI); its ``<x>_points(...)`` declares the grid and runs nothing
+(``run_sweep`` or the flow runs it).  See DESIGN.md for the experiment
+index and EXPERIMENTS.md for paper-vs-measured results.
 """
 
 from repro.experiments.testbed import Testbed, VmSetup, single_vcpu_testbed, multiplexed_testbed
 from repro.experiments.runner import MeasuredRun, measure_window
-from repro.experiments.table1 import run_table1, format_table1
-from repro.experiments.fig4 import run_fig4, format_fig4, QuotaPoint
-from repro.experiments.fig5 import run_fig5, format_fig5
-from repro.experiments.fig6 import run_fig6, format_fig6
-from repro.experiments.fig7 import run_fig7, format_fig7
-from repro.experiments.fig8 import run_fig8, format_fig8
-from repro.experiments.fig9 import run_fig9, format_fig9, find_knee
-from repro.experiments.ablations import run_redirect_policy_ablation, format_redirect_ablation
-from repro.experiments.sriov import run_sriov, format_sriov
-from repro.experiments.coalescing import run_coalescing, format_coalescing
+from repro.experiments.table1 import table1_points, format_table1
+from repro.experiments.fig4 import fig4_points, format_fig4, QuotaPoint
+from repro.experiments.fig5 import fig5_points, format_fig5
+from repro.experiments.fig6 import fig6_points, format_fig6
+from repro.experiments.fig7 import fig7_points, format_fig7
+from repro.experiments.fig8 import fig8_points, format_fig8
+from repro.experiments.fig9 import fig9_points, format_fig9, find_knee
+from repro.experiments.ablations import redirect_policy_ablation_points, format_redirect_ablation
+from repro.experiments.sriov import sriov_points, format_sriov
+from repro.experiments.coalescing import coalescing_points, format_coalescing
 
 __all__ = [
     "Testbed",
@@ -25,26 +26,26 @@ __all__ = [
     "multiplexed_testbed",
     "MeasuredRun",
     "measure_window",
-    "run_table1",
+    "table1_points",
     "format_table1",
-    "run_fig4",
+    "fig4_points",
     "format_fig4",
     "QuotaPoint",
-    "run_fig5",
+    "fig5_points",
     "format_fig5",
-    "run_fig6",
+    "fig6_points",
     "format_fig6",
-    "run_fig7",
+    "fig7_points",
     "format_fig7",
-    "run_fig8",
+    "fig8_points",
     "format_fig8",
-    "run_fig9",
+    "fig9_points",
     "format_fig9",
     "find_knee",
-    "run_redirect_policy_ablation",
+    "redirect_policy_ablation_points",
     "format_redirect_ablation",
-    "run_sriov",
+    "sriov_points",
     "format_sriov",
-    "run_coalescing",
+    "coalescing_points",
     "format_coalescing",
 ]

@@ -13,18 +13,18 @@ These exercise the design choices DESIGN.md calls out:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict, List
 
 from repro.config import FeatureSet
 from repro.core.configs import paper_config
 from repro.experiments.testbed import multiplexed_testbed
 from repro.metrics.latency import LatencySeries
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS, SEC
 from repro.workloads.ping import PingWorkload
 
-__all__ = ["run_redirect_policy_ablation", "format_redirect_ablation", "REDIRECT_VARIANTS",
+__all__ = ["redirect_policy_ablation_points", "format_redirect_ablation", "REDIRECT_VARIANTS",
            "FLOW_REDUCED"]
 
 #: Reduced-mode overrides for the DAG runner (repro.flow.tasks).
@@ -50,17 +50,16 @@ def _ablation_point(
     return LatencySeries(wl.pinger.rtts_ns)
 
 
-def run_redirect_policy_ablation(
+def redirect_policy_ablation_points(
     variants: Dict[str, FeatureSet] = None,
     seed: int = 3,
     duration_ns: int = int(1.5 * SEC),
     interval_ns: int = 10 * MS,
-    jobs: Optional[int] = None,
-) -> Dict[str, LatencySeries]:
-    """Ping-RTT comparison across redirection policy variants."""
+) -> List[SweepPoint]:
+    """One ping-RTT series per redirection policy variant, keyed by name."""
     if variants is None:
         variants = REDIRECT_VARIANTS
-    sweep = [
+    return [
         SweepPoint(
             key=name,
             fn=_ablation_point,
@@ -74,7 +73,6 @@ def run_redirect_policy_ablation(
         )
         for name, feats in variants.items()
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_redirect_ablation(results: Dict[str, LatencySeries]) -> str:

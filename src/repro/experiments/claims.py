@@ -27,20 +27,15 @@ def _share(results, cause) -> float:
     return results["Baseline"].exit_rates.percentages()[cause]
 
 
-def _quota(points, quota):
-    """The Fig. 4 point at ``quota`` (``None`` = Baseline)."""
-    return {p.quota: p for p in points}[quota]
-
-
 def _cell(results, key: str):
     """A Fig. 5 run by ``"protocol direction config"``."""
     return results[tuple(key.split())]
 
 
-def _declines_with_quota(points) -> bool:
+def _declines_with_quota(results) -> bool:
     """I/O exits fall, within 10%, at every step down the swept quotas."""
-    swept = sorted((p for p in points if p.quota is not None), key=lambda p: -p.quota)
-    rates = [p.io_exit_rate for p in swept]
+    swept = sorted((q for q in results if q is not None), reverse=True)
+    rates = [results[q].io_exit_rate for q in swept]
     return len(rates) > 1 and all(lo <= hi * 1.10 for hi, lo in zip(rates, rates[1:]))
 
 
@@ -52,11 +47,11 @@ def _grows_with_size(results, config) -> bool:
 
 def _fig4a(tag: str) -> Tuple[Claim, ...]:
     return (
-        (f"{tag}: Baseline I/O exits > 40k/s", lambda r: _quota(r, None).io_exit_rate > 40_000, BOTH),
+        (f"{tag}: Baseline I/O exits > 40k/s", lambda r: r[None].io_exit_rate > 40_000, BOTH),
         (f"{tag}: I/O exits decline with shrinking quota (10% slack)", _declines_with_quota, BOTH),
-        (f"{tag}: quota 8 I/O exits < 2k/s", lambda r: _quota(r, 8).io_exit_rate < 2_000, FULL),
+        (f"{tag}: quota 8 I/O exits < 2k/s", lambda r: r[8].io_exit_rate < 2_000, FULL),
         (f"{tag}: quota 8 I/O exits < Baseline/20",
-         lambda r: _quota(r, 8).io_exit_rate < _quota(r, None).io_exit_rate / 20, FULL),
+         lambda r: r[8].io_exit_rate < r[None].io_exit_rate / 20, FULL),
     )
 
 
@@ -85,12 +80,12 @@ CLAIMS: Dict[str, Tuple[Claim, ...]] = {
     "fig4-udp": _fig4a("UDP 256 B"),
     "fig4-udp-1024": _fig4a("UDP 1024 B"),
     "fig4-tcp": (
-        ("Baseline I/O exits > 30k/s", lambda r: _quota(r, None).io_exit_rate > 30_000, BOTH),
-        ("quota 4 I/O exits < 10k/s", lambda r: _quota(r, 4).io_exit_rate < 10_000, BOTH),
+        ("Baseline I/O exits > 30k/s", lambda r: r[None].io_exit_rate > 30_000, BOTH),
+        ("quota 4 I/O exits < 10k/s", lambda r: r[4].io_exit_rate < 10_000, BOTH),
         ("quota 2 I/O exits within 10k/s of quota 4",
-         lambda r: abs(_quota(r, 2).io_exit_rate - _quota(r, 4).io_exit_rate) < 10_000, FULL),
+         lambda r: abs(r[2].io_exit_rate - r[4].io_exit_rate) < 10_000, FULL),
         ("quota 2 throughput < quota 8 throughput",
-         lambda r: _quota(r, 2).throughput_gbps < _quota(r, 8).throughput_gbps, FULL),
+         lambda r: r[2].throughput_gbps < r[8].throughput_gbps, FULL),
     ),
     "fig5": (
         ("TCP send Baseline interrupt-delivery exits > 10k/s",

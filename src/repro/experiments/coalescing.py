@@ -12,18 +12,18 @@ the low latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, List
 
 from repro.core.configs import paper_config
 from repro.experiments.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, measure_window
 from repro.experiments.testbed import single_vcpu_testbed
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS, SEC, us
 from repro.workloads.netperf import NetperfUdpReceive
 from repro.workloads.ping import PingWorkload
 
-__all__ = ["CoalescingPoint", "run_coalescing", "format_coalescing", "FLOW_REDUCED"]
+__all__ = ["CoalescingPoint", "coalescing_points", "format_coalescing", "FLOW_REDUCED"]
 
 #: Reduced-mode overrides for the DAG runner (repro.flow.tasks).
 FLOW_REDUCED = dict(warmup_ns=20 * MS, measure_ns=60 * MS, ping_duration_ns=200 * MS)
@@ -75,15 +75,15 @@ def _coalescing_point(
     )
 
 
-def run_coalescing(
+def coalescing_points(
     seed: int = 5,
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
     ping_duration_ns: int = SEC,
-    jobs: Optional[int] = None,
-) -> Dict[str, CoalescingPoint]:
-    """UDP-receive exits + ping latency for Baseline / Baseline+vIC / ES2."""
-    sweep = [
+) -> List[SweepPoint]:
+    """UDP-receive exits + ping latency for Baseline / Baseline+vIC / ES2,
+    keyed by config name."""
+    return [
         SweepPoint(
             key=name,
             fn=_coalescing_point,
@@ -97,7 +97,6 @@ def run_coalescing(
         )
         for name in _variants()
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_coalescing(results: Dict[str, CoalescingPoint]) -> str:

@@ -9,17 +9,17 @@ quota ≤ 4; very small quotas cost throughput to handler switching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.configs import paper_config
 from repro.experiments.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, measure_window
 from repro.experiments.testbed import single_vcpu_testbed
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS
 from repro.workloads.netperf import NetperfTcpSend, NetperfUdpSend
 
-__all__ = ["QuotaPoint", "run_fig4", "format_fig4", "FLOW_REDUCED"]
+__all__ = ["QuotaPoint", "fig4_points", "format_fig4", "FLOW_REDUCED"]
 
 DEFAULT_QUOTAS = (64, 32, 16, 8, 4, 2)
 
@@ -62,21 +62,21 @@ def _fig4_point(
     )
 
 
-def run_fig4(
+def fig4_points(
     protocol: str = "udp",
     payload_size: Optional[int] = None,
     quotas: Sequence[int] = DEFAULT_QUOTAS,
     seed: int = 1,
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
-    jobs: Optional[int] = None,
-) -> List[QuotaPoint]:
-    """Sweep the quota for one protocol; the first point is the baseline."""
+) -> List[SweepPoint]:
+    """The quota grid for one protocol, keyed by quota; the first point,
+    key ``None``, is the baseline."""
     if protocol not in ("udp", "tcp"):
         raise ValueError("protocol must be 'udp' or 'tcp'")
     if payload_size is None:
         payload_size = 256 if protocol == "udp" else 1448
-    sweep = [
+    return [
         SweepPoint(
             key=quota,
             fn=_fig4_point,
@@ -91,11 +91,9 @@ def run_fig4(
         )
         for quota in (None, *quotas)
     ]
-    merged = run_sweep(sweep, jobs=jobs)
-    return [merged[quota] for quota in (None, *quotas)]
 
 
-def format_fig4(points: List[QuotaPoint], protocol: str) -> str:
+def format_fig4(results: Dict[Optional[int], QuotaPoint], protocol: str) -> str:
     """Render the results as a paper-style text table."""
     rows = [
         [
@@ -104,7 +102,7 @@ def format_fig4(points: List[QuotaPoint], protocol: str) -> str:
             f"{p.total_exit_rate:.0f}",
             f"{p.throughput_gbps:.3f}",
         ]
-        for p in points
+        for p in results.values()
     ]
     return format_table(
         ["Configuration", "I/O-instr exits/s", "Total exits/s", "Throughput (Gbps)"],

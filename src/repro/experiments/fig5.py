@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from typing import Optional
-
 from repro.core.configs import paper_config
 from repro.experiments.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, MeasuredRun, measure_window
 from repro.experiments.testbed import single_vcpu_testbed
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS
 from repro.workloads.netperf import (
     NetperfTcpReceive,
@@ -26,7 +24,7 @@ from repro.workloads.netperf import (
     NetperfUdpSend,
 )
 
-__all__ = ["run_fig5", "format_fig5", "FIG5_CONFIGS", "FLOW_REDUCED"]
+__all__ = ["fig5_points", "format_fig5", "FIG5_CONFIGS", "FLOW_REDUCED"]
 
 #: Reduced-mode window overrides for the DAG runner (repro.flow.tasks).
 FLOW_REDUCED = dict(warmup_ns=20 * MS, measure_ns=60 * MS)
@@ -64,15 +62,14 @@ def _fig5_cell(
     return measure_window(tb, wl, warmup_ns, measure_ns, config_name=name)
 
 
-def run_fig5(
+def fig5_points(
     seed: int = 1,
     payload_size: int = 1024,
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, str, str], MeasuredRun]:
-    """Run all (protocol, direction, config) cells of Fig. 5."""
-    sweep = [
+) -> List[SweepPoint]:
+    """All (protocol, direction, config) cells of Fig. 5, keyed so."""
+    return [
         SweepPoint(
             key=(protocol, direction, name),
             fn=_fig5_cell,
@@ -90,7 +87,6 @@ def run_fig5(
         for direction in ("send", "receive")
         for name in FIG5_CONFIGS
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig5(results: Dict[Tuple[str, str, str], MeasuredRun]) -> str:

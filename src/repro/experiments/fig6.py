@@ -10,17 +10,17 @@ redirection (up to +50% over PI+H); full ES2 approaches 2x baseline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.configs import PAPER_CONFIGS, paper_config
 from repro.experiments.runner import measure_window
 from repro.experiments.testbed import multiplexed_testbed
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS
 from repro.workloads.netperf import NetperfTcpReceive, NetperfTcpSend
 
-__all__ = ["run_fig6", "format_fig6", "DEFAULT_PACKET_SIZES", "DEFAULT_WINDOW_BYTES",
+__all__ = ["fig6_points", "format_fig6", "DEFAULT_PACKET_SIZES", "DEFAULT_WINDOW_BYTES",
            "FLOW_REDUCED"]
 
 #: Reduced-mode overrides for the DAG runner: two packet sizes, short windows.
@@ -55,7 +55,7 @@ def _fig6_cell(
     return run.throughput_gbps
 
 
-def run_fig6(
+def fig6_points(
     direction: str = "send",
     packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
     configs: Sequence[str] = PAPER_CONFIGS,
@@ -63,12 +63,11 @@ def run_fig6(
     warmup_ns: int = 300 * MS,
     measure_ns: int = 600 * MS,
     window_bytes: int = DEFAULT_WINDOW_BYTES,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, int], float]:
-    """Measure throughput (Gbps) for each (config, packet size) cell."""
+) -> List[SweepPoint]:
+    """One throughput (Gbps) cell per (config, packet size), keyed so."""
     if direction not in ("send", "receive"):
         raise ValueError("direction must be 'send' or 'receive'")
-    sweep = [
+    return [
         SweepPoint(
             key=(name, size),
             fn=_fig6_cell,
@@ -85,7 +84,6 @@ def run_fig6(
         for name in configs
         for size in packet_sizes
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig6(results: Dict[Tuple[str, int], float], direction: str) -> str:

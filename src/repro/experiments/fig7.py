@@ -10,17 +10,17 @@ collect a comparable number of samples.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.configs import paper_config
 from repro.experiments.testbed import multiplexed_testbed
 from repro.metrics.latency import LatencySeries
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS, SEC
 from repro.workloads.ping import PingWorkload
 
-__all__ = ["run_fig7", "format_fig7", "FIG7_CONFIGS", "FLOW_REDUCED"]
+__all__ = ["fig7_points", "format_fig7", "FIG7_CONFIGS", "FLOW_REDUCED"]
 
 #: Reduced-mode overrides for the DAG runner: a short ping run.
 FLOW_REDUCED = dict(duration_ns=250 * MS)
@@ -37,15 +37,14 @@ def _fig7_point(name: str, seed: int, duration_ns: int, interval_ns: int) -> Lat
     return LatencySeries(wl.pinger.rtts_ns)
 
 
-def run_fig7(
+def fig7_points(
     configs: Sequence[str] = FIG7_CONFIGS,
     seed: int = 3,
     duration_ns: int = int(1.5 * SEC),
     interval_ns: int = 10 * MS,
-    jobs: Optional[int] = None,
-) -> Dict[str, LatencySeries]:
-    """Collect an RTT series per configuration."""
-    sweep = [
+) -> List[SweepPoint]:
+    """One RTT series per configuration, keyed by config name."""
+    return [
         SweepPoint(
             key=name,
             fn=_fig7_point,
@@ -55,7 +54,6 @@ def run_fig7(
         )
         for name in configs
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig7(results: Dict[str, LatencySeries]) -> str:

@@ -6,17 +6,17 @@ baseline; Apache — PI +19%, hybrid +18% more, full ES2 ≈ 2x baseline.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.configs import PAPER_CONFIGS, paper_config
 from repro.experiments.testbed import multiplexed_testbed
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS
 from repro.workloads.apache import ApacheWorkload
 from repro.workloads.memcached import MemcachedWorkload
 
-__all__ = ["run_fig8", "format_fig8", "FLOW_REDUCED"]
+__all__ = ["fig8_points", "format_fig8", "FLOW_REDUCED"]
 
 #: Reduced-mode window overrides for the DAG runner (repro.flow.tasks).
 FLOW_REDUCED = dict(warmup_ns=30 * MS, measure_ns=60 * MS)
@@ -41,18 +41,17 @@ def _fig8_point(
     return wl.requests_per_sec()
 
 
-def run_fig8(
+def fig8_points(
     application: str = "memcached",
     configs: Sequence[str] = PAPER_CONFIGS,
     seed: int = 3,
     warmup_ns: int = 300 * MS,
     measure_ns: int = 600 * MS,
-    jobs: Optional[int] = None,
-) -> Dict[str, float]:
-    """Measure application throughput (ops/s or requests/s) per config."""
+) -> List[SweepPoint]:
+    """One application throughput (ops/s or requests/s) per config, keyed so."""
     if application not in ("memcached", "apache"):
         raise ValueError("application must be 'memcached' or 'apache'")
-    sweep = [
+    return [
         SweepPoint(
             key=name,
             fn=_fig8_point,
@@ -66,7 +65,6 @@ def run_fig8(
         )
         for name in configs
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_fig8(results: Dict[str, float], application: str) -> str:

@@ -8,16 +8,16 @@ reaches ~2,600/s.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.configs import paper_config
 from repro.experiments.testbed import multiplexed_testbed
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import SEC
 from repro.workloads.httperf import HttperfWorkload
 
-__all__ = ["run_fig9", "format_fig9", "DEFAULT_RATES", "FIG9_CONFIGS", "find_knee",
+__all__ = ["fig9_points", "format_fig9", "DEFAULT_RATES", "FIG9_CONFIGS", "find_knee",
            "FLOW_REDUCED"]
 
 #: Reduced-mode overrides for the DAG runner: three rates, short duration.
@@ -36,15 +36,14 @@ def _fig9_cell(name: str, rate: int, seed: int, duration_ns: int) -> float:
     return wl.avg_connect_time_ms()
 
 
-def run_fig9(
+def fig9_points(
     rates: Sequence[int] = DEFAULT_RATES,
     configs: Sequence[str] = FIG9_CONFIGS,
     seed: int = 3,
     duration_ns: int = 2 * SEC,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, int], float]:
-    """Average connection time (ms) per (config, rate) cell."""
-    sweep = [
+) -> List[SweepPoint]:
+    """One average connection time (ms) per (config, rate) cell, keyed so."""
+    return [
         SweepPoint(
             key=(name, rate),
             fn=_fig9_cell,
@@ -53,7 +52,6 @@ def run_fig9(
         for name in configs
         for rate in rates
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def find_knee(results: Dict[Tuple[str, int], float], config: str, factor: float = 3.0) -> int:
@@ -70,7 +68,7 @@ def find_knee(results: Dict[Tuple[str, int], float], config: str, factor: float 
 
 
 def format_fig9(results: Dict[Tuple[str, int], float]) -> str:
-    """Render the results as a paper-style text table."""
+    """Render the results as a paper-style table, plot and per-config knees."""
     from repro.metrics.ascii_plot import line_plot
 
     rates = sorted({r for (_, r) in results})
@@ -85,4 +83,5 @@ def format_fig9(results: Dict[Tuple[str, int], float]) -> str:
     )
     series = {name: [results[(name, r)] for r in rates] for name in configs}
     plot = line_plot(series, height=8, y_label="avg connect ms", x_labels=[str(r) for r in rates])
-    return table + "\n\n" + plot
+    knees = [f"knee[{cfg}] = {find_knee(results, cfg)}/s" for cfg in sorted({c for (c, _) in results})]
+    return "\n".join([table + "\n\n" + plot, *knees])

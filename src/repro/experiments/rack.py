@@ -12,11 +12,10 @@ hosts to every server VM — driven by the sharded simulator
   is its own Python interpreter, so the rack simulates at multi-core
   speed instead of being bound by one event loop.
 
-Unlike the figure sweeps this experiment does **not** fan out through
-``run_sweep``: each point is already a multi-process run (its shards),
-and nesting process pools would oversubscribe the machine.  Points run
-serially; ``jobs`` is accepted for task-signature compatibility with the
-flow DAG.
+Unlike the figure sweeps this experiment is not declared as
+``SweepPoint``s: each cell is already a multi-process run (its shards),
+so the cells run one after another and the flow runs the grid as one
+task (:func:`repro.flow.tasks.experiment_task` says why).
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ def run_rack(
     warmup_ns: int = 2 * MS,
     measure_ns: int = 20 * MS,
     telemetry: Optional[RackTelemetry] = None,
-    jobs=None,          # noqa: ARG001 - flow-task signature compatibility
 ) -> Dict[Tuple[str, int], dict]:
     """Run the rack grid; keys are ``(config, n_shards)``.
 

@@ -12,19 +12,19 @@ claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import FeatureSet
 from repro.experiments.runner import measure_window
 from repro.experiments.testbed import Testbed
 from repro.metrics.latency import LatencySeries
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS, SEC
 from repro.workloads.netperf import NetperfTcpSend
 from repro.workloads.ping import PingWorkload
 
-__all__ = ["SriovRun", "run_sriov", "format_sriov", "SRIOV_CONFIGS", "FLOW_REDUCED"]
+__all__ = ["SriovRun", "sriov_points", "format_sriov", "SRIOV_CONFIGS", "FLOW_REDUCED"]
 
 #: Reduced-mode overrides for the DAG runner (repro.flow.tasks).
 FLOW_REDUCED = dict(warmup_ns=30 * MS, measure_ns=60 * MS, ping_duration_ns=200 * MS)
@@ -89,15 +89,14 @@ def _sriov_point(
     )
 
 
-def run_sriov(
+def sriov_points(
     seed: int = 3,
     warmup_ns: int = 300 * MS,
     measure_ns: int = 600 * MS,
     ping_duration_ns: int = int(1.2 * SEC),
-    jobs: Optional[int] = None,
-) -> Dict[str, SriovRun]:
-    """Run the Section-VII experiment for each SR-IOV configuration."""
-    sweep = [
+) -> List[SweepPoint]:
+    """The Section-VII experiment, one point per SR-IOV configuration."""
+    return [
         SweepPoint(
             key=name,
             fn=_sriov_point,
@@ -112,7 +111,6 @@ def run_sriov(
         )
         for name, features in SRIOV_CONFIGS.items()
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_sriov(results: Dict[str, SriovRun]) -> str:

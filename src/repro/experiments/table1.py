@@ -8,17 +8,17 @@ the freed CPU sends more packets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.configs import paper_config
 from repro.experiments.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, MeasuredRun, measure_window
 from repro.experiments.testbed import single_vcpu_testbed
 from repro.metrics.report import format_table
-from repro.parallel import SweepPoint, run_sweep
+from repro.parallel import SweepPoint
 from repro.units import MS
 from repro.workloads.netperf import NetperfTcpSend
 
-__all__ = ["run_table1", "format_table1", "FLOW_REDUCED"]
+__all__ = ["table1_points", "format_table1", "FLOW_REDUCED"]
 
 #: Reduced-mode window overrides for the DAG runner (repro.flow.tasks).
 FLOW_REDUCED = dict(warmup_ns=20 * MS, measure_ns=60 * MS)
@@ -33,15 +33,14 @@ def _table1_point(
     return measure_window(tb, wl, warmup_ns, measure_ns, config_name=name)
 
 
-def run_table1(
+def table1_points(
     seed: int = 1,
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
     payload_size: int = 1024,
-    jobs: Optional[int] = None,
-) -> Dict[str, MeasuredRun]:
-    """Run the Table-I experiment; returns results keyed by config name."""
-    sweep = [
+) -> List[SweepPoint]:
+    """The Table-I grid: one point per config, keyed by config name."""
+    return [
         SweepPoint(
             key=name,
             fn=_table1_point,
@@ -55,7 +54,6 @@ def run_table1(
         )
         for name in ("Baseline", "PI")
     ]
-    return run_sweep(sweep, jobs=jobs)
 
 
 def format_table1(results: Dict[str, MeasuredRun]) -> str:

@@ -1,12 +1,12 @@
 """DAG-driven experiment orchestration with resumable state.
 
 The flat run-every-experiment script became a dependency-aware task
-graph (cylc-flow is the architectural reference): experiments,
-figure renders, the bench report and the dashboard are :class:`Task`
-nodes; a scheduler walks them in topological order, fans independent
-tasks over :mod:`repro.parallel`'s process pool, and persists per-task
-state + output digests to an on-disk run directory so re-invocations
-resume exactly where they stopped and only re-run what changed.
+graph (cylc-flow is the architectural reference): sweep points, figure
+renders, the bench report and the dashboard are :class:`Task` nodes; a
+scheduler walks them in topological order, fans ready tasks over one
+process pool (the repo's only fan-out), and persists per-task state +
+output digests to an on-disk run directory so re-invocations resume
+exactly where they stopped and only re-run what changed.
 
 Entry points: ``python -m repro flow run`` (CLI), or programmatically::
 

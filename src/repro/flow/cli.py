@@ -30,7 +30,8 @@ into a CI gate (zero recomputed tasks, zero digest changes).
 
 Exit codes: 0 success, 1 task failure (the rest of the DAG still ran and
 the summary names every failed stage), 2 invalid graph/selection
-(unknown task, bad mode), 3 ``--assert-cached`` violated, 4
+(unknown task, bad mode) or another ``flow run`` holding the run
+directory, 3 ``--assert-cached`` violated, 4
 ``flow diff --assert-no-changes`` violated.
 """
 
@@ -72,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dry-run", action="store_true",
                      help="print what would run vs resolve from cache, then exit")
     run.add_argument("--jobs", type=int, default=0,
-                     help="task-level worker processes (0 = all CPUs, 1 = serial; "
-                          "serial runs give each sweep all CPUs instead)")
+                     help="worker processes for the ready tasks, sweep points "
+                          "included (0 = all CPUs, 1 = serial)")
     run.add_argument("--state-dir", default=None,
                      help="flow state root (default: $REPRO_FLOW_DIR or "
                           "~/.cache/repro-es2/flow)")
@@ -212,13 +213,8 @@ def _cmd_diff(args) -> int:
 
 def _cmd_run(args) -> int:
     task_jobs = effective_jobs(args.jobs)
-    # Parallelism lives at exactly one level: many tasks x serial sweeps,
-    # or one task at a time x parallel sweeps.  Results are identical
-    # either way (sweep determinism contract).
-    inner_jobs = 1 if task_jobs > 1 else 0
-    graph = build_graph(args.mode, jobs=inner_jobs)
-    runner = FlowRunner(graph, mode=args.mode, state_root=args.state_dir,
-                        jobs=task_jobs)
+    runner = FlowRunner(build_graph(args.mode), mode=args.mode,
+                        state_root=args.state_dir, jobs=task_jobs)
 
     if args.dry_run:
         plan = runner.plan(only=args.only, force=args.force)

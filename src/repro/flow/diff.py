@@ -23,11 +23,11 @@ uploads as artifacts.
 from __future__ import annotations
 
 import json
-import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.flow.graph import FlowError
+from repro.flow.state import RunDirectory
 
 __all__ = [
     "flow_diff",
@@ -87,17 +87,12 @@ def _load_bench_report(state_path: Path, run_key: str) -> Optional[Dict[str, Any
     Checked next to the state file (a run directory) and then under
     ``<run_key>/`` (the root-level mirror copy points into its run dir).
     """
-    candidates = [state_path.parent / "results" / "bench.pkl"]
+    candidates = [RunDirectory(state_path.parent.parent, state_path.parent.name)]
     if run_key:
-        candidates.append(state_path.parent / run_key / "results" / "bench.pkl")
-    for path in candidates:
-        try:
-            with open(path, "rb") as fh:
-                value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError):
-            continue
-        if isinstance(value, dict):
+        candidates.append(RunDirectory(state_path.parent, run_key))
+    for run_dir in candidates:
+        ok, value = run_dir.load_result("bench")
+        if ok and isinstance(value, dict):
             return value
     return None
 

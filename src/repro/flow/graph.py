@@ -44,23 +44,14 @@ class Task:
     fn: Callable[..., Any]
     deps: Tuple[str, ...] = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    #: runtime knobs (worker counts) merged into the call but excluded
-    #: from cache keys — they must never change results.
-    volatile: Mapping[str, Any] = field(default_factory=dict)
-    kind: str = "task"  #: coarse grouping for display: calibrate/sweep/render/bench/...
+    kind: str = "task"  #: coarse grouping for display: calibrate/point/sweep/render/...
     description: str = ""
-    #: wall-clock budget in seconds (None = no budget).  Volatile like the
-    #: runtime knobs: the runner checks and reports overruns, but the
-    #: budget never reaches :func:`~repro.flow.state.task_key` or
+    #: wall-clock budget in seconds (None = no budget).  The runner checks
+    #: and reports overruns, but the budget never reaches
+    #: :func:`~repro.flow.state.task_key` or
     #: :func:`~repro.flow.state.run_key_for` — editing a budget must not
     #: invalidate any cached work.
     budget_s: Optional[float] = None
-
-    def call_kwargs(self) -> Dict[str, Any]:
-        """The merged kwargs the runner actually calls ``fn`` with."""
-        merged = dict(self.kwargs)
-        merged.update(self.volatile)
-        return merged
 
 
 class TaskGraph:
@@ -103,15 +94,6 @@ class TaskGraph:
                     raise FlowError(f"task {task.name!r} depends on unknown task {dep!r}")
         self.topological_order()
 
-    def dependents(self) -> Dict[str, List[str]]:
-        """``{name: [tasks that list it as a dep]}`` in declaration order."""
-        out: Dict[str, List[str]] = {name: [] for name in self._tasks}
-        for task in self._tasks.values():
-            for dep in task.deps:
-                if dep in out:
-                    out[dep].append(task.name)
-        return out
-
     def topological_order(self, names: Optional[Iterable[str]] = None) -> List[str]:
         """Deterministic topological order of ``names`` (default: all tasks).
 
@@ -119,21 +101,24 @@ class TaskGraph:
         (sub)graph contains a cycle.
         """
         selected = list(self._tasks) if names is None else list(names)
-        selected_set = set(selected)
-        indegree: Dict[str, int] = {}
+        indegree: Dict[str, int] = dict.fromkeys(selected, 0)
+        # Dependents kept in selected order make the FIFO deterministic; one
+        # pass over the edges keeps this linear in the (point-sized) graph.
+        dependents: Dict[str, List[str]] = {name: [] for name in selected}
         for name in selected:
-            task = self[name]
-            indegree[name] = sum(1 for d in task.deps if d in selected_set)
+            for dep in self[name].deps:
+                if dep in indegree:
+                    indegree[name] += 1
+                    dependents[dep].append(name)
         ready = [name for name in selected if indegree[name] == 0]
         order: List[str] = []
         while ready:
             name = ready.pop(0)
             order.append(name)
-            for dependent in selected:
-                if name in self[dependent].deps:
-                    indegree[dependent] -= 1
-                    if indegree[dependent] == 0:
-                        ready.append(dependent)
+            for dependent in dependents[name]:
+                indegree[dependent] -= 1
+                if indegree[dependent] == 0:
+                    ready.append(dependent)
         if len(order) != len(selected):
             cyclic = sorted(set(selected) - set(order))
             raise FlowError(f"dependency cycle among tasks: {', '.join(cyclic)}")

@@ -3,10 +3,10 @@
 The runner turns a :class:`~repro.flow.graph.TaskGraph` into work:
 
 * **ready-set scheduling** — tasks whose dependencies are all done are
-  fanned out over a process pool (the same fork-preferring context as
-  :mod:`repro.parallel.sweep`); everything else waits.  ``jobs=1`` runs
-  serially in-process, which also lifts the picklability requirement —
-  handy for tests.
+  submitted in topological order to a process pool (the repo's only
+  fan-out: every sweep point is a task); everything else waits.
+  ``jobs=1`` runs serially in-process, which also lifts the
+  picklability requirement — handy for tests.
 * **incremental re-run** — before executing a task the runner computes
   its :func:`~repro.flow.state.task_key` (declaration × code version ×
   upstream output digests) and compares it to the persisted record; a
@@ -17,10 +17,14 @@ The runner turns a :class:`~repro.flow.graph.TaskGraph` into work:
 * **crash safety** — ``flow-state.json`` is rewritten atomically after
   every task transition, so an interrupted invocation resumes from the
   last completed task, not from zero.
+* **one runner per run directory** — :meth:`FlowRunner.run` holds an
+  exclusive ``flock`` on ``flow.lock``; a second runner fails at once
+  instead of interleaving state and result writes.
 """
 
 from __future__ import annotations
 
+import fcntl
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -35,6 +39,7 @@ from repro.flow.state import (
     output_digest,
     run_key_for,
     task_key,
+    write_atomic,
 )
 from repro.parallel.sweep import effective_jobs, pool_context
 
@@ -44,11 +49,13 @@ __all__ = ["FlowResult", "FlowRunner"]
 def _execute_task(name, fn, kwargs, dep_results):
     """Worker-side shim: run one task, never raise across the pool.
 
-    Returns ``(name, status, value, wall, error, resources)`` where
-    ``resources`` is the schema-v2 accounting block measured *inside* the
-    executing process: getrusage CPU user/system deltas, peak-RSS growth,
-    the worker id, and the wall-clock start stamp (the parent turns the
-    start stamp into ready→start queue wait).
+    Returns ``(name, status, value, digest, wall, error, resources)``: the
+    result's :func:`~repro.flow.state.output_digest` is computed here, not
+    on the scheduler between dispatches, and ``resources`` is the
+    schema-v2 accounting block measured *inside* the executing process:
+    getrusage CPU user/system deltas, peak-RSS growth, the worker id, and
+    the wall-clock start stamp (the parent turns the start stamp into
+    ready→start queue wait).
     """
     import traceback
 
@@ -59,14 +66,15 @@ def _execute_task(name, fn, kwargs, dep_results):
     t0 = time.monotonic()
     try:
         value = fn(dep_results, **kwargs)
+        digest = output_digest(value)
         status, error = "ok", ""
     except BaseException:
-        value, status, error = None, "err", traceback.format_exc()
+        value, digest, status, error = None, "", "err", traceback.format_exc()
     wall = time.monotonic() - t0
     resources = usage_delta(before, snapshot())
     resources["worker"] = worker_id()
     resources["started_unix"] = started_unix
-    return name, status, value, wall, error, resources
+    return name, status, value, digest, wall, error, resources
 
 
 @dataclass
@@ -179,8 +187,23 @@ class FlowRunner:
 
         Never raises for task failures — those are recorded, their
         dependents skipped, and the summary reflects them; the caller
-        decides the exit code.
+        decides the exit code.  Raises :class:`FlowError` at once if
+        another runner holds this run directory.
         """
+        self.run_dir.path.mkdir(parents=True, exist_ok=True)
+        with open(self.run_dir.path / "flow.lock", "w") as lock:
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise FlowError(f"another flow run holds {self.run_dir.path}") from None
+            try:
+                return self._run(only, force)
+            finally:
+                # Forked workers hold copies of the descriptor: unlock
+                # explicitly so they cannot keep the lock alive.
+                fcntl.flock(lock, fcntl.LOCK_UN)
+
+    def _run(self, only: Optional[Sequence[str]], force: bool) -> FlowResult:
         t0 = time.monotonic()
         state = self._load_state(force)
         order = self._select(only)
@@ -263,17 +286,16 @@ class FlowRunner:
                 record.started_unix = time.time()  # submit stamp until the worker reports
                 self._save(state, result)
                 if pool is None:
-                    payload = _execute_task(name, task.fn, task.call_kwargs(), dep_results)
-                    finish(payload)
+                    finish(_execute_task(name, task.fn, task.kwargs, dep_results))
                 else:
                     future = pool.submit(
-                        _execute_task, name, task.fn, task.call_kwargs(), dep_results
+                        _execute_task, name, task.fn, task.kwargs, dep_results
                     )
                     running[future] = name
 
         def finish(payload):
             nonlocal step
-            name, status, value, wall, error, resources = payload
+            name, status, value, digest, wall, error, resources = payload
             task = self.graph[name]
             record = state.record(name)
             record.wall_s = wall
@@ -292,8 +314,8 @@ class FlowRunner:
             if status == "ok":
                 self.run_dir.store_result(name, value)
                 record.status, record.error = "done", ""
-                record.digest = output_digest(value)
-                digests[name] = record.digest
+                record.digest = digest
+                digests[name] = digest
                 completed.add(name)
                 result.executed.append(name)
                 result.results[name] = value
@@ -351,11 +373,12 @@ class FlowRunner:
                 "skipped": len(result.skipped),
             }
         )
-        state.save(self.run_dir.state_path)
+        document = state.dumps()
+        write_atomic(self.run_dir.state_path, document)
         # Mirror at the state root so CI can upload a stable path without
         # knowing the run key.
         try:
-            state.save(Path(self.root) / "flow-state.json")
+            write_atomic(Path(self.root) / "flow-state.json", document)
         except OSError:
             pass
 

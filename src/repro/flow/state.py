@@ -23,10 +23,12 @@ Inside a run directory:
   :mod:`repro.flow.diff`) can reconstruct the DAG from the state file
   alone — no live graph required.
 * ``results/<task>.pkl`` — the pickled return value of each completed
-  task, written atomically; dependents and re-invocations load from here.
+  task behind a SHA-256 checksum of the pickle, written atomically;
+  dependents and re-invocations load from here (a mismatch is a miss).
 
 A task's cache key folds in its dependencies' **output digests**, so a
-task re-runs iff its own declaration changed, the code changed, or any
+task re-runs iff its own declaration changed, the code changed, the
+scheduler-policy override (``REPRO_SCHED_POLICY``) changed, or any
 upstream output changed — the incremental-re-run contract.  This is the
 repo's only result cache: keys and digests both rest on
 :func:`canonical`, and :func:`code_version` hashes every ``repro``
@@ -40,11 +42,12 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.flow.graph import Task
+from repro.sched.policy import ENV_POLICY
 
 __all__ = [
     "STATE_SCHEMA_VERSION",
@@ -147,9 +150,11 @@ def run_key_for(tasks, mode: str) -> str:
 def task_key(task: Task, dep_digests: Mapping[str, str]) -> str:
     """Incremental-re-run key for one task.
 
-    Folds the task's callable, canonical kwargs, the code version, and the
-    output digest of every dependency — so any upstream change invalidates
-    exactly the downstream cone, nothing else.
+    Folds the task's callable, canonical kwargs, the code version, the
+    ``REPRO_SCHED_POLICY`` override (it picks every default-``SchedParams``
+    testbed's scheduler; ``REPRO_TIMELINE`` only observes and stays out)
+    and the output digest of every dependency — so any upstream change
+    invalidates exactly the downstream cone, nothing else.
     """
     blob = "|".join(
         (
@@ -157,6 +162,7 @@ def task_key(task: Task, dep_digests: Mapping[str, str]) -> str:
             f"{task.fn.__module__}.{task.fn.__qualname__}",
             canonical(task.kwargs),
             code_version(),
+            f"{ENV_POLICY}={os.environ.get(ENV_POLICY, '')}",
             *(f"{dep}={dep_digests[dep]}" for dep in task.deps),
         )
     )
@@ -246,8 +252,15 @@ class FlowState:
             "mode": self.mode,
             "code_version": self.code_version,
             "last_run": dict(self.last_run),
-            "tasks": {name: asdict(rec) for name, rec in self.tasks.items()},
+            # vars(), not asdict(): the records are flat, and asdict's deep
+            # copy would be most of the cost of a save, which every task
+            # transition pays.
+            "tasks": {name: dict(vars(rec)) for name, rec in self.tasks.items()},
         }
+
+    def dumps(self) -> bytes:
+        """The flow-state.json document."""
+        return (json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FlowState":
@@ -265,20 +278,7 @@ class FlowState:
 
     def save(self, path: os.PathLike) -> None:
         """Atomic write (temp file + rename)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, self.dumps())
 
     @classmethod
     def load(cls, path: os.PathLike) -> Optional["FlowState"]:
@@ -291,6 +291,28 @@ class FlowState:
             return cls.from_dict(doc)
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return None
+
+
+def write_atomic(path: os.PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file + rename: readers see the
+    old file or the new one, never a torn write."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+#: Bytes of SHA-256 checksum ahead of each result pickle.
+_CHECKSUM = hashlib.sha256().digest_size
 
 
 class RunDirectory:
@@ -307,24 +329,16 @@ class RunDirectory:
     def store_result(self, name: str, value: Any) -> None:
         """Persist one task result atomically; failures propagate (a run
         directory that cannot store results cannot honor resume)."""
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        path = self.result_path(name)
-        fd, tmp = tempfile.mkstemp(dir=str(self.results_dir), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        write_atomic(self.result_path(name), hashlib.sha256(payload).digest() + payload)
 
     def load_result(self, name: str) -> Tuple[bool, Any]:
-        """``(ok, value)``; any failure degrades to a recompute."""
+        """``(ok, value)``; a checksum mismatch or any other failure degrades
+        to a recompute, so damaged bytes are never served."""
         try:
-            # From memory, a corrupt length field fails as truncated data.
-            return True, pickle.loads(self.result_path(name).read_bytes())
-        except Exception:  # a damaged pickle can raise almost anything
-            return False, None
+            data = memoryview(self.result_path(name).read_bytes())  # no copies of a large result
+            if hashlib.sha256(data[_CHECKSUM:]).digest() == data[:_CHECKSUM]:
+                return True, pickle.loads(data[_CHECKSUM:])
+        except Exception:  # unreadable, or a class renamed since it was written
+            pass
+        return False, None

@@ -4,36 +4,38 @@ This module is the single declaration of *what the full reproduction is*:
 
 * ``calibrate`` — a cheap sanity run every sweep depends on; it fails fast
   (before hours of sweeping) if the simulator's basic readouts are off.
-* one **sweep task per experiment** (``table1``, ``fig4-udp``, … ,
-  ``schedsweep``), with the paper-reproduction parameters in ``full``
-  mode and each experiment module's ``FLOW_REDUCED`` overrides in
-  ``reduced`` mode (short windows + trimmed grids — what CI runs
-  end-to-end);
+* the **bench report** (``bench``; ``bench-compare`` gates it against
+  the checked-in baseline, ``dashboard`` renders it) and the **rack**
+  grid (:func:`experiment_task` says why it stays whole), declared right
+  after ``calibrate``: the runner submits ready tasks in declaration
+  order, and these are the longest;
+* every other experiment as **point tasks plus a merge task**
+  (:func:`sweep_tasks`) over its ``<x>_points(...)`` grid, with each
+  module's ``FLOW_REDUCED`` overrides (short windows + trimmed grids —
+  what CI runs end-to-end) in ``reduced`` mode;
 * one **render task per sweep**: it checks the sweep's paper claims
   (:mod:`repro.experiments.claims`), then renders the paper-style table;
-* the **bench report** (``bench``), with ``bench-compare`` (regression
-  gate vs the checked-in baseline) and ``dashboard`` (self-contained
-  HTML) downstream of it;
 * ``report`` — the concatenation of every render in flat-script order:
   the EXPERIMENTS.md source text.
 
 Every task callable lives at module level and takes ``(deps, **kwargs)``
-so it can cross process boundaries; the one runtime knob (the inner sweep
-``jobs``) rides in the task's *volatile* kwargs and never reaches cache
-keys.
+so it can cross process boundaries.  ``python -m repro <experiment>``
+builds its tasks with the same :func:`sweep_tasks`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import List, Optional, Sequence
 
 from repro.experiments import ablations, coalescing, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments import rack, schedzoo, sriov, table1
 from repro.experiments.claims import failed_claims
 from repro.flow.graph import FlowError, Task, TaskGraph
+from repro.parallel import SweepPoint
 from repro.units import MS, SEC
 
-__all__ = ["MODES", "build_graph", "task_names"]
+__all__ = ["MODES", "build_graph", "sweep_tasks", "task_names"]
 
 MODES = ("full", "reduced")
 
@@ -41,49 +43,50 @@ MODES = ("full", "reduced")
 _WARMUP = 200 * MS
 _MEASURE = 500 * MS
 
-#: (task, label, runner, formatter, format args, full-mode params, module)
+#: (task, label, points, formatter, format args, full-mode params, module)
 #: — declaration order is flat-script order; the report joins in it.
-_EXPERIMENTS = (
-    ("table1", "Table I", table1.run_table1, table1.format_table1, (),
+_SWEEPS = (
+    ("table1", "Table I", table1.table1_points, table1.format_table1, (),
      dict(seed=1, warmup_ns=_WARMUP, measure_ns=_MEASURE), table1),
-    ("fig4-udp", "Fig 4a (UDP)", fig4.run_fig4, fig4.format_fig4, ("udp",),
+    ("fig4-udp", "Fig 4a (UDP)", fig4.fig4_points, fig4.format_fig4, ("udp",),
      dict(protocol="udp", seed=1, warmup_ns=_WARMUP, measure_ns=_MEASURE), fig4),
-    ("fig4-udp-1024", "Fig 4a (UDP 1024B)", fig4.run_fig4, fig4.format_fig4, ("udp-1024",),
+    ("fig4-udp-1024", "Fig 4a (UDP 1024B)", fig4.fig4_points, fig4.format_fig4, ("udp-1024",),
      dict(protocol="udp", payload_size=1024, quotas=(32, 16, 8), seed=1,
           warmup_ns=_WARMUP, measure_ns=_MEASURE), fig4),
-    ("fig4-tcp", "Fig 4b (TCP)", fig4.run_fig4, fig4.format_fig4, ("tcp",),
+    ("fig4-tcp", "Fig 4b (TCP)", fig4.fig4_points, fig4.format_fig4, ("tcp",),
      dict(protocol="tcp", seed=1, warmup_ns=_WARMUP, measure_ns=_MEASURE), fig4),
-    ("fig5", "Fig 5", fig5.run_fig5, fig5.format_fig5, (),
+    ("fig5", "Fig 5", fig5.fig5_points, fig5.format_fig5, (),
      dict(seed=1, warmup_ns=_WARMUP, measure_ns=_MEASURE), fig5),
-    ("fig6-send", "Fig 6a (send)", fig6.run_fig6, fig6.format_fig6, ("send",),
+    ("fig6-send", "Fig 6a (send)", fig6.fig6_points, fig6.format_fig6, ("send",),
      dict(direction="send", seed=3, warmup_ns=300 * MS, measure_ns=600 * MS), fig6),
-    ("fig6-receive", "Fig 6b (receive)", fig6.run_fig6, fig6.format_fig6, ("receive",),
+    ("fig6-receive", "Fig 6b (receive)", fig6.fig6_points, fig6.format_fig6, ("receive",),
      dict(direction="receive", seed=3, warmup_ns=300 * MS, measure_ns=600 * MS), fig6),
-    ("fig7", "Fig 7", fig7.run_fig7, fig7.format_fig7, (),
+    ("fig7", "Fig 7", fig7.fig7_points, fig7.format_fig7, (),
      dict(seed=3, duration_ns=int(1.5 * SEC)), fig7),
-    ("fig8-memcached", "Fig 8a (memcached)", fig8.run_fig8, fig8.format_fig8, ("memcached",),
+    ("fig8-memcached", "Fig 8a (memcached)", fig8.fig8_points, fig8.format_fig8, ("memcached",),
      dict(application="memcached", seed=3, warmup_ns=300 * MS, measure_ns=600 * MS), fig8),
-    ("fig8-apache", "Fig 8b (apache)", fig8.run_fig8, fig8.format_fig8, ("apache",),
+    ("fig8-apache", "Fig 8b (apache)", fig8.fig8_points, fig8.format_fig8, ("apache",),
      dict(application="apache", seed=3, warmup_ns=300 * MS, measure_ns=600 * MS), fig8),
-    ("fig9", "Fig 9", fig9.run_fig9, None, (),
+    ("fig9", "Fig 9", fig9.fig9_points, fig9.format_fig9, (),
      dict(seed=3, duration_ns=2 * SEC, configs=("Baseline", "PI", "PI+H", "PI+H+R")), fig9),
-    ("sriov", "SR-IOV (Section VII)", sriov.run_sriov, sriov.format_sriov, (),
+    ("sriov", "SR-IOV (Section VII)", sriov.sriov_points, sriov.format_sriov, (),
      dict(seed=3, warmup_ns=300 * MS, measure_ns=600 * MS), sriov),
     ("ablation", "Ablation: redirection policies",
-     ablations.run_redirect_policy_ablation, ablations.format_redirect_ablation, (),
+     ablations.redirect_policy_ablation_points, ablations.format_redirect_ablation, (),
      dict(seed=3, duration_ns=int(1.5 * SEC)), ablations),
     ("coalescing", "Ablation: vIC coalescing vs ES2",
-     coalescing.run_coalescing, coalescing.format_coalescing, (),
+     coalescing.coalescing_points, coalescing.format_coalescing, (),
      dict(seed=5, warmup_ns=_WARMUP, measure_ns=_MEASURE), coalescing),
     ("schedsweep", "Scheduler policy zoo x redirection x adaptive allocation",
-     schedzoo.run_sched_sweep, schedzoo.format_sched_sweep, (),
+     schedzoo.sched_sweep_points, schedzoo.format_sched_sweep, (),
      dict(seed=3, duration_ns=int(0.8 * SEC)), schedzoo),
-    ("rack", "Rack: sharded multi-host fan-out",
-     rack.run_rack, rack.format_rack, (),
-     # telemetry=True: rack observability (stitched spans, barrier
-     # profile) rides along; observer-only, the digest check still holds.
-     dict(seed=3, warmup_ns=2 * MS, measure_ns=20 * MS, telemetry=True), rack),
 )
+
+#: The rack grid, in the same shape; it runs as one task and renders last.
+_RACK = ("rack", "Rack: sharded multi-host fan-out", rack.run_rack, rack.format_rack, (),
+         # telemetry=True: rack observability (stitched spans, barrier
+         # profile) rides along; observer-only, the digest check still holds.
+         dict(seed=3, warmup_ns=2 * MS, measure_ns=20 * MS, telemetry=True), rack)
 
 
 # -- task callables (module-level: they run in worker processes) ----------
@@ -123,9 +126,25 @@ def calibrate_task(deps, seed=1, warmup_ns=20 * MS, measure_ns=60 * MS):
     return readout
 
 
-def experiment_task(deps, runner, params, jobs=None):
-    """One experiment sweep; ``calibrate`` gates it through ``deps``."""
-    return runner(jobs=jobs, **params)
+def experiment_task(deps, runner, params):
+    """One experiment grid run whole; ``calibrate`` gates it through ``deps``.
+
+    Only ``rack`` runs this way: its cells are multi-process runs whose
+    telemetry-laden results (8.3 MB reduced) point tasks would pickle and
+    digest twice, per cell and again in the merge (DESIGN.md §15).
+    """
+    return runner(**params)
+
+
+def point_task(deps, fn, params):
+    """One sweep point, ``fn(**params)``; its sweep's merge task collects it."""
+    return fn(**params)
+
+
+def merge_task(deps, keys):
+    """``{key: point result}`` in declaration order — the mapping
+    :func:`~repro.parallel.run_sweep` returns for the same points."""
+    return {key: deps[name] for name, key in keys}
 
 
 def _check_claims(source, results, mode):
@@ -139,18 +158,6 @@ def render_task(deps, source, formatter, mode, format_args=()):
     """Check one sweep's paper claims, then render it as the paper-style table."""
     _check_claims(source, deps[source], mode)
     return formatter(deps[source], *format_args)
-
-
-def render_fig9_task(deps, mode, source="fig9"):
-    """Fig 9 render plus the per-configuration knee lines the flat script printed."""
-    from repro.experiments.fig9 import find_knee, format_fig9
-
-    results = deps[source]
-    _check_claims(source, results, mode)
-    lines = [format_fig9(results)]
-    for cfg in sorted({c for (c, _) in results}):
-        lines.append(f"knee[{cfg}] = {find_knee(results, cfg)}/s")
-    return "\n".join(lines)
 
 
 def bench_task(deps, revision="flow"):
@@ -211,34 +218,59 @@ def report_task(deps, sections):
 
 #: Per-kind wall budgets in seconds, by mode.  Warn-only: the runner
 #: reports overruns in the summary / flow report / dashboard but never
-#: fails the run, and budgets are volatile-like (excluded from cache
-#: keys), so tuning them cannot invalidate cached work.  Values are
-#: deliberately generous — they exist to flag a task whose cost
-#: *regressed*, not to race healthy runs.
+#: fails the run, and budgets never reach cache keys, so tuning them
+#: cannot invalidate cached work.  Values are deliberately generous — they
+#: exist to flag a task whose cost *regressed*, not to race healthy runs.
 _BUDGETS = {
-    "full": {"calibrate": 120.0, "sweep": 3600.0, "render": 60.0,
+    "full": {"calibrate": 120.0, "point": 3600.0, "sweep": 3600.0, "render": 60.0,
              "bench": 900.0, "report": 60.0},
-    "reduced": {"calibrate": 60.0, "sweep": 600.0, "render": 30.0,
+    "reduced": {"calibrate": 60.0, "point": 600.0, "sweep": 600.0, "render": 30.0,
                 "bench": 300.0, "report": 30.0},
 }
 
 
-def _budget(mode: str, kind: str) -> Optional[float]:
+def _budget(mode: Optional[str], kind: str) -> Optional[float]:
     return _BUDGETS.get(mode, {}).get(kind)
 
 
-def build_graph(mode: str = "full", jobs: Optional[int] = None) -> TaskGraph:
-    """The reproduction DAG for one mode.
+def _point_name(sweep: str, key) -> str:
+    """``<sweep>:<key>``, a file name too (``results/<task>.pkl``): anything
+    but ``[A-Za-z0-9+,.-]`` becomes ``_``; the graph rejects a collision."""
+    label = ",".join(str(part) for part in (key if isinstance(key, tuple) else (key,)))
+    return f"{sweep}:{re.sub(r'[^A-Za-z0-9+,.-]+', '_', label).strip('_')}"
 
-    ``jobs`` is the **inner** sweep-level worker count each experiment
-    fans out with; it rides in volatile kwargs, so it never influences
-    cache keys (results are jobs-independent by the sweep determinism
-    contract).
-    """
+
+def sweep_tasks(name: str, points: Sequence[SweepPoint], deps: Sequence[str] = (),
+                mode: Optional[str] = None) -> List[Task]:
+    """One task per sweep point, each depending on ``deps``, plus the merge
+    task named ``name``, which returns what ``run_sweep(points)`` returns.
+    ``mode`` picks the wall budgets (none without a mode)."""
+    tasks = [
+        Task(name=_point_name(name, point.key), fn=point_task, deps=tuple(deps),
+             kind="point", budget_s=_budget(mode, "point"),
+             kwargs=dict(fn=point.fn, params=dict(point.kwargs)))
+        for point in points
+    ]
+    tasks.append(Task(
+        name=name, fn=merge_task, deps=tuple(task.name for task in tasks), kind="sweep",
+        budget_s=_budget(mode, "sweep"),
+        kwargs=dict(keys=tuple((task.name, point.key) for task, point in zip(tasks, points))),
+    ))
+    return tasks
+
+
+def _params(full_params, module, mode: str) -> dict:
+    params = dict(full_params)
+    if mode == "reduced":
+        params.update(module.FLOW_REDUCED)
+    return params
+
+
+def build_graph(mode: str = "full") -> TaskGraph:
+    """The reproduction DAG for one mode."""
     if mode not in MODES:
         raise FlowError(f"unknown flow mode {mode!r} (expected one of {MODES})")
     graph = TaskGraph()
-    volatile = dict(jobs=jobs)
     graph.add(Task(
         name="calibrate", fn=calibrate_task, kind="calibrate",
         budget_s=_budget(mode, "calibrate"),
@@ -246,32 +278,6 @@ def build_graph(mode: str = "full", jobs: Optional[int] = None) -> TaskGraph:
                                                         measure_ns=30 * MS),
         description="sanity-check simulator readouts before sweeping",
     ))
-    sections = []
-    for name, label, runner, formatter, format_args, full_params, module in _EXPERIMENTS:
-        params = dict(full_params)
-        if mode == "reduced":
-            params.update(module.FLOW_REDUCED)
-        graph.add(Task(
-            name=name, fn=experiment_task, deps=("calibrate",), kind="sweep",
-            budget_s=_budget(mode, "sweep"),
-            kwargs=dict(runner=runner, params=params), volatile=volatile,
-            description=f"{label} sweep",
-        ))
-        render_name = f"render-{name}"
-        if name == "fig9":
-            graph.add(Task(
-                name=render_name, fn=render_fig9_task, deps=(name,), kind="render",
-                budget_s=_budget(mode, "render"),
-                kwargs=dict(source=name, mode=mode), description=f"{label} table + knees",
-            ))
-        else:
-            graph.add(Task(
-                name=render_name, fn=render_task, deps=(name,), kind="render",
-                budget_s=_budget(mode, "render"),
-                kwargs=dict(source=name, formatter=formatter, mode=mode, format_args=format_args),
-                description=f"{label} table",
-            ))
-        sections.append((label, render_name))
     graph.add(Task(
         name="bench", fn=bench_task, deps=("calibrate",), kind="bench",
         budget_s=_budget(mode, "bench"),
@@ -287,6 +293,27 @@ def build_graph(mode: str = "full", jobs: Optional[int] = None) -> TaskGraph:
         budget_s=_budget(mode, "render"),
         description="self-contained HTML dashboard from the bench report",
     ))
+    name, label, runner, _, _, full_params, module = _RACK
+    graph.add(Task(
+        name=name, fn=experiment_task, deps=("calibrate",), kind="sweep",
+        budget_s=_budget(mode, "sweep"),
+        kwargs=dict(runner=runner, params=_params(full_params, module, mode)),
+        description=f"{label} grid",
+    ))
+    for name, _, points, _, _, full_params, module in _SWEEPS:
+        for task in sweep_tasks(name, points(**_params(full_params, module, mode)),
+                                deps=("calibrate",), mode=mode):
+            graph.add(task)
+    sections = []
+    for name, label, _, formatter, format_args, _, _ in _SWEEPS + (_RACK,):
+        render_name = f"render-{name}"
+        graph.add(Task(
+            name=render_name, fn=render_task, deps=(name,), kind="render",
+            budget_s=_budget(mode, "render"),
+            kwargs=dict(source=name, formatter=formatter, mode=mode, format_args=format_args),
+            description=f"{label} table",
+        ))
+        sections.append((label, render_name))
     graph.add(Task(
         name="report", fn=report_task,
         deps=tuple(render for _, render in sections), kind="report",

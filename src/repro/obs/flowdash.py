@@ -36,6 +36,7 @@ __all__ = ["render_flow_dashboard"]
 #: Task kind -> fixed palette slot (never cycled, stable across runs).
 _KIND_SLOTS = {
     "calibrate": 3,
+    "point": 5,
     "sweep": 0,
     "render": 2,
     "bench": 1,

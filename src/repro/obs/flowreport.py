@@ -22,7 +22,7 @@ answers the questions a bare per-task wall list cannot:
   concurrency while the run was busy, plus the full concurrency profile
   (seconds spent at each concurrency level) and the peak;
 * **per-phase attribution** — work and task counts grouped by task kind
-  (calibrate / sweep / render / bench / report);
+  (calibrate / point / sweep / render / bench / report);
 * **budget overruns** — tasks whose execution wall exceeded their
   declared ``budget_s``;
 * **cache and queue behaviour** — executed vs cached counts, cumulative

@@ -1,12 +1,9 @@
-"""Parallel experiment execution: sweep fan-out and worker accounting.
+"""Sweep declaration and worker accounting.
 
-The experiment layer expresses every figure as a list of
-:class:`~repro.parallel.sweep.SweepPoint` and hands it to
-:func:`~repro.parallel.sweep.run_sweep`, which runs the points serially or
-over a ``multiprocessing`` pool (``--jobs``).  Results are identical for
-every jobs value — see the determinism test in
-``tests/test_parallel_sweep.py``.  Results are cached per flow task
-(:mod:`repro.flow.state`), never per sweep point.
+The experiment layer declares every figure as a list of
+:class:`~repro.parallel.sweep.SweepPoint`; :func:`~repro.parallel.sweep.run_sweep`
+runs it serially, and the flow runner (:mod:`repro.flow`), the only
+fan-out, runs each point as its own task and caches per task.
 """
 
 from repro.parallel.rusage import snapshot, usage_delta, worker_id

@@ -1,10 +1,9 @@
-"""Per-process resource accounting for task and sweep workers.
+"""Per-process resource accounting for flow task workers.
 
 The flow runner (:mod:`repro.flow.runner`) wraps every task execution in a
 :func:`snapshot` / :func:`usage_delta` pair taken *inside the worker
 process*, so the recorded CPU time and peak-RSS growth belong to the task
-that ran, not to the parent that scheduled it.  The same helpers are usable
-around any :mod:`repro.parallel` fan-out.
+that ran, not to the parent that scheduled it.
 
 Semantics worth knowing:
 

@@ -1,18 +1,12 @@
-"""Fan experiment sweep points out over multiprocessing workers.
+"""Sweep points, the serial sweep runner, and the shared process context.
 
 The paper's figures are parameter sweeps that are embarrassingly parallel
 across configurations: every point builds its own :class:`Simulator` from an
-explicit seed, so points share no state and can run in any order.  This
-module is the single fan-out choke point:
-
-* each point is a module-level function plus picklable kwargs
-  (:class:`SweepPoint`);
-* results are merged **order-independently** — keyed by the point's index,
-  collected from ``imap_unordered`` — so worker scheduling cannot influence
-  the output.
-
-Determinism contract: for a fixed code version, ``run_sweep(points)`` and
-``run_sweep(points, jobs=N)`` return identical mappings for every ``N``.
+explicit seed, so points share no state and can run in any order.  Each
+experiment declares its grid once, as a list of :class:`SweepPoint`.
+:func:`run_sweep` runs it serially in-process; the flow runner
+(:mod:`repro.flow`), the only fan-out, runs each point as a task.  Both
+merge into the same ``{point.key: result}`` mapping in declaration order.
 """
 
 from __future__ import annotations
@@ -48,51 +42,24 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _execute(payload):
-    index, fn, kwargs = payload
-    return index, fn(**kwargs)
-
-
 def pool_context():
-    """The multiprocessing context every repro fan-out shares.
+    """The multiprocessing context of the flow runner's workers and the
+    rack's shards.
 
-    fork keeps worker startup cheap and inherits sys.path; fall back to
-    the platform default where fork is unavailable.  The flow runner
-    (:mod:`repro.flow.runner`) schedules whole tasks on the same context
-    so sweep-level and task-level parallelism behave identically.
+    fork keeps worker startup cheap and inherits sys.path and the
+    environment (``REPRO_SCHED_POLICY`` included); fall back to the
+    platform default where fork is unavailable.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def run_sweep(
-    points: Iterable[SweepPoint],
-    jobs: Optional[int] = None,
-) -> Dict[Any, Any]:
-    """Run every sweep point and return ``{point.key: result}``.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes: ``None``/1 runs serially in-process, ``<= 0``
-        uses every core, otherwise the given count.
-    """
+def run_sweep(points: Iterable[SweepPoint]) -> Dict[Any, Any]:
+    """Run every sweep point serially and return ``{point.key: result}``."""
     point_list: List[SweepPoint] = list(points)
     seen_keys = set()
     for point in point_list:
         if point.key in seen_keys:
             raise ValueError(f"duplicate sweep key {point.key!r}")
         seen_keys.add(point.key)
-
-    n_jobs = min(effective_jobs(jobs), max(1, len(point_list)))
-    if n_jobs <= 1:
-        return {point.key: point.fn(**dict(point.kwargs)) for point in point_list}
-    results: Dict[int, Any] = {}
-    payloads = [(index, point.fn, dict(point.kwargs))
-                for index, point in enumerate(point_list)]
-    with pool_context().Pool(processes=n_jobs) as pool:
-        # Completion order is scheduling noise; keying by index makes
-        # the merge independent of it.
-        for index, value in pool.imap_unordered(_execute, payloads, chunksize=1):
-            results[index] = value
-    return {point.key: results[index] for index, point in enumerate(point_list)}
+    return {point.key: point.fn(**dict(point.kwargs)) for point in point_list}

@@ -3,7 +3,7 @@
 ``make bench-smoke`` runs only this module.  The windows are cut far below
 the paper runs so the whole module stays within a one-minute CI budget
 while still driving the full stack: testbed build, vhost hybrid path,
-redirection, the sweep fan-out and the experiment formatters.
+redirection, the sweep runner and the experiment formatters.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.parallel import run_sweep
 from repro.units import MS
 
 pytestmark = pytest.mark.bench_smoke
@@ -22,10 +23,10 @@ MEASURE = 60 * MS
 
 
 def test_table1_smoke():
-    from repro.experiments.table1 import format_table1, run_table1
+    from repro.experiments.table1 import format_table1, table1_points
 
     t0 = time.monotonic()
-    results = run_table1(seed=1, warmup_ns=WARMUP, measure_ns=MEASURE)
+    results = run_sweep(table1_points(seed=1, warmup_ns=WARMUP, measure_ns=MEASURE))
     elapsed = time.monotonic() - t0
     assert set(results) == {"Baseline", "PI"}
     base, pi = results["Baseline"], results["PI"]
@@ -38,12 +39,13 @@ def test_table1_smoke():
 
 
 def test_fig4_smoke():
-    from repro.experiments.fig4 import format_fig4, run_fig4
+    from repro.experiments.fig4 import fig4_points, format_fig4
 
     t0 = time.monotonic()
-    results = run_fig4("udp", quotas=(8,), seed=1, warmup_ns=WARMUP, measure_ns=MEASURE)
+    results = run_sweep(fig4_points("udp", quotas=(8,), seed=1, warmup_ns=WARMUP,
+                                    measure_ns=MEASURE))
     elapsed = time.monotonic() - t0
-    stock, hybrid = results[0], results[1]
+    stock, hybrid = results[None], results[8]
     # The hybrid quota-8 point eliminates nearly all I/O-instruction exits.
     assert hybrid.io_exit_rate < 0.05 * stock.io_exit_rate
     assert format_fig4(results, "udp")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import inspect
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,6 +45,31 @@ class TestExecution:
         assert "UDP sending" in out
         assert "quota=2" in out
 
+    def test_same_stdout_under_any_jobs_and_nothing_cached(self, capsys, tmp_path,
+                                                           monkeypatch):
+        """The points run as flow tasks in a throwaway state directory: the
+        worker count cannot change the tables, and the flow root stays empty."""
+        monkeypatch.setenv("REPRO_FLOW_DIR", str(tmp_path))
+        outs = []
+        for jobs in ("1", "2"):
+            assert main(["fig4", "--protocol", "udp", "--warmup-ms", "5",
+                         "--measure-ms", "10", "--jobs", jobs]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "quota=2" in outs[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_point_exits_1_with_traceback(self, capsys, monkeypatch):
+        from repro.experiments import table1
+
+        def broken_point(**kwargs):
+            raise RuntimeError(f"point {kwargs['name']} broke")
+
+        monkeypatch.setattr(table1, "_table1_point", broken_point)
+        assert main(["table1", "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "point Baseline broke" in captured.err
+
 
 _FLOW_TASK_CLI = [
     ("fig6-send", ["fig6", "--direction", "send"], "fig6"),
@@ -58,19 +83,26 @@ _FLOW_TASK_CLI = [
                          ids=[case[0] for case in _FLOW_TASK_CLI])
 def test_cli_defaults_are_flow_full_mode(monkeypatch, task, argv, experiment):
     """With no window or seed option, ``python -m repro <experiment>``
-    computes what ``flow run`` full mode does: the run_* signature is the
-    only home of each default."""
-    runner = getattr(cli, f"run_{experiment}")
-    calls = []
+    declares the points ``flow run`` full mode does: the <x>_points
+    signature is the only home of each default."""
+    graphs = []
 
-    def record(*args, **kwargs):
-        bound = inspect.signature(runner).bind(*args, **kwargs)
-        bound.apply_defaults()
-        calls.append(bound.arguments)
-        return {}
+    class RecordingRunner:
+        def __init__(self, graph, **kwargs):
+            graphs.append(graph)
 
-    monkeypatch.setattr(cli, f"run_{experiment}", record)
+        def run(self):
+            return SimpleNamespace(failed={}, results=dict.fromkeys(
+                (t.name for t in graphs[-1].tasks), {}))
+
+    monkeypatch.setattr(cli, "FlowRunner", RecordingRunner)
     monkeypatch.setattr(cli, f"format_{experiment}", lambda *args: "")
     assert main(argv) == 0
-    params = build_graph("full")[task].kwargs["params"]
-    assert params in [{name: call[name] for name in params} for call in calls]
+
+    def points(graph, sweep):
+        return [graph[point].kwargs for point in graph[sweep].deps]
+
+    full = build_graph("full")
+    declared = [points(graph, t.name) for graph in graphs for t in graph.tasks
+                if t.kind == "sweep"]
+    assert points(full, task) in declared

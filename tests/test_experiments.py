@@ -6,11 +6,12 @@ import pytest
 
 from repro.core.configs import paper_config
 from repro.errors import ConfigError
-from repro.experiments.fig4 import format_fig4, run_fig4
+from repro.experiments.fig4 import fig4_points, format_fig4
 from repro.experiments.fig9 import find_knee
 from repro.experiments.runner import measure_window
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table1 import format_table1, table1_points
 from repro.experiments.testbed import Testbed, multiplexed_testbed, single_vcpu_testbed
+from repro.parallel import run_sweep
 from repro.units import MS
 from repro.workloads.netperf import NetperfUdpSend
 
@@ -92,22 +93,22 @@ class TestMeasureWindow:
 
 class TestExperimentRunners:
     def test_table1_fast(self):
-        results = run_table1(seed=1, **FAST)
+        results = run_sweep(table1_points(seed=1, **FAST))
         assert set(results) == {"Baseline", "PI"}
         assert results["PI"].exit_rates.interrupt_delivery == 0
         text = format_table1(results)
         assert "Table I" in text
 
     def test_fig4_fast(self):
-        points = run_fig4("udp", quotas=(16, 4), seed=1, **FAST)
-        assert len(points) == 3
-        assert points[0].quota is None
+        points = run_sweep(fig4_points("udp", quotas=(16, 4), seed=1, **FAST))
+        assert list(points) == [None, 16, 4]
+        assert [p.quota for p in points.values()] == [None, 16, 4]
         text = format_fig4(points, "udp")
         assert "quota=4" in text
 
     def test_fig4_rejects_bad_protocol(self):
         with pytest.raises(ValueError):
-            run_fig4("sctp")
+            fig4_points("sctp")
 
     def test_find_knee_sustained(self):
         results = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.table1 import run_table1
+from repro.experiments.fig7 import fig7_points
+from repro.experiments.table1 import table1_points
 from repro.flow.graph import FlowError, Task, TaskGraph
 from repro.flow.runner import FlowRunner
 from repro.flow.state import FlowState, RunDirectory, TaskRecord, output_digest, task_key
+from repro.flow.tasks import sweep_tasks
+from repro.parallel import run_sweep
 from repro.units import MS
 
 # -- module-level task callables (they must cross process boundaries) -----
@@ -83,12 +87,6 @@ class TestGraph:
         with pytest.raises(FlowError, match="unknown task"):
             graph.closure(["nope"])
 
-    def test_volatile_kwargs_merged_into_call_not_identity(self):
-        t1 = Task(name="t", fn=t_const, kwargs=dict(value=1), volatile=dict(jobs=1))
-        t2 = Task(name="t", fn=t_const, kwargs=dict(value=1), volatile=dict(jobs=8))
-        assert t1.call_kwargs() == dict(value=1, jobs=1)
-        assert task_key(t1, {}) == task_key(t2, {})
-
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
@@ -108,7 +106,8 @@ def _state_doc(field, value):
 def stored_result(tmp_path_factory):
     """The bytes ``store_result`` writes for a real (tiny) Table I sweep."""
     run_dir = RunDirectory(tmp_path_factory.mktemp("flow"), "k")
-    run_dir.store_result("table1", run_table1(seed=1, warmup_ns=1 * MS, measure_ns=2 * MS, jobs=1))
+    run_dir.store_result("table1", run_sweep(table1_points(seed=1, warmup_ns=1 * MS,
+                                                           measure_ns=2 * MS)))
     return run_dir.result_path("table1").read_bytes()
 
 
@@ -122,7 +121,8 @@ class TestState:
     @_FUZZ
     @given(data=st.data())
     def test_damaged_result_pickle_degrades_to_recompute(self, tmp_path, stored_result, data):
-        """One flipped byte or a truncation loads as a value or as a miss."""
+        """One flipped byte or a truncation loads as a miss: the stored
+        checksum catches it, so a damaged value is never served."""
         pos = data.draw(st.integers(0, len(stored_result) - 1))
         damaged = bytearray(stored_result[:pos] if data.draw(st.booleans()) else stored_result)
         if len(damaged) > pos:
@@ -130,8 +130,7 @@ class TestState:
         run_dir = RunDirectory(tmp_path, "k")
         run_dir.store_result("table1", None)
         run_dir.result_path("table1").write_bytes(bytes(damaged))
-        ok, value = run_dir.load_result("table1")
-        assert ok or value is None
+        assert run_dir.load_result("table1") == (False, None)
 
     def test_roundtrip(self, tmp_path):
         state = FlowState(run_key="k" * 16, mode="reduced")
@@ -297,6 +296,61 @@ class TestRunner:
                              jobs=1, echo=None)
         actions = {e["task"]: e["action"] for e in changed.plan()}
         assert actions == {"a": "cached", "b": "run", "c": "cached", "d": "run"}
+
+    def test_sched_policy_override_invalidates_points(self, tmp_path, monkeypatch):
+        """``REPRO_SCHED_POLICY`` changes what a point computes, so a run
+        under another policy must recompute, not serve the old digests."""
+        graph = TaskGraph(sweep_tasks("fig7", fig7_points(duration_ns=20 * MS)))
+        points = {t.name for t in graph.tasks if t.kind == "point"}
+        monkeypatch.delenv("REPRO_SCHED_POLICY", raising=False)
+        cfs = run_quiet(FlowRunner(graph, state_root=tmp_path, jobs=1, echo=None))
+        monkeypatch.setenv("REPRO_SCHED_POLICY", "rr")
+        rr = run_quiet(FlowRunner(graph, state_root=tmp_path, jobs=1, echo=None))
+        assert cfs.ok and rr.ok and len(points) == 3
+        assert points <= set(rr.executed) and not rr.cached
+        again = run_quiet(FlowRunner(graph, state_root=tmp_path, jobs=1, echo=None))
+        assert set(again.cached) == points | {"fig7"}
+
+
+class TestRunLock:
+    """One ``flow run`` per run directory."""
+
+    def test_held_lock_refuses_at_once(self, tmp_path):
+        runner = FlowRunner(diamond(), mode="full", state_root=tmp_path, jobs=1, echo=None)
+        runner.run_dir.path.mkdir(parents=True)
+        with open(runner.run_dir.path / "flow.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(FlowError, match=str(runner.run_dir.path)):
+                runner.run()
+        assert not runner.run_dir.results_dir.exists()  # nothing ran
+        assert run_quiet(runner).ok  # released: the next run proceeds
+
+    def test_lock_released_after_return_and_raise(self, tmp_path):
+        def boom(line):
+            raise RuntimeError("echo failed")
+
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
+            assert run_quiet(FlowRunner(diamond(), mode="full", state_root=root,
+                                        jobs=jobs, echo=None)).ok
+            with pytest.raises(RuntimeError, match="echo failed"):
+                FlowRunner(diamond(), mode="full", state_root=root, jobs=jobs,
+                           echo=boom).run(force=True)
+            result = run_quiet(FlowRunner(diamond(), mode="full", state_root=root,
+                                          jobs=jobs, echo=None))
+            assert result.ok
+
+    def test_cli_exits_2_while_another_run_holds_the_dir(self, tmp_path, capsys):
+        from repro.flow.cli import main
+        from repro.flow.tasks import build_graph
+
+        run_dir = FlowRunner(build_graph("reduced"), mode="reduced",
+                             state_root=tmp_path).run_dir.path
+        run_dir.mkdir(parents=True)
+        with open(run_dir / "flow.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(["run", "--mode", "reduced", "--state-dir", str(tmp_path)]) == 2
+        assert f"another flow run holds {run_dir}" in capsys.readouterr().err
 
 
 class TestResourceAccounting:

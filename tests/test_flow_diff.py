@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import pickle
 import shutil
 
 import pytest
@@ -88,9 +87,7 @@ class TestDiff:
         for side, gbps in (("a", 10.0), ("b", 5.0)):  # 50% drop: regression
             root = tmp_path / side
             runner = _run(diamond(), root)
-            runner.run_dir.results_dir.mkdir(exist_ok=True)
-            with open(runner.run_dir.result_path("bench"), "wb") as fh:
-                pickle.dump(fake_bench(gbps), fh)
+            runner.run_dir.store_result("bench", fake_bench(gbps))
             roots.append(root)
         diff = flow_diff(str(roots[0]), str(roots[1]))
         bench = diff["bench"]

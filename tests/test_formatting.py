@@ -32,10 +32,10 @@ class TestFormatters:
         assert out.count("\n") >= 4
 
     def test_fig4(self):
-        points = [
-            QuotaPoint(None, 90_000, 95_000, 0.6),
-            QuotaPoint(8, 100, 1_000, 0.8),
-        ]
+        points = {
+            None: QuotaPoint(None, 90_000, 95_000, 0.6),
+            8: QuotaPoint(8, 100, 1_000, 0.8),
+        }
         out = format_fig4(points, "udp")
         assert "baseline" in out
         assert "quota=8" in out

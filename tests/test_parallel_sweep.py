@@ -1,10 +1,11 @@
-"""The parallel sweep subsystem: fan-out and determinism.
+"""Sweep points: the serial runner, the flow fan-out, and determinism.
 
 The contract under test is the determinism requirement: for a fixed code
-version, serial and ``jobs=N`` runs of the same sweep are byte-identical
-per point.  The canonical rendering the flow keys and digests results
-with (:mod:`repro.flow.state`) is checked here too, because it is what
-makes "byte-identical" a hash comparison.
+version, a sweep's points run as flow tasks with one worker and with
+``jobs=N`` merge to byte-identical results per point.  The canonical
+rendering the flow keys and digests results with
+(:mod:`repro.flow.state`) is checked here too, because it is what makes
+"byte-identical" a hash comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import pickle
 import pytest
 
 from repro.config import FeatureSet
+from repro.experiments.table1 import table1_points
+from repro.flow.graph import TaskGraph
+from repro.flow.runner import FlowRunner
 from repro.flow.state import canonical, code_version, output_digest
+from repro.flow.tasks import sweep_tasks
 from repro.metrics.latency import LatencySeries
 from repro.parallel import SweepPoint, effective_jobs, run_sweep
 from repro.units import MS
@@ -23,13 +28,6 @@ from repro.units import MS
 # Sweep-point functions must live at module level (pickled by reference).
 def _square(x, seed=0):
     return x * x + seed
-
-
-def _table1_small(name):
-    from repro.experiments.table1 import _table1_point
-
-    return _table1_point(name=name, seed=1, warmup_ns=5 * MS, measure_ns=10 * MS,
-                         payload_size=512)
 
 
 class TestEffectiveJobs:
@@ -60,25 +58,28 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(points)
 
-    def test_parallel_matches_serial(self):
-        points = [SweepPoint(key=i, fn=_square, kwargs={"x": i, "seed": i * 7})
-                  for i in range(12)]
-        assert run_sweep(points, jobs=4) == run_sweep(points, jobs=1)
-
     def test_empty_sweep(self):
         assert run_sweep([]) == {}
 
 
 class TestSerialParallelDeterminism:
-    def test_experiment_results_byte_identical(self):
-        """Satellite requirement: serial vs ``--jobs 4`` byte-identical."""
-        points = [SweepPoint(key=name, fn=_table1_small, kwargs={"name": name})
-                  for name in ("Baseline", "PI")]
-        serial = run_sweep(points, jobs=1)
-        fanned = run_sweep(points, jobs=4)
-        assert list(serial) == list(fanned)
+    def test_experiment_results_byte_identical(self, tmp_path):
+        """The Table I points as flow tasks: one worker vs two merge to
+        pickle-identical results, and to what ``run_sweep`` returns."""
+        points = table1_points(seed=1, warmup_ns=5 * MS, measure_ns=10 * MS, payload_size=512)
+        merged = {}
+        for jobs in (1, 2):
+            result = FlowRunner(TaskGraph(sweep_tasks("table1", points)),
+                                state_root=tmp_path / f"jobs{jobs}", jobs=jobs, echo=None).run()
+            assert result.ok
+            merged[jobs] = result.results["table1"]
+        serial, fanned = merged[1], merged[2]
+        assert list(serial) == list(fanned) == ["Baseline", "PI"]
         for key in serial:
             assert pickle.dumps(serial[key]) == pickle.dumps(fanned[key])
+        direct = run_sweep(points)
+        assert {k: pickle.dumps(v) for k, v in direct.items()} == \
+            {k: pickle.dumps(v) for k, v in serial.items()}
 
 
 class TestCanonicalAndFingerprint:

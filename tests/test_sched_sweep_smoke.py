@@ -15,9 +15,10 @@ import pytest
 
 from repro.experiments.schedzoo import (
     format_sched_sweep,
-    run_sched_sweep,
+    sched_sweep_points,
     sched_sweep_summary,
 )
+from repro.parallel import run_sweep
 from repro.units import MS
 
 pytestmark = pytest.mark.sched_sweep
@@ -26,15 +27,14 @@ pytestmark = pytest.mark.sched_sweep
 def test_sched_sweep_smoke():
     policies = ("cfs", "rr")
     modes = ("off", "on")
-    results = run_sched_sweep(
+    results = run_sweep(sched_sweep_points(
         policies=policies,
         modes=modes,
         adaptive=(False,),
         seed=3,
         duration_ns=150 * MS,
         interval_ns=10 * MS,
-        jobs=1,
-    )
+    ))
     assert set(results) == {(p, m, "static") for p in policies for m in modes}
     for point in results.values():
         assert point["samples"] > 0
@@ -60,15 +60,14 @@ def test_sched_sweep_smoke():
 
 
 def test_adaptive_cell_reports_controller_stats():
-    results = run_sched_sweep(
+    results = run_sweep(sched_sweep_points(
         policies=("cfs",),
         modes=("on",),
         adaptive=(True,),
         seed=3,
         duration_ns=100 * MS,
         interval_ns=10 * MS,
-        jobs=1,
-    )
+    ))
     point = results[("cfs", "on", "adaptive")]
     stats = point["adaptive_stats"]
     assert stats["evaluations"] > 0

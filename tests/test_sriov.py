@@ -98,10 +98,11 @@ class TestSriovRedirection:
         assert wl.mean_rtt_ms() > 3.0
 
     def test_experiment_runner(self):
-        from repro.experiments.sriov import format_sriov, run_sriov
+        from repro.experiments.sriov import format_sriov, sriov_points
+        from repro.parallel import run_sweep
 
-        results = run_sriov(seed=13, warmup_ns=80 * MS, measure_ns=150 * MS,
-                            ping_duration_ns=int(0.5 * SEC))
+        results = run_sweep(sriov_points(seed=13, warmup_ns=80 * MS, measure_ns=150 * MS,
+                                         ping_duration_ns=int(0.5 * SEC)))
         assert set(results) == {"Assigned", "VT-d PI", "VT-d PI+R"}
         # No SR-IOV config has I/O-request exits.
         for r in results.values():
