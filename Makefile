@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test perfbench-test lint bench-smoke sched-sweep rack-smoke bench bench-compare trace-smoke dashboard determinism ci experiments flow flow-smoke flow-report flow-dashboard
+.PHONY: test perfbench-test lint bench-smoke sched-sweep rack-smoke bench trace-smoke determinism ci experiments flow flow-smoke flow-report flow-dashboard
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -36,22 +36,15 @@ sched-sweep:
 rack-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m rack_smoke
 
-# Machine-readable benchmark artifact: BENCH_<rev>.json.
+# The bench report (BENCH_current.json), its regression gate against the
+# checked-in BENCH_baseline.json (exit 1 on a >10% move of a gated metric
+# or any watchdog violation) and its HTML dashboard (dashboard.html): the
+# flow's bench, bench-compare and dashboard tasks, cached in the .flow
+# state dir that flow-smoke shares.
 bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench
-
-# Re-run the bench and diff it against the checked-in baseline (exit 1 on
-# a >25% throughput / >60% p99 regression — the CI gate thresholds).
-bench-compare:
-	REPRO_REV=current PYTHONPATH=src $(PYTHON) -m repro bench
-	PYTHONPATH=src $(PYTHON) -m repro.obs.bench_compare BENCH_baseline.json BENCH_current.json \
-		--max-throughput-drop 25 --max-p99-increase 60
-
-# Self-contained HTML dashboard (windowed telemetry + path report) from a
-# fresh smoke bench run.  Render an existing report instead with
-# `python -m repro dashboard --input BENCH_<rev>.json`.
-dashboard:
-	PYTHONPATH=src $(PYTHON) -m repro dashboard --output dashboard.html
+	PYTHONPATH=src $(PYTHON) -m repro flow run --mode reduced --state-dir .flow \
+		--only bench-compare dashboard --bench-out BENCH_current.json \
+		--dashboard-out dashboard.html
 
 # One spans-enabled ping run: stage attribution + Perfetto/JSONL exports.
 trace-smoke:
@@ -67,11 +60,10 @@ determinism:
 # Mirror of the GitHub workflow job list (.github/workflows/ci.yml) so
 # local and hosted CI agree:
 #   lint -> lint, test + perfbench-test -> test (the sched-conformance
-#   matrix re-runs a subset of it), bench-smoke + bench-compare ->
-#   bench-smoke, sched-sweep -> sched-sweep, rack-smoke -> rack,
-#   determinism -> determinism, trace-smoke -> path-trace, flow-smoke ->
-#   experiments-dag.
-ci: lint test perfbench-test bench-smoke sched-sweep rack-smoke determinism trace-smoke bench-compare flow-smoke
+#   matrix re-runs a subset of it), bench-smoke + bench -> bench-smoke,
+#   sched-sweep -> sched-sweep, rack-smoke -> rack, determinism ->
+#   determinism, trace-smoke -> path-trace, flow-smoke -> experiments-dag.
+ci: lint test perfbench-test bench-smoke sched-sweep rack-smoke determinism trace-smoke bench flow-smoke
 
 # The full paper reproduction (long; resumable DAG, parallel + cached).
 experiments: flow

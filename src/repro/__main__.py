@@ -127,25 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", choices=("off", "on", "both"), default="both")
     p.add_argument("--duration-ms", type=int, default=None)
 
-    # `repro bench` has its own (short) windows and output options; it
-    # delegates to repro.obs.bench so the schema lives in one place.
-    p = sub.add_parser(
-        "bench",
-        help="run the smoke sweep and emit a schema-versioned BENCH_<rev>.json",
-        add_help=False,
-    )
-
-    # `repro trace` likewise owns its arguments (repro.obs.tracecli).
+    # `repro trace` owns its arguments (repro.obs.tracecli).
     p = sub.add_parser(
         "trace",
         help="record per-request event-path spans; print the stage attribution report",
-        add_help=False,
-    )
-
-    # `repro dashboard` likewise owns its arguments (repro.obs.dashcli).
-    p = sub.add_parser(
-        "dashboard",
-        help="render the windowed-telemetry bench dashboard as one self-contained HTML file",
         add_help=False,
     )
 
@@ -163,19 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "bench":
-        # The bench pipeline owns its full argument set (including --help).
-        from repro.obs.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "trace":
+        # The trace CLI owns its full argument set (including --help).
         from repro.obs.tracecli import main as trace_main
 
         return trace_main(argv[1:])
-    if argv and argv[0] == "dashboard":
-        from repro.obs.dashcli import main as dashboard_main
-
-        return dashboard_main(argv[1:])
     if argv and argv[0] == "flow":
         from repro.flow.cli import main as flow_main
 

@@ -45,9 +45,8 @@ from pathlib import Path
 
 from repro.flow.graph import FlowError
 from repro.flow.runner import FlowRunner
-from repro.flow.state import FlowState, code_version, flow_root
+from repro.flow.state import FlowState, flow_root
 from repro.flow.tasks import MODES, build_graph
-from repro.parallel.sweep import effective_jobs
 
 __all__ = ["main"]
 
@@ -212,9 +211,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    task_jobs = effective_jobs(args.jobs)
     runner = FlowRunner(build_graph(args.mode), mode=args.mode,
-                        state_root=args.state_dir, jobs=task_jobs)
+                        state_root=args.state_dir, jobs=args.jobs)
 
     if args.dry_run:
         plan = runner.plan(only=args.only, force=args.force)
@@ -247,16 +245,6 @@ def _cmd_run(args) -> int:
     if args.bench_out:
         bench = task_result("bench")
         if bench is not None:
-            # Flow provenance: which orchestrated run produced this report.
-            # bench_compare prints it so two reports are always attributable.
-            bench = dict(bench)
-            bench["flow"] = {
-                "run_key": runner.run_key,
-                "mode": args.mode,
-                "jobs": task_jobs,
-                "code_version": code_version(),
-                "state_dir": str(runner.run_dir.path),
-            }
             with open(args.bench_out, "w", encoding="utf-8") as fh:
                 json.dump(bench, fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")

@@ -12,8 +12,9 @@ hunt starts with, straight from two ``flow-state.json`` documents:
 * **where the time went** — per-task wall deltas sorted by magnitude;
 * **what the benchmarks say** — when both run directories persisted a
   bench report (``results/bench.pkl``), the deltas run through
-  :func:`repro.obs.bench_compare.compare` so the diff applies the exact
-  same direction-aware thresholds as the CI regression gate.
+  :func:`repro.obs.bench_compare.compare`, the function behind the
+  flow's ``bench-compare`` gate, so the diff applies that gate's exact
+  threshold and watchdog check with run A as the baseline.
 
 Either side may be given as a state file, a run directory, or a state
 root (the newest run directory wins) — the same paths CI already

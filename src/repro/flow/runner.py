@@ -150,7 +150,9 @@ class FlowRunner:
     def plan(self, only: Optional[Sequence[str]] = None, force: bool = False) -> List[dict]:
         """Dry-run classification: what would execute, what would resolve
         from cache.  A task downstream of anything that would execute is
-        itself ``run`` (its input digests are unknowable until then)."""
+        itself ``run`` (its input digests are unknowable until then).  A
+        hit needs the same checksummed load :meth:`run` needs, so a
+        damaged result plans as ``run``."""
         state = self._load_state(force)
         order = self._select(only)
         actions: List[dict] = []
@@ -166,7 +168,7 @@ class FlowRunner:
                     record is not None
                     and record.status == "done"
                     and record.key == key
-                    and self.run_dir.result_path(name).exists()
+                    and self.run_dir.load_result(name)[0]
                 ):
                     action = "cached"
                     dep_digests[name] = record.digest

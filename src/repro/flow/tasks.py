@@ -160,34 +160,29 @@ def render_task(deps, source, formatter, mode, format_args=()):
     return formatter(deps[source], *format_args)
 
 
-def bench_task(deps, revision="flow"):
+def bench_task(deps):
     """The machine-readable bench report (schema-versioned dict)."""
     from repro.obs.bench import run_bench
 
-    return run_bench(revision=revision)
+    return run_bench()
 
 
 def bench_compare_task(deps, source="bench", baseline="BENCH_baseline.json"):
     """Gate the fresh bench report against the checked-in baseline.
 
-    Reuses :func:`repro.obs.bench_compare.compare` (the CI gate) so
-    thresholds and metric selection live in one place; raises on
-    regression so the flow exits nonzero.  Outside a checkout (no
-    baseline file), the gate degrades to a recorded skip rather than a
-    failure.
+    :func:`repro.obs.bench_compare.compare` holds the threshold and the
+    metric selection; any regression, watchdog violations included,
+    raises so the flow exits nonzero.  Outside a checkout (no baseline
+    file), the gate degrades to a recorded skip rather than a failure.
     """
-    import json
-
     from repro.flow.diff import repo_root
-    from repro.obs.bench_compare import compare
+    from repro.obs.bench_compare import compare, load_report
 
     root = repo_root()
     if root is None or not (root / baseline).exists():
         return {"ok": True, "skipped": "no checkout baseline to compare against",
                 "lines": []}
-    with open(root / baseline, "r", encoding="utf-8") as fh:
-        base = json.load(fh)
-    lines, regressions = compare(base, deps[source])
+    lines, regressions = compare(load_report(str(root / baseline)), deps[source])
     if regressions:
         raise FlowError(
             "bench regression vs baseline: " + "; ".join(regressions)
@@ -281,7 +276,7 @@ def build_graph(mode: str = "full") -> TaskGraph:
     graph.add(Task(
         name="bench", fn=bench_task, deps=("calibrate",), kind="bench",
         budget_s=_budget(mode, "bench"),
-        description="machine-readable bench report (BENCH_<rev>.json payload)",
+        description="machine-readable bench report (the --bench-out payload)",
     ))
     graph.add(Task(
         name="bench-compare", fn=bench_compare_task, deps=("bench",), kind="bench",

@@ -20,9 +20,9 @@ through per-module ad-hoc counters:
   residencies) on the simulated clock.
 * :class:`InvariantWatchdog` / :mod:`repro.obs.watchdog` — per-window
   conservation-law cross-checks raising structured violations.
-* :mod:`repro.obs.bench` — the machine-readable benchmark pipeline that
-  turns all of the above into a schema-versioned ``BENCH_<rev>.json``
-  (imported lazily: it pulls in the experiment layer).
+* :mod:`repro.obs.bench` — the machine-readable bench report (the flow's
+  ``bench`` task) that turns all of the above into one schema-versioned
+  document (imported lazily: it pulls in the experiment layer).
 * :mod:`repro.obs.flowreport` / :mod:`repro.obs.flowdash` — flow-run
   observability: critical-path and resource analysis of a
   ``flow-state.json`` document, and the self-contained Gantt dashboard

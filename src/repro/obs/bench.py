@@ -1,11 +1,10 @@
-"""The machine-readable benchmark pipeline: ``repro bench``.
+"""The machine-readable bench report: the flow's ``bench`` task.
 
 Runs the same reduced end-to-end sweep as the ``bench_smoke`` test marker
 — single-vCPU TCP send (Table I shape), the UDP quota-8 hybrid point
 (Fig. 4 shape) and a multiplexed ping latency point (Fig. 7 shape) — but
 instead of asserting qualitative claims it *measures through the
-observability layer* and emits a canonical, schema-versioned
-``BENCH_<rev>.json``:
+observability layer* and returns a canonical, schema-versioned report:
 
 * throughput (Gbps) and TIG per configuration,
 * VM-exit rates, total and per paper category,
@@ -15,9 +14,12 @@ observability layer* and emits a canonical, schema-versioned
 * the full per-subsystem counter snapshot (:class:`~repro.obs.CounterRegistry`),
 
 so a regression of the simulated system becomes a diffable artifact in CI
-rather than an anecdote.  The report is a function of code and seed: it
-carries no wall-clock field, so two runs of one revision write the same
-bytes.  How fast the simulator runs is measured by ``perfbench/``.
+rather than an anecdote.  ``flow run --only bench --bench-out F`` writes
+it; the flow's ``bench-compare`` task gates it against
+``BENCH_baseline.json`` and its ``dashboard`` task renders it.  The
+report is a function of code and seed: it carries no wall-clock field,
+so two runs write the same bytes.  How fast the simulator runs is
+measured by ``perfbench/``.
 
 Unlike the rest of :mod:`repro.obs`, this module imports the experiment
 layer; it is deliberately **not** imported from ``repro.obs.__init__``.
@@ -25,11 +27,7 @@ layer; it is deliberately **not** imported from ``repro.obs.__init__``.
 
 from __future__ import annotations
 
-import json
-import os
 import platform
-import subprocess
-import sys
 from typing import Any, Dict, Optional
 
 from repro.core.configs import paper_config
@@ -40,14 +38,7 @@ from repro.units import MS
 from repro.workloads.netperf import NetperfTcpSend, NetperfUdpSend
 from repro.workloads.ping import PingWorkload
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "current_revision",
-    "run_bench",
-    "write_report",
-    "format_bench",
-    "main",
-]
+__all__ = ["BENCH_SCHEMA_VERSION", "run_bench"]
 
 #: Bump on any backwards-incompatible change to the report layout.
 #: v2: latency points gained ``path`` (stage attribution + cohorts).
@@ -85,24 +76,6 @@ SCHED_ZOO_POLICIES = ("cfs", "rr", "mlfq", "deadline")
 #: shard counts measured by the ``rack`` block: the simulated output must
 #: be identical at both (the ``simulated_identical`` verdict)
 RACK_SHARD_COUNTS = (1, 4)
-
-
-def current_revision() -> str:
-    """Short VCS revision for the artifact name (env override: REPRO_REV)."""
-    env = os.environ.get("REPRO_REV")
-    if env:
-        return env
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "dev"
 
 
 #: Downsampling cap for timeline windows embedded in the report — keeps
@@ -346,7 +319,7 @@ def run_bench(
     warmup_ns: int = DEFAULT_WARMUP_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
     latency_duration_ns: int = DEFAULT_LATENCY_NS,
-    revision: Optional[str] = None,
+    revision: str = "flow",
     sched_duration_ns: int = DEFAULT_SCHED_NS,
     rack_duration_ns: int = DEFAULT_RACK_NS,
 ) -> Dict[str, Any]:
@@ -374,7 +347,7 @@ def run_bench(
     )
     report: Dict[str, Any] = {
         "schema": {"name": "repro-bench", "version": BENCH_SCHEMA_VERSION},
-        "revision": revision if revision is not None else current_revision(),
+        "revision": revision,
         "host": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -395,124 +368,3 @@ def run_bench(
         "watchdog_violations": watchdog_violations,
     }
     return report
-
-
-def write_report(report: Dict[str, Any], path: Optional[str] = None) -> str:
-    """Serialize the report to ``BENCH_<rev>.json`` (or ``path``); returns the path."""
-    if path is None:
-        path = f"BENCH_{report['revision']}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
-def format_bench(report: Dict[str, Any]) -> str:
-    """A short human-readable summary of one report (the JSON is canonical)."""
-    lines = [
-        f"bench report rev={report['revision']} "
-        f"(schema v{report['schema']['version']}, seed={report['params']['seed']})",
-    ]
-    for name, point in report["throughput"].items():
-        ex = point["exits_per_sec"]
-        lines.append(
-            f"  {name:<8} {point['throughput_gbps']:.3f} Gbps  TIG={point['tig']:.3f}  "
-            f"exits/s={ex['total']:.0f}"
-        )
-    hybrid = report["hybrid"]
-    factor = hybrid["io_exit_reduction_factor"]
-    lines.append(
-        f"  hybrid   io-exits/s {hybrid['baseline']['io_exits_per_sec']:.0f} -> "
-        f"{hybrid['quota8']['io_exits_per_sec']:.0f} "
-        + (f"({factor:.0f}x reduction at quota 8)" if factor is not None
-           else "(eliminated at quota 8)")
-    )
-    for name, point in report["latency_ms"].items():
-        lines.append(
-            f"  ping {name:<8} p50={point['p50_ms']:.3f} ms  p99={point['p99_ms']:.3f} ms "
-            f"({point['samples']} samples)"
-        )
-        path = point.get("path")
-        if path and path["stages"]:
-            top = sorted(path["stages"].items(), key=lambda kv: kv[1]["share"], reverse=True)[:3]
-            shares = ", ".join(f"{s} {v['share']:.0%}" for s, v in top)
-            lines.append(f"           top stages: {shares}")
-    sched = report.get("sched")
-    if sched:
-        for policy, point in sorted(sched.get("policies", {}).items()):
-            lines.append(
-                f"  sched {policy:<9} p50={point['p50_ms']:.3f} ms  "
-                f"p99={point['p99_ms']:.3f} ms ({point['samples']} samples)"
-            )
-        adaptive = sched.get("adaptive")
-        if adaptive:
-            stats = adaptive.get("adaptive", {})
-            lines.append(
-                f"  sched adaptive  p99={adaptive['p99_ms']:.3f} ms  "
-                f"rebalances={stats.get('rebalances', 0)} "
-                f"migrations={stats.get('migrations', 0)}"
-            )
-    rack = report.get("rack")
-    if rack:
-        for count in rack["shard_counts"]:
-            point = rack["points"][str(count)]
-            lines.append(
-                f"  rack {count} shard(s)  {point['ops_per_sec']:.0f} ops/s  "
-                f"{point['events_fired']} events  "
-                f"cross msgs {point['messages_cross_shard']}"
-            )
-        lines.append(
-            "  rack simulated output "
-            + ("identical across shard counts"
-               if rack["simulated_identical"] else "DIVERGED across shard counts")
-        )
-        tel = rack.get("telemetry")
-        if tel:
-            counts = tel["paths"]["counts"]
-            rtt = tel["paths"]["rtt"]
-            lines.append(
-                f"  rack telemetry  {counts['complete']}/{counts['total']} "
-                f"stitched paths  rtt p50 {rtt['p50_us']:.0f} us  "
-                f"p99 {rtt['p99_us']:.0f} us  "
-                f"watchdog {tel['watchdog']['violations']} violation(s)"
-            )
-    violations = report.get("watchdog_violations")
-    if violations is not None:
-        lines.append(f"  watchdog {violations} violation(s) across timeline-checked points")
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    """Entry point of ``python -m repro bench``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Run the smoke sweep and emit a schema-versioned BENCH_<rev>.json",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--warmup-ms", type=int, default=DEFAULT_WARMUP_NS // MS)
-    parser.add_argument("--measure-ms", type=int, default=DEFAULT_MEASURE_NS // MS)
-    parser.add_argument("--latency-ms", type=int, default=DEFAULT_LATENCY_NS // MS)
-    parser.add_argument("--sched-ms", type=int, default=DEFAULT_SCHED_NS // MS,
-                        help="per-policy window for the scheduler-zoo block")
-    parser.add_argument("--rack-ms", type=int, default=DEFAULT_RACK_NS // MS,
-                        help="measurement window for the sharded-rack block")
-    parser.add_argument("--output", default=None, help="output path (default BENCH_<rev>.json)")
-    args = parser.parse_args(argv)
-    report = run_bench(
-        seed=args.seed,
-        warmup_ns=args.warmup_ms * MS,
-        measure_ns=args.measure_ms * MS,
-        latency_duration_ns=args.latency_ms * MS,
-        sched_duration_ns=args.sched_ms * MS,
-        rack_duration_ns=args.rack_ms * MS,
-    )
-    path = write_report(report, args.output)
-    print(format_bench(report))
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,30 +1,24 @@
-"""Diff two ``BENCH_<rev>.json`` reports and gate on perf regressions.
-
-Usage::
-
-    PYTHONPATH=src python -m repro.obs.bench_compare BASELINE.json CURRENT.json \
-        [--max-throughput-drop PCT] [--max-p99-increase PCT]
+"""Diff two bench reports and gate on regressions of the simulated system.
 
 Compares every throughput point (Gbps, lower is worse) and every ping
 latency point (p99 ms, higher is worse) shared by the two reports and
-exits non-zero when any metric regresses beyond the threshold (default
-10% either way).  Metrics present in only one report are listed but never
-gate — schema growth must not break the trajectory.  Stdlib only, so the
-gate runs anywhere the repo runs.  ``repro flow diff`` and the flow's
-``bench-compare`` task call :func:`compare` directly, so the CI gate's
-thresholds and metric selection live only here.  Every compared metric
-is simulated; simulator speed is gated by ``perfbench/``, not here.
+flags any metric that regresses by more than :data:`MAX_REGRESSION_PCT`
+either way, plus any watchdog violation in the current report.  Metrics
+present in only one report are listed but never gate — schema growth
+must not break the trajectory.  The flow's ``bench-compare`` task (the
+gate, against ``BENCH_baseline.json``) and ``repro flow diff`` both call
+:func:`compare`, so the threshold and metric selection live only here.
+Every compared metric is simulated; simulator speed is gated by
+``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from typing import Any, Dict, Iterator, List, Tuple
 
-DEFAULT_MAX_DROP_PCT = 10.0
-DEFAULT_MAX_P99_INCREASE_PCT = 10.0
+#: the one gate threshold, in percent, for every metric in either direction
+MAX_REGRESSION_PCT = 10.0
 
 
 def load_report(path: str) -> Dict[str, Any]:
@@ -33,7 +27,7 @@ def load_report(path: str) -> Dict[str, Any]:
         report = json.load(fh)
     schema = report.get("schema", {})
     if schema.get("name") != "repro-bench":
-        raise SystemExit(f"{path}: not a repro-bench report (schema={schema!r})")
+        raise ValueError(f"{path}: not a repro-bench report (schema={schema!r})")
     return report
 
 
@@ -101,10 +95,7 @@ def _rack_info(report: Dict[str, Any]) -> Dict[str, float]:
 
 
 def compare(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    max_drop_pct: float = DEFAULT_MAX_DROP_PCT,
-    max_p99_increase_pct: float = DEFAULT_MAX_P99_INCREASE_PCT,
+    baseline: Dict[str, Any], current: Dict[str, Any],
 ) -> Tuple[List[str], List[str]]:
     """Return ``(table_lines, regressions)`` for the two reports."""
     base = {mid: (d, v) for mid, d, v in _metrics(baseline)}
@@ -126,15 +117,14 @@ def compare(
             delta_pct = 0.0 if cval == 0 else float("inf")
         else:
             delta_pct = (cval - bval) / bval * 100.0
-        limit = max_drop_pct if direction == "higher" else max_p99_increase_pct
-        bad = (direction == "higher" and delta_pct < -limit) or (
-            direction == "lower" and delta_pct > limit
+        bad = (direction == "higher" and delta_pct < -MAX_REGRESSION_PCT) or (
+            direction == "lower" and delta_pct > MAX_REGRESSION_PCT
         )
         flag = "  REGRESSION" if bad else ""
         lines.append(f"{mid:<{width}} {bval:>12.4f} {cval:>12.4f} {delta_pct:>+8.1f}%{flag}")
         if bad:
             regressions.append(
-                f"{mid}: {bval:.4f} -> {cval:.4f} ({delta_pct:+.1f}%, limit {limit:.0f}%)"
+                f"{mid}: {bval:.4f} -> {cval:.4f} ({delta_pct:+.1f}%, limit {MAX_REGRESSION_PCT:.0f}%)"
             )
     rack_base = _rack_info(baseline)
     rack_cur = _rack_info(current)
@@ -145,51 +135,11 @@ def compare(
             bstr = f"{rack_base[mid]:>12.4f}" if mid in rack_base else f"{'-':>12}"
             cstr = f"{rack_cur[mid]:>12.4f}" if mid in rack_cur else f"{'-':>12}"
             lines.append(f"  {mid:<{rwidth}} {bstr} {cstr}")
-    return lines, regressions
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", help="baseline BENCH_<rev>.json")
-    parser.add_argument("current", help="current BENCH_<rev>.json")
-    parser.add_argument("--max-throughput-drop", type=float, default=DEFAULT_MAX_DROP_PCT,
-                        metavar="PCT", help="allowed throughput drop in percent (default 10)")
-    parser.add_argument("--max-p99-increase", type=float, default=DEFAULT_MAX_P99_INCREASE_PCT,
-                        metavar="PCT", help="allowed p99 latency increase in percent (default 10)")
-    args = parser.parse_args(argv)
-
-    baseline = load_report(args.baseline)
-    current = load_report(args.current)
-    for label, report in (("baseline", baseline), ("current", current)):
-        print(f"{label + ':':<9} rev={report.get('revision')} "
-              f"(schema v{report['schema']['version']})")
-        flow = report.get("flow")
-        if flow:
-            # Provenance stamped by `repro flow run --bench-out`: which
-            # orchestrated run produced this report.
-            print(f"{'':<9} flow run {flow.get('run_key')} "
-                  f"(mode={flow.get('mode')}, jobs={flow.get('jobs')}, "
-                  f"code={flow.get('code_version')})")
-    lines, regressions = compare(
-        baseline, current,
-        max_drop_pct=args.max_throughput_drop,
-        max_p99_increase_pct=args.max_p99_increase,
-    )
-    print("\n".join(lines))
     violations = current.get("watchdog_violations", 0)
     if violations:
         regressions.append(
             f"watchdog_violations: {violations} conservation-law violation(s) "
             "in the current report (expected 0)"
         )
-    if regressions:
-        print(f"\n{len(regressions)} regression(s) beyond threshold:", file=sys.stderr)
-        for r in regressions:
-            print(f"  {r}", file=sys.stderr)
-        return 1
-    print("\nno regressions beyond threshold")
-    return 0
+    return lines, regressions
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,7 +1,7 @@
 """Self-contained HTML dashboard for one bench report.
 
-``render_dashboard`` turns one ``BENCH_<rev>.json`` document (see
-:mod:`repro.obs.bench`) into a single HTML file with **zero external
+``render_dashboard`` turns one bench report (see :mod:`repro.obs.bench`;
+the flow's ``dashboard`` task calls it) into a single HTML file with **zero external
 resources** — styles inline, charts as inline SVG, interactivity as a
 small inline script — so the artifact can be archived next to the JSON,
 attached to CI runs, and opened anywhere, offline, forever.

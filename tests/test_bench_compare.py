@@ -1,16 +1,26 @@
-"""Tests for the bench regression gate (repro.obs.bench_compare)."""
+"""Tests for the one bench gate: :func:`repro.obs.bench_compare.compare`
+behind the flow's ``bench-compare`` task.
+
+Everything here starts from hand-written reports or the checked-in
+``BENCH_baseline.json``, with the flow's ``calibrate`` and ``bench``
+tasks stubbed: nothing is simulated.
+"""
 
 from __future__ import annotations
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.flow.graph import FlowError
+from repro.flow.tasks import bench_compare_task
 from repro.obs import bench_compare
 
 _ROOT = Path(__file__).resolve().parent.parent
+_LIMIT = bench_compare.MAX_REGRESSION_PCT / 100
 
 
 def _report(**overrides):
@@ -34,10 +44,20 @@ def _report(**overrides):
     return base
 
 
-def _write(tmp_path, name, report):
-    path = tmp_path / name
-    path.write_text(json.dumps(report))
-    return str(path)
+def _baseline():
+    return bench_compare.load_report(str(_ROOT / "BENCH_baseline.json"))
+
+
+def run_flow_with_bench(monkeypatch, tmp_path, report, target, *extra):
+    """``flow run --mode reduced --only TARGET`` with ``calibrate`` stubbed
+    and ``bench`` returning ``report``: the real graph, simulating nothing."""
+    from repro.flow import tasks
+    from repro.flow.cli import main
+
+    monkeypatch.setattr(tasks, "calibrate_task", lambda deps, **kwargs: {})
+    monkeypatch.setattr(tasks, "bench_task", lambda deps: report)
+    return main(["run", "--mode", "reduced", "--only", target, "--jobs", "1",
+                 "--state-dir", str(tmp_path / "flow"), *extra])
 
 
 class TestCompare:
@@ -50,26 +70,26 @@ class TestCompare:
 
     def test_throughput_drop_beyond_threshold_flags(self):
         current = _report()
-        current["throughput"]["PI"]["throughput_gbps"] = 0.8  # ~ -31%
-        _, regressions = bench_compare.compare(_report(), current, max_drop_pct=25)
+        current["throughput"]["PI"]["throughput_gbps"] = 1.16 * (1 - 2 * _LIMIT)
+        _, regressions = bench_compare.compare(_report(), current)
         assert len(regressions) == 1
         assert regressions[0].startswith("throughput[PI].gbps")
 
     def test_throughput_drop_within_threshold_passes(self):
         current = _report()
-        current["throughput"]["PI"]["throughput_gbps"] = 1.0  # ~ -14%
-        _, regressions = bench_compare.compare(_report(), current, max_drop_pct=25)
+        current["throughput"]["PI"]["throughput_gbps"] = 1.16 * (1 - _LIMIT / 2)
+        _, regressions = bench_compare.compare(_report(), current)
         assert regressions == []
 
     def test_p99_increase_gates_only_upward(self):
         current = _report()
-        current["latency_ms"]["PI+H+R"]["p99_ms"] = 20.0  # ~ +186%
-        _, regressions = bench_compare.compare(_report(), current, max_p99_increase_pct=60)
+        current["latency_ms"]["PI+H+R"]["p99_ms"] = 7.0 * (1 + 2 * _LIMIT)
+        _, regressions = bench_compare.compare(_report(), current)
         assert len(regressions) == 1
         assert "latency[PI+H+R].p99_ms" in regressions[0]
         # An improvement of the same magnitude never gates.
-        current["latency_ms"]["PI+H+R"]["p99_ms"] = 0.5
-        _, regressions = bench_compare.compare(_report(), current, max_p99_increase_pct=60)
+        current["latency_ms"]["PI+H+R"]["p99_ms"] = 7.0 * (1 - 2 * _LIMIT)
+        _, regressions = bench_compare.compare(_report(), current)
         assert regressions == []
 
     def test_new_and_gone_metrics_listed_but_not_gated(self):
@@ -89,53 +109,75 @@ class TestCompare:
         assert any("inf" in line for line in lines)
         assert regressions == []  # inf delta in the good direction
 
-
-class TestCli:
-    def test_exit_zero_on_identity(self, tmp_path, capsys):
-        path = _write(tmp_path, "a.json", _report())
-        assert bench_compare.main([path, path]) == 0
-        out = capsys.readouterr().out
-        assert "no regressions beyond threshold" in out
-
-    def test_exit_one_on_regression(self, tmp_path, capsys):
-        base = _write(tmp_path, "base.json", _report())
-        worse = _report()
-        worse["throughput"]["PI"]["throughput_gbps"] = 0.5
-        cur = _write(tmp_path, "cur.json", worse)
-        assert bench_compare.main([base, cur, "--max-throughput-drop", "25"]) == 1
-        err = capsys.readouterr().err
-        assert "1 regression(s) beyond threshold" in err
-
-    def test_flow_provenance_printed_when_present(self, tmp_path, capsys):
-        stamped = _report()
-        stamped["flow"] = {"run_key": "cafe0123feed4567", "mode": "reduced",
-                           "jobs": 4, "code_version": "abc123"}
-        base = _write(tmp_path, "base.json", _report())
-        cur = _write(tmp_path, "cur.json", stamped)
-        assert bench_compare.main([base, cur]) == 0
-        out = capsys.readouterr().out
-        assert "flow run cafe0123feed4567" in out
-        assert "mode=reduced" in out and "jobs=4" in out
-        # Only the stamped side carries the provenance line.
-        assert out.count("flow run") == 1
+    def test_watchdog_violations_gate(self):
+        report = _report()
+        _, regressions = bench_compare.compare(report, dict(report, watchdog_violations=2))
+        assert [r.split(":")[0] for r in regressions] == ["watchdog_violations"]
+        # Violations in the baseline alone are history, not a regression.
+        _, regressions = bench_compare.compare(dict(report, watchdog_violations=2), report)
+        assert regressions == []
 
     def test_rejects_foreign_schema(self, tmp_path):
-        path = _write(tmp_path, "bad.json", {"schema": {"name": "something-else"}})
-        with pytest.raises(SystemExit, match="not a repro-bench report"):
-            bench_compare.load_report(path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": {"name": "something-else"}}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a repro-bench report")):
+            bench_compare.load_report(str(path))
 
     def test_checked_in_baseline_is_loadable(self):
-        baseline = bench_compare.load_report(str(_ROOT / "BENCH_baseline.json"))
         metrics = dict(
-            (mid, value) for mid, _, value in bench_compare._metrics(baseline)
+            (mid, value) for mid, _, value in bench_compare._metrics(_baseline())
         )
         assert "throughput[PI].gbps" in metrics
         assert any(mid.startswith("latency[") for mid in metrics)
 
     def test_checked_in_baseline_gates_the_scheduler_zoo(self):
-        baseline = bench_compare.load_report(str(_ROOT / "BENCH_baseline.json"))
+        baseline = _baseline()
         current = copy.deepcopy(baseline)
         current["sched"]["policies"]["cfs"]["p99_ms"] *= 2
-        _, regressions = bench_compare.compare(
-            baseline, current, max_drop_pct=25, max_p99_increase_pct=60)
+        _, regressions = bench_compare.compare(baseline, current)
         assert [r.split(":")[0] for r in regressions] == ["sched[cfs].p99_ms"]
+
+
+class TestFlowGate:
+    """The flow's ``bench-compare`` task names the cause of every failure."""
+
+    def test_names_watchdog_violations(self):
+        current = _baseline()
+        current["watchdog_violations"] = 3
+        with pytest.raises(FlowError, match="watchdog_violations: 3"):
+            bench_compare_task({"bench": current})
+
+    def test_names_a_sched_p99_regression(self):
+        current = _baseline()
+        current["sched"]["policies"]["rr"]["p99_ms"] *= 1.5
+        with pytest.raises(FlowError, match=r"sched\[rr\]\.p99_ms: .*\+50\.0%"):
+            bench_compare_task({"bench": current})
+
+    def test_names_a_foreign_baseline_file(self, tmp_path, monkeypatch):
+        foreign = tmp_path / "BENCH_baseline.json"
+        foreign.write_text(json.dumps({"schema": {"name": "something-else"}}))
+        monkeypatch.setattr("repro.flow.diff.repo_root", lambda: tmp_path)
+        with pytest.raises(ValueError, match=re.escape(str(foreign))):
+            bench_compare_task({"bench": _baseline()})
+
+    def test_skips_outside_a_checkout(self, monkeypatch):
+        monkeypatch.setattr("repro.flow.diff.repo_root", lambda: None)
+        current = _baseline()
+        current["watchdog_violations"] = 3
+        assert bench_compare_task({"bench": current})["skipped"]
+
+
+class TestCli:
+    """The gate's command line is ``flow run --only bench-compare`` (what
+    ``make bench`` runs): exit 0 on identity, 1 naming the regression."""
+
+    def test_exit_zero_on_identity(self, tmp_path, monkeypatch, capsys):
+        assert run_flow_with_bench(monkeypatch, tmp_path, _baseline(), "bench-compare") == 0
+        assert "0 failed" in capsys.readouterr().out
+
+    def test_exit_one_on_regression(self, tmp_path, monkeypatch, capsys):
+        worse = _baseline()
+        worse["throughput"]["PI"]["throughput_gbps"] *= 0.5
+        assert run_flow_with_bench(monkeypatch, tmp_path, worse, "bench-compare") == 1
+        out = capsys.readouterr().out
+        assert "FAILED  bench-compare" in out and "throughput[PI].gbps" in out

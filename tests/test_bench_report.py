@@ -46,19 +46,20 @@ def test_report_schema_and_content(report):
     for point in report["latency_ms"].values():
         assert point["samples"] > 0
         assert point["p50_ms"] <= point["p99_ms"] <= point["max_ms"]
+    assert set(report["sched"]["policies"]) == {"cfs", "rr", "mlfq", "deadline"}
+    assert report["sched"]["adaptive"]["samples"] > 0
+    assert report["rack"]["simulated_identical"] is True
+    assert report["rack"]["shard_counts"] == list(bench.RACK_SHARD_COUNTS)
     # Strict JSON: no NaN/Infinity anywhere in the artifact.
     json.dumps(report, allow_nan=False)
 
 
-def test_write_report_and_roundtrip(report, tmp_path):
-    path = bench.write_report(report, str(tmp_path / "BENCH_test.json"))
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh) == report
-    assert bench.format_bench(report)
-    # The report is a function of code and seed: a second run writes
-    # the same bytes.
-    again = bench.write_report(_tiny_report(), str(tmp_path / "BENCH_again.json"))
-    assert Path(again).read_bytes() == Path(path).read_bytes()
+def test_two_runs_write_the_same_bytes(report):
+    """The report is a function of code and seed: a second run
+    serializes to the same bytes, and the bytes round-trip."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    assert json.loads(text) == report
+    assert json.dumps(_tiny_report(), indent=2, sort_keys=True, allow_nan=False) == text
 
 
 def test_checked_in_baseline_gates_every_metric(report):
@@ -66,45 +67,15 @@ def test_checked_in_baseline_gates_every_metric(report):
     assert {mid for mid, _, _ in _metrics(report)} <= baseline
 
 
-def test_default_artifact_name_uses_revision(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    report = {"revision": "abc1234", "x": 1}
-    path = bench.write_report(report)
-    assert path == "BENCH_abc1234.json"
-    assert (tmp_path / path).exists()
+def test_cli_main_writes_artifact(tmp_path, monkeypatch):
+    """``flow run --bench-out F`` writes exactly the ``bench`` task's
+    result: no provenance block, nothing added."""
+    from tests.test_bench_compare import run_flow_with_bench
 
-
-def test_current_revision_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_REV", "r2d2")
-    assert bench.current_revision() == "r2d2"
-
-
-def test_cli_main_writes_artifact(tmp_path, capsys):
-    out = tmp_path / "BENCH_cli.json"
-    rc = bench.main([
-        "--seed", "1",
-        "--warmup-ms", "5",
-        "--measure-ms", "15",
-        "--latency-ms", "50",
-        "--sched-ms", "40",
-        "--rack-ms", "4",
-        "--output", str(out),
-    ])
-    assert rc == 0
-    assert out.exists()
-    report = json.loads(out.read_text())
-    assert report["schema"]["version"] == bench.BENCH_SCHEMA_VERSION
-    assert report["params"] == {
-        "seed": 1,
-        "warmup_ns": 5 * 10**6,
-        "measure_ns": 15 * 10**6,
-        "latency_duration_ns": 50 * 10**6,
-        "sched_duration_ns": 40 * 10**6,
-        "rack_duration_ns": 4 * 10**6,
-    }
-    assert set(report["sched"]["policies"]) == {"cfs", "rr", "mlfq", "deadline"}
-    assert report["sched"]["adaptive"]["samples"] > 0
-    assert report["rack"]["simulated_identical"] is True
-    assert report["rack"]["shard_counts"] == list(bench.RACK_SHARD_COUNTS)
-    printed = capsys.readouterr().out
-    assert "bench report" in printed and str(out) in printed
+    stub = {"schema": {"name": "repro-bench", "version": bench.BENCH_SCHEMA_VERSION},
+            "revision": "flow", "watchdog_violations": 0}
+    out = tmp_path / "BENCH_current.json"
+    assert run_flow_with_bench(monkeypatch, tmp_path, stub, "bench",
+                               "--bench-out", str(out)) == 0
+    assert out.read_text(encoding="utf-8") == json.dumps(stub, indent=2, sort_keys=True) + "\n"
+    assert "flow" not in json.loads(out.read_text(encoding="utf-8"))

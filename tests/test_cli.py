@@ -16,6 +16,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["bench", "dashboard"])
+    def test_bench_report_has_no_command_of_its_own(self, command, capsys):
+        """The flow's ``bench`` tasks are the report's only producer."""
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_fig4_protocol_choices(self):
         args = build_parser().parse_args(["fig4", "--protocol", "tcp"])
         assert args.protocol == "tcp"

@@ -9,11 +9,9 @@ timeline windows must match the bench aggregate within 1%.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.obs import bench, dashcli
+from repro.obs import bench
 from repro.obs.dashboard import render_dashboard, steady_state_window_rate
 from repro.units import MS
 
@@ -87,19 +85,3 @@ def test_report_watchdog_verdict_is_clean(report):
         assert wd["violations"] == 0
         assert wd["windows_checked"] > 0
 
-
-def test_dashcli_renders_existing_report(tmp_path, report, capsys):
-    inp = tmp_path / "BENCH_dash-test.json"
-    bench.write_report(report, str(inp))
-    out = tmp_path / "dash.html"
-    assert dashcli.main(["--input", str(inp), "--output", str(out)]) == 0
-    assert out.stat().st_size > 10_000
-    assert "self-contained" in capsys.readouterr().out
-
-
-def test_dashcli_rejects_pre_timeline_schemas(tmp_path, capsys):
-    inp = tmp_path / "old.json"
-    inp.write_text(json.dumps({"schema": {"name": "repro-bench", "version": 2}}))
-    assert dashcli.main(["--input", str(inp), "--output",
-                         str(tmp_path / "x.html")]) == 2
-    assert "schema v2" in capsys.readouterr().err

@@ -297,6 +297,21 @@ class TestRunner:
         actions = {e["task"]: e["action"] for e in changed.plan()}
         assert actions == {"a": "cached", "b": "run", "c": "cached", "d": "run"}
 
+    def test_plan_and_run_agree_about_a_damaged_result(self, tmp_path):
+        """A dry run must not call a result cached that the run would
+        recompute: one flipped byte fails the checksum in both."""
+        runner = FlowRunner(diamond(), mode="full", state_root=tmp_path,
+                            jobs=1, echo=None)
+        run_quiet(runner)
+        path = runner.run_dir.result_path("b")
+        damaged = bytearray(path.read_bytes())
+        damaged[-1] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        actions = {e["task"]: e["action"] for e in runner.plan()}
+        assert actions == {"a": "cached", "b": "run", "c": "cached", "d": "run"}
+        # b recomputes to the same digest, so d's key holds and it stays cached.
+        assert run_quiet(runner).executed == ["b"]
+
     def test_sched_policy_override_invalidates_points(self, tmp_path, monkeypatch):
         """``REPRO_SCHED_POLICY`` changes what a point computes, so a run
         under another policy must recompute, not serve the old digests."""
