@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.config import FeatureSet
-from repro.hw.msi import DeliveryMode, MsiMessage
+from repro.hw.msi import DELIVERY_LOWEST_PRIORITY, MsiMessage
 from repro.kvm.idt import is_device_vector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +50,7 @@ class InterruptRedirector:
     def select(self, vm: "VirtualMachine", msg: MsiMessage) -> Optional[int]:
         """The ``kvm_set_msi_irq`` hook: new destination or None (keep)."""
         features = vm.features
-        if not is_device_vector(msg.vector) or msg.mode is not DeliveryMode.LOWEST_PRIORITY:
+        if not is_device_vector(msg.vector) or msg.mode is not DELIVERY_LOWEST_PRIORITY:
             self.ineligible += 1
             return None
         online = [i for i in self.tracker.online_indices(vm) if msg.allows(i)]

@@ -46,7 +46,7 @@ from pathlib import Path
 from repro.flow.graph import FlowError
 from repro.flow.runner import FlowRunner
 from repro.flow.state import FlowState, flow_root
-from repro.flow.tasks import MODES, build_graph
+from repro.flow.tasks import MODES, bench_gate, build_graph
 
 __all__ = ["main"]
 
@@ -252,6 +252,18 @@ def _cmd_run(args) -> int:
         dashboard = task_result("dashboard")
         if dashboard is not None:
             Path(args.dashboard_out).write_text(dashboard, encoding="utf-8")
+    if "bench-compare" in result.order:
+        # The summary carries only the gate's verdict; print its table on
+        # a pass and on a fail alike.
+        bench = task_result("bench")
+        try:
+            gate = None if bench is None else bench_gate(bench)
+        except ValueError:  # not a bench report: the gate's failure names the file
+            gate = None
+        if gate is not None:
+            print("bench gate (vs BENCH_baseline.json):")
+            for line in gate[0]:
+                print(f"  {line}")
 
     if args.assert_cached and result.executed:
         print(f"assert-cached FAILED: {len(result.executed)} task(s) recomputed: "

@@ -167,22 +167,35 @@ def bench_task(deps):
     return run_bench()
 
 
-def bench_compare_task(deps, source="bench", baseline="BENCH_baseline.json"):
-    """Gate the fresh bench report against the checked-in baseline.
+def bench_gate(bench, baseline="BENCH_baseline.json"):
+    """``(table_lines, regressions)`` of a bench report against the
+    checkout's baseline file, or None outside a checkout (no baseline).
 
     :func:`repro.obs.bench_compare.compare` holds the threshold and the
-    metric selection; any regression, watchdog violations included,
-    raises so the flow exits nonzero.  Outside a checkout (no baseline
-    file), the gate degrades to a recorded skip rather than a failure.
+    metric selection.
     """
     from repro.flow.diff import repo_root
     from repro.obs.bench_compare import compare, load_report
 
     root = repo_root()
     if root is None or not (root / baseline).exists():
+        return None
+    return compare(load_report(str(root / baseline)), bench)
+
+
+def bench_compare_task(deps, source="bench", baseline="BENCH_baseline.json"):
+    """Gate the fresh bench report against the checked-in baseline.
+
+    Any regression, watchdog violations included, raises so the flow
+    exits nonzero.  Outside a checkout (no baseline file), the gate
+    degrades to a recorded skip rather than a failure.  ``flow run``
+    prints the gate's table whatever the outcome.
+    """
+    gate = bench_gate(deps[source], baseline)
+    if gate is None:
         return {"ok": True, "skipped": "no checkout baseline to compare against",
                 "lines": []}
-    lines, regressions = compare(load_report(str(root / baseline)), deps[source])
+    lines, regressions = gate
     if regressions:
         raise FlowError(
             "bench regression vs baseline: " + "; ".join(regressions)

@@ -14,7 +14,7 @@ from typing import Deque, Optional, TYPE_CHECKING
 
 from repro.errors import GuestError
 from repro.guest.ops import GHalt, GKick, GWork
-from repro.guest.tasks import GuestTask, TaskBlock, TaskState, TaskYield
+from repro.guest.tasks import TASK_BLOCKED, GuestTask, TaskBlock, TaskYield
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.os import GuestOS
@@ -101,7 +101,7 @@ class GuestCpuContext:
                     task._wake_pending = False
                     self.runqueue.append(task)
                 else:
-                    task.state = TaskState.BLOCKED
+                    task.state = TASK_BLOCKED
                 continue
             raise GuestError(f"task {task.name} yielded unknown item {item!r}")
 

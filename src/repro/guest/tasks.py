@@ -16,7 +16,10 @@ from repro.errors import GuestError
 from repro.guest.ops import GWork
 from repro.units import us
 
-__all__ = ["TaskBlock", "TaskYield", "TaskState", "GuestTask", "CpuBurnTask"]
+__all__ = [
+    "TaskBlock", "TaskYield", "TaskState", "GuestTask", "CpuBurnTask",
+    "TASK_NEW", "TASK_RUNNABLE", "TASK_BLOCKED", "TASK_FINISHED",
+]
 
 
 class TaskBlock:
@@ -38,13 +41,21 @@ class TaskState(enum.Enum):
     FINISHED = "finished"
 
 
+# Hot code reads members through these module constants, as with
+# repro.sched.thread's CpuMode and ThreadState.
+TASK_NEW = TaskState.NEW
+TASK_RUNNABLE = TaskState.RUNNABLE
+TASK_BLOCKED = TaskState.BLOCKED
+TASK_FINISHED = TaskState.FINISHED
+
+
 class GuestTask:
     """Base class for guest application threads."""
 
     def __init__(self, name: str, nice: int = 0):
         self.name = name
         self.nice = nice
-        self.state = TaskState.NEW
+        self.state = TASK_NEW
         self.context = None  # GuestCpuContext, set when the task is added
         self._gen: Optional[Generator] = None
         self._wake_pending = False
@@ -62,14 +73,14 @@ class GuestTask:
             raise GuestError(f"task {self.name} attached twice")
         self.context = context
         self._gen = self.body()
-        self.state = TaskState.RUNNABLE
+        self.state = TASK_RUNNABLE
 
     def step(self):
         """Advance the task one yielded item; None means it finished."""
         try:
             return self._gen.send(None)
         except StopIteration:
-            self.state = TaskState.FINISHED
+            self.state = TASK_FINISHED
             return None
 
     def wake_task(self, waker_context=None) -> None:
@@ -81,13 +92,13 @@ class GuestTask:
         exits on the baseline path and is posted exit-free under PI.  Wakes
         from host context (e.g. a TX-ring space callback) pass None.
         """
-        if self.state is TaskState.BLOCKED:
+        if self.state is TASK_BLOCKED:
             self._wake_pending = False
-            self.state = TaskState.RUNNABLE
+            self.state = TASK_RUNNABLE
             self.context.requeue(self)
             if waker_context is not None and waker_context is not self.context:
                 self.context.send_resched_ipi()
-        elif self.state is TaskState.RUNNABLE:
+        elif self.state is TASK_RUNNABLE:
             self._wake_pending = True
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -21,7 +21,20 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import SchedulerError
-from repro.sched.thread import Block, Consume, CpuMode, Thread, ThreadState, YieldCPU
+from repro.sched.thread import (
+    MODE_IDLE,
+    MODE_SWITCH,
+    THREAD_BLOCKED,
+    THREAD_FINISHED,
+    THREAD_READY,
+    THREAD_RUNNING,
+    Block,
+    Consume,
+    CpuMode,
+    Thread,
+    ThreadState,
+    YieldCPU,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.machine import Machine
@@ -66,7 +79,7 @@ class Core:
 
     def busy_time(self) -> int:
         """Total non-idle nanoseconds accumulated by this core."""
-        return sum(v for m, v in self.mode_time.items() if m is not CpuMode.IDLE)
+        return sum(v for m, v in self.mode_time.items() if m is not MODE_IDLE)
 
     def utilization(self, elapsed: int) -> float:
         """Fraction of ``elapsed`` ns this core spent non-idle."""
@@ -117,7 +130,7 @@ class Core:
         self._switching = True
         cost = self.machine.cost.ctx_switch_ns
         self.ctx_switches += 1
-        self.mode_time[CpuMode.SWITCH] += cost
+        self.mode_time[MODE_SWITCH] += cost
         self.sim.schedule(cost, self._complete_switch_cb, nxt)
 
     def _complete_switch(self, thread: Thread) -> None:
@@ -125,7 +138,8 @@ class Core:
         wakeups = self._switch_wakeups
         if wakeups:
             self._switch_wakeups = []
-        if not thread.runnable and thread.state is not ThreadState.READY:
+        state = thread.state
+        if state is not THREAD_READY and state is not THREAD_RUNNING:
             # The thread vanished (finished) while we were switching; rare.
             # Any pending wakers are already on the runqueue and compete in
             # the reschedule below, so their preemption question dissolves.
@@ -133,7 +147,7 @@ class Core:
             return
         self.current = thread
         thread.core = self
-        thread.state = ThreadState.RUNNING
+        thread.state = THREAD_RUNNING
         self._dispatch_time = self.sim.now
         if thread.is_vcpu:
             self.machine.notifiers.fire_sched_in(thread, self)
@@ -168,7 +182,7 @@ class Core:
     def preempt_current(self) -> None:
         """Involuntarily requeue the running thread and pick another."""
         self.need_resched = False
-        t = self._stop_current(ThreadState.READY)
+        t = self._stop_current(THREAD_READY)
         self.rq.enqueue(t, wakeup=False)
         self._reschedule()
 
@@ -242,13 +256,13 @@ class Core:
                 if t._wake_pending:
                     t._wake_pending = False
                     continue
-                self._stop_current(ThreadState.BLOCKED)
+                self._stop_current(THREAD_BLOCKED)
                 self._reschedule()
                 return
             if cls is YieldCPU:
                 if len(self.rq):
                     self.need_resched = False
-                    stopped = self._stop_current(ThreadState.READY)
+                    stopped = self._stop_current(THREAD_READY)
                     self.rq.enqueue(stopped, wakeup=False)
                     self._reschedule()
                     return
@@ -316,7 +330,7 @@ class Core:
         self._advance(t)
 
     def _finish_current(self) -> None:
-        self._stop_current(ThreadState.FINISHED)
+        self._stop_current(THREAD_FINISHED)
         self._reschedule()
 
     def _sync_current_runtime(self) -> None:
@@ -332,8 +346,6 @@ class Core:
             raise SchedulerError("segment overran its scheduled completion")
         req.remaining -= elapsed
         req.consumed += elapsed
-        # Inlined Thread.account(): this runs once per segment boundary and
-        # is the hottest accounting path in the engine.
         mode = req.mode
         t.sum_exec += elapsed
         t.mode_exec[mode] += elapsed

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional
 
-__all__ = ["DeliveryMode", "MsiMessage"]
+__all__ = ["DeliveryMode", "MsiMessage", "DELIVERY_FIXED", "DELIVERY_LOWEST_PRIORITY"]
 
 
 class DeliveryMode(enum.Enum):
@@ -26,6 +26,12 @@ class DeliveryMode(enum.Enum):
     LOWEST_PRIORITY = "lowest-priority"
 
 
+# Hot code reads members through these module constants, as with
+# repro.sched.thread's CpuMode.
+DELIVERY_FIXED = DeliveryMode.FIXED
+DELIVERY_LOWEST_PRIORITY = DeliveryMode.LOWEST_PRIORITY
+
+
 @dataclass(frozen=True)
 class MsiMessage:
     """An MSI/MSI-X interrupt message as seen by ``kvm_set_msi_irq``."""
@@ -35,13 +41,13 @@ class MsiMessage:
     #: effective destination (the guest's affinity choice)
     dest_vcpu: int
     #: delivery mode encoded in the address
-    mode: DeliveryMode = DeliveryMode.LOWEST_PRIORITY
+    mode: DeliveryMode = DELIVERY_LOWEST_PRIORITY
     #: full logical destination set (vCPU indices allowed to receive it)
     dest_set: Optional[FrozenSet[int]] = None
 
     def allows(self, vcpu_index: int) -> bool:
         """True if this message may legally be delivered to ``vcpu_index``."""
-        if self.mode is DeliveryMode.FIXED:
+        if self.mode is DELIVERY_FIXED:
             return vcpu_index == self.dest_vcpu
         if self.dest_set is None:
             return True

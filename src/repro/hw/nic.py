@@ -73,6 +73,9 @@ class LinkModel:
         self.propagation_ns = propagation_ns
         # Per-direction time at which the transmitter becomes free.
         self._busy_until = {}
+        #: per-packet-size serialization delay; flows repeat a handful of
+        #: sizes, so the float divide-and-round is paid once per size
+        self._delay_memo = {}
 
     def _attach_end(self, nic: Nic) -> None:
         """Register one transmitting NIC and claim its ``link`` slot."""
@@ -88,7 +91,10 @@ class LinkModel:
         now = self.sim.now
         busy = self._busy_until[src]
         start = now if now > busy else busy
-        finish = start + transmit_time_ns(size, self.rate_gbps)
+        delay = self._delay_memo.get(size)
+        if delay is None:
+            delay = self._delay_memo[size] = transmit_time_ns(size, self.rate_gbps)
+        finish = start + delay
         self._busy_until[src] = finish
         return finish
 

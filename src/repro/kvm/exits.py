@@ -14,7 +14,11 @@ from typing import Dict, Optional
 
 from repro.units import rate_per_sec
 
-__all__ = ["ExitReason", "ExitStats", "EXIT_CATEGORY"]
+__all__ = [
+    "ExitReason", "ExitStats", "EXIT_CATEGORY",
+    "EXIT_EXTERNAL_INTERRUPT", "EXIT_APIC_ACCESS", "EXIT_IO_INSTRUCTION",
+    "EXIT_HLT", "EXIT_EPT_VIOLATION", "EXIT_PENDING_INTERRUPT",
+]
 
 
 class ExitReason(enum.Enum):
@@ -26,6 +30,20 @@ class ExitReason(enum.Enum):
     HLT = "hlt"
     EPT_VIOLATION = "ept-violation"
     PENDING_INTERRUPT = "pending-interrupt"
+
+    # Identity hashing, as CpuMode: every exit updates two counter dicts
+    # keyed by its reason, and Enum.__hash__ is Python code.  Reasons key
+    # only insertion-ordered dicts, never an iterated set.
+    __hash__ = object.__hash__
+
+
+# Hot code reads members through these module constants (see CpuMode's).
+EXIT_EXTERNAL_INTERRUPT = ExitReason.EXTERNAL_INTERRUPT
+EXIT_APIC_ACCESS = ExitReason.APIC_ACCESS
+EXIT_IO_INSTRUCTION = ExitReason.IO_INSTRUCTION
+EXIT_HLT = ExitReason.HLT
+EXIT_EPT_VIOLATION = ExitReason.EPT_VIOLATION
+EXIT_PENDING_INTERRUPT = ExitReason.PENDING_INTERRUPT
 
 
 #: Paper-style reporting buckets.

@@ -8,11 +8,21 @@ from repro.config import FeatureSet
 from repro.errors import HypervisorError
 from repro.hw.lapic import IPI_KIND_KICK, IPI_KIND_PI_NOTIFY, KICK_VECTOR, POSTED_INTR_VECTOR
 from repro.hw.machine import Machine
-from repro.kvm.exits import ExitReason, ExitStats
+from repro.kvm.exits import (
+    EXIT_APIC_ACCESS,
+    EXIT_EPT_VIOLATION,
+    EXIT_EXTERNAL_INTERRUPT,
+    EXIT_HLT,
+    EXIT_IO_INSTRUCTION,
+    EXIT_PENDING_INTERRUPT,
+    ExitReason,
+    ExitStats,
+)
 from repro.kvm.idt import LOCAL_TIMER_VECTOR
 from repro.kvm.routing import IrqRouter
 from repro.kvm.vcpu import Vcpu
 from repro.kvm.vm import VirtualMachine
+from repro.sched.thread import THREAD_NEW
 from repro.units import MS
 
 __all__ = ["Kvm"]
@@ -34,12 +44,12 @@ class Kvm:
         self._next_vm_id = 0
         self._teardown_listeners: List = []
         self._exit_cost: Dict[ExitReason, int] = {
-            ExitReason.IO_INSTRUCTION: self.cost.exit_handle_io_ns,
-            ExitReason.EXTERNAL_INTERRUPT: self.cost.exit_handle_ext_int_ns,
-            ExitReason.APIC_ACCESS: self.cost.exit_handle_apic_ns,
-            ExitReason.HLT: self.cost.exit_handle_hlt_ns,
-            ExitReason.EPT_VIOLATION: self.cost.exit_handle_other_ns,
-            ExitReason.PENDING_INTERRUPT: self.cost.exit_handle_other_ns,
+            EXIT_IO_INSTRUCTION: self.cost.exit_handle_io_ns,
+            EXIT_EXTERNAL_INTERRUPT: self.cost.exit_handle_ext_int_ns,
+            EXIT_APIC_ACCESS: self.cost.exit_handle_apic_ns,
+            EXIT_HLT: self.cost.exit_handle_hlt_ns,
+            EXIT_EPT_VIOLATION: self.cost.exit_handle_other_ns,
+            EXIT_PENDING_INTERRUPT: self.cost.exit_handle_other_ns,
         }
 
     # -------------------------------------------------------------- VM setup
@@ -85,11 +95,11 @@ class Kvm:
         """Hypervisor-side effect of an exit (the cost was already charged)."""
         vcpu.vm.exit_stats.record(reason)
         self.global_exit_stats.record(reason)
-        if reason is ExitReason.IO_INSTRUCTION:
+        if reason is EXIT_IO_INSTRUCTION:
             if payload is None:
                 raise HypervisorError("I/O-instruction exit without a target queue")
             payload.backend_notified()
-        elif reason is ExitReason.APIC_ACCESS:
+        elif reason is EXIT_APIC_ACCESS:
             # Almost all APIC-access exits are EOI writes (Section VI-C).
             vcpu.apic.eoi()
         # External-interrupt, HLT and 'others' exits have no modelled side
@@ -142,8 +152,6 @@ class Kvm:
             self.sim.schedule(phase, self._timer_fire, vcpu, period_ns)
 
     def _timer_fire(self, vcpu: Vcpu, period_ns: int) -> None:
-        from repro.sched.thread import ThreadState
-
-        if vcpu.guest_ctx is not None and vcpu.state is not ThreadState.NEW:
+        if vcpu.guest_ctx is not None and vcpu.state is not THREAD_NEW:
             self.deliver_vcpu_interrupt(vcpu, LOCAL_TIMER_VECTOR)
         self.sim.schedule(period_ns, self._timer_fire, vcpu, period_ns)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import GuestCrash, HypervisorError
-from repro.hw.msi import DeliveryMode, MsiMessage
+from repro.hw.msi import DELIVERY_FIXED, MsiMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kvm.hypervisor import Kvm
@@ -82,7 +82,7 @@ class IrqRouter:
 
     @staticmethod
     def _validate_redirect(vm: "VirtualMachine", msg: MsiMessage, target: int) -> None:
-        if msg.mode is DeliveryMode.FIXED:
+        if msg.mode is DELIVERY_FIXED:
             raise GuestCrash(
                 f"{vm.name}: fixed-delivery vector {msg.vector:#x} redirected to "
                 f"vCPU {target}; the guest would lose or misdeliver it"

@@ -29,9 +29,17 @@ from repro.errors import GuestError, HypervisorError
 from repro.guest.ops import GHalt, GKick, GWork
 from repro.hw.lapic import IPI_KIND_KICK, IPI_KIND_PI_NOTIFY
 from repro.kvm.apic_emul import EmulatedLapic
-from repro.kvm.exits import ExitReason
+from repro.kvm.exits import (
+    EXIT_APIC_ACCESS,
+    EXIT_EPT_VIOLATION,
+    EXIT_EXTERNAL_INTERRUPT,
+    EXIT_HLT,
+    EXIT_IO_INSTRUCTION,
+    EXIT_PENDING_INTERRUPT,
+    ExitReason,
+)
 from repro.kvm.vapic import VApicPage
-from repro.sched.thread import Block, Consume, CpuMode, Thread, ThreadState
+from repro.sched.thread import MODE_GUEST, MODE_HOST, THREAD_RUNNING, Block, Consume, Thread
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kvm.vm import VirtualMachine
@@ -76,7 +84,7 @@ class Vcpu(Thread):
     @property
     def in_guest_mode_now(self) -> bool:
         """Physically executing guest code on a core at this instant."""
-        return self.state is ThreadState.RUNNING and self.in_guest
+        return self.state is THREAD_RUNNING and self.in_guest
 
     # ------------------------------------------------------------- main body
     def body(self):
@@ -110,7 +118,7 @@ class Vcpu(Thread):
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, "vm-exit", vcpu=self.name, reason=reason.value)
         cost = self.cost.vm_exit_transition_ns + self.kvm.exit_handle_cost(reason)
-        yield Consume(cost, CpuMode.HOST)
+        yield Consume(cost, MODE_HOST)
         self.kvm.handle_exit(self, reason, payload)
 
     def _vm_entry(self):
@@ -118,7 +126,7 @@ class Vcpu(Thread):
         will_inject = not self.features.pi and self.apic.can_inject()
         if will_inject:
             entry_cost += self.cost.inject_ns
-        yield Consume(entry_cost, CpuMode.HOST)
+        yield Consume(entry_cost, MODE_HOST)
         if self.features.pi:
             self.vapic.sync_pir_to_virr()
         elif self.apic.can_inject() and self._injected_vector is None:
@@ -136,7 +144,7 @@ class Vcpu(Thread):
         """Burn guest CPU time; service interrupts/forced exits as they land."""
         remaining = ns
         while remaining > 0:
-            consumed = yield Consume(remaining, CpuMode.GUEST, interruptible=True)
+            consumed = yield Consume(remaining, MODE_GUEST, interruptible=True)
             remaining -= consumed
             self._others_budget -= consumed
             while self._others_budget <= 0:
@@ -153,12 +161,12 @@ class Vcpu(Thread):
         yield from self._guest_consume(self.cost.guest_kick_ns)
         if queue.guest_should_kick():
             queue.note_kick(exited=True)
-            yield from self._vm_exit_entry(ExitReason.IO_INSTRUCTION, payload=queue)
+            yield from self._vm_exit_entry(EXIT_IO_INSTRUCTION, payload=queue)
         else:
             queue.note_kick(exited=False)
 
     def _halt(self):
-        yield from self._vm_exit(ExitReason.HLT)
+        yield from self._vm_exit(EXIT_HLT)
         self._halted = True
         while not self._wake_condition():
             yield Block()
@@ -204,7 +212,7 @@ class Vcpu(Thread):
         if self.features.pi:
             self.vapic.eoi()
         else:
-            yield from self._vm_exit_entry(ExitReason.APIC_ACCESS)
+            yield from self._vm_exit_entry(EXIT_APIC_ACCESS)
         self.irqs_enabled = True
         if not self._in_softirq:
             self._in_softirq = True
@@ -237,7 +245,7 @@ class Vcpu(Thread):
             self.vapic.sync_pir_to_virr()
             self.poke()
         elif kind == IPI_KIND_KICK:
-            self._forced_exit = ExitReason.EXTERNAL_INTERRUPT
+            self._forced_exit = EXIT_EXTERNAL_INTERRUPT
             self.poke()
 
     def on_sched_in(self, core) -> None:
@@ -253,7 +261,7 @@ class Vcpu(Thread):
                 # Real KVM injects after the exit caused by the preemption
                 # itself; model it as a delivery exit at resumption.
                 if self._forced_exit is None:
-                    self._forced_exit = ExitReason.EXTERNAL_INTERRUPT
+                    self._forced_exit = EXIT_EXTERNAL_INTERRUPT
                 self._poke_pending = True
 
     def kick_guest(self) -> None:
@@ -271,19 +279,19 @@ class Vcpu(Thread):
 
     def _sample_others_reason(self) -> ExitReason:
         if self._others_rng.random() < 0.7:
-            return ExitReason.EPT_VIOLATION
-        return ExitReason.PENDING_INTERRUPT
+            return EXIT_EPT_VIOLATION
+        return EXIT_PENDING_INTERRUPT
 
     # ------------------------------------------------------------ accounting
     @property
     def guest_time(self) -> int:
         """Total guest-mode nanoseconds of this vCPU."""
-        return self.mode_exec[CpuMode.GUEST]
+        return self.mode_exec[MODE_GUEST]
 
     @property
     def host_time(self) -> int:
         """Total host-mode (exit handling) nanoseconds of this vCPU."""
-        return self.mode_exec[CpuMode.HOST]
+        return self.mode_exec[MODE_HOST]
 
     def time_in_guest(self) -> float:
         """TIG: guest time over guest+host time (Section VI-C)."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.sched.thread import Thread, ThreadState
+from repro.sched.thread import THREAD_FINISHED, THREAD_READY, Thread
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.core import Core
@@ -222,7 +222,7 @@ class AdaptiveAllocator:
         return [
             t
             for t in sorted(self.machine.threads, key=lambda th: th.tid)
-            if self._class_of(t) == cls and t.state is not ThreadState.FINISHED
+            if self._class_of(t) == cls and t.state is not THREAD_FINISHED
         ]
 
     def _migrate(self, thread: Thread, core: "Core") -> None:
@@ -236,7 +236,7 @@ class AdaptiveAllocator:
         old = thread.core
         if old is None or old is core:
             return
-        if thread.state is ThreadState.READY and old.rq.has(thread):
+        if thread.state is THREAD_READY and old.rq.has(thread):
             old.rq.dequeue(thread)
             core.enqueue(thread, wakeup=False)
             self.migrations += 1

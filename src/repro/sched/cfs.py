@@ -21,19 +21,20 @@ The queued set is kept in a lazy-deletion binary heap ordered by
 order stays valid without rebalancing and ``pick_next`` / ``leftmost`` are
 O(log n) instead of the previous O(n) scan plus O(n) ``list.remove``.
 
-``min_vruntime`` has exactly one maintainer, :meth:`_advance_min_vruntime`
-(monotone, like Linux's ``update_min_vruntime``), called from every point
-where the floor can legitimately move: ``update_curr`` while a thread runs,
-and ``pick_next`` when a thread takes the CPU.  The latter matters for
-wakeup placement: a thread woken during the context-switch window is placed
-against a floor that already accounts for the just-picked thread, instead
-of the stale value a long-idle queue would otherwise hand out as extra
-sleeper credit.
+``min_vruntime`` has exactly one maintainer, :meth:`update_curr`, which
+charges the running thread and raises the floor in the same call
+(monotone, like Linux's ``update_curr`` + ``update_min_vruntime``).  It
+runs at every point where the floor can legitimately move: once per CPU
+segment while a thread runs, and from ``pick_next`` (with a zero delta)
+when a thread takes the CPU.  The latter matters for wakeup placement: a
+thread woken during the context-switch window is placed against a floor
+that already accounts for the just-picked thread, instead of the stale
+value a long-idle queue would otherwise hand out as extra sleeper credit.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
 from repro.config import SchedParams
@@ -98,7 +99,7 @@ class CfsRunqueue(SchedPolicy):
         self._seq += 1
         entry = [thread.vruntime, thread.tid, self._seq, thread]
         self._entries[thread.tid] = entry
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
 
     def dequeue(self, thread: Thread) -> None:
         """Remove a thread from the runnable queue."""
@@ -115,14 +116,14 @@ class CfsRunqueue(SchedPolicy):
         # The picked thread is about to become current: fold it into the
         # floor so wakeups landing during the switch see an up-to-date
         # min_vruntime (stale-sleeper-credit fix).
-        self._advance_min_vruntime(best)
+        self.update_curr(best, 0)
         return best
 
     def _peek(self) -> Optional[list]:
         """The live leftmost heap entry, discarding dead ones (None if empty)."""
         heap = self._heap
         while heap and heap[0][3] is None:
-            heapq.heappop(heap)
+            heappop(heap)
         return heap[0] if heap else None
 
     def leftmost_vruntime(self) -> Optional[int]:
@@ -132,23 +133,22 @@ class CfsRunqueue(SchedPolicy):
 
     # ----------------------------------------------------------- accounting
     def update_curr(self, thread: Thread, delta_ns: int) -> None:
-        """Advance the running thread's vruntime by a weighted ``delta_ns``."""
+        """Advance ``thread``'s vruntime by a weighted ``delta_ns`` and raise
+        ``min_vruntime`` to ``min(thread.vruntime, leftmost queued)``.
+
+        The sole ``min_vruntime`` maintainer; the floor never moves down.
+        One call per CPU segment, so the leftmost lookup is inlined here.
+        """
         if delta_ns < 0:
             raise SchedulerError("negative runtime delta")
-        thread.vruntime += delta_ns * NICE_0_WEIGHT // thread.weight
-        self._advance_min_vruntime(thread)
-
-    def _advance_min_vruntime(self, current: Optional[Thread]) -> None:
-        """The sole ``min_vruntime`` maintainer (``update_min_vruntime``).
-
-        Moves the floor up to ``min(current.vruntime, leftmost queued)``,
-        never down.
-        """
-        v = None if current is None else current.vruntime
-        left = self.leftmost_vruntime()
-        if left is not None and (v is None or left < v):
-            v = left
-        if v is not None and v > self.min_vruntime:
+        v = thread.vruntime + delta_ns * NICE_0_WEIGHT // thread.weight
+        thread.vruntime = v
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            heappop(heap)
+        if heap and heap[0][0] < v:
+            v = heap[0][0]
+        if v > self.min_vruntime:
             self.min_vruntime = v
 
     # --------------------------------------------------------------- policy

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Type
 
 from repro.config import SchedParams
 from repro.errors import ConfigError, SchedulerError
-from repro.sched.thread import Thread, ThreadState
+from repro.sched.thread import THREAD_READY, Thread
 
 __all__ = [
     "SchedPolicy",
@@ -97,7 +97,7 @@ class SchedPolicy:
             raise SchedulerError(f"{thread.name} enqueued twice")
         self._queued[thread.tid] = thread
         self.queued_weight += thread.weight
-        thread.state = ThreadState.READY
+        thread.state = THREAD_READY
 
     def _note_dequeued(self, thread: Thread) -> None:
         if self._queued.pop(thread.tid, None) is None:

@@ -26,7 +26,11 @@ from typing import Generator, Optional, Union
 
 from repro.errors import SchedulerError
 
-__all__ = ["CpuMode", "Consume", "Block", "YieldCPU", "Thread", "ThreadState", "Request"]
+__all__ = [
+    "CpuMode", "Consume", "Block", "YieldCPU", "Thread", "ThreadState", "Request",
+    "MODE_GUEST", "MODE_HOST", "MODE_KERNEL", "MODE_SWITCH", "MODE_IDLE",
+    "THREAD_NEW", "THREAD_READY", "THREAD_RUNNING", "THREAD_BLOCKED", "THREAD_FINISHED",
+]
 
 _tid_counter = itertools.count(1)
 
@@ -40,24 +44,34 @@ class CpuMode(enum.Enum):
     SWITCH = "switch"  #: context-switch overhead
     IDLE = "idle"  #: core idle
 
-    # Identity hashing: Enum.__hash__ hashes the member *name* string, and
-    # the per-segment accounting path performs hundreds of thousands of
-    # mode_exec/mode_time dict lookups per run.  Members are singletons and
-    # modes are never iterated through a set (only insertion-ordered dicts),
-    # so the id-based hash cannot affect any deterministic ordering.
+    # Identity hashing: Enum.__hash__ is Python code that hashes the member
+    # *name*, run on every mode_exec/mode_time update (once per segment).
+    # Members are singletons and modes key only insertion-ordered dicts,
+    # never an iterated set, so the id-based hash cannot change any
+    # deterministic ordering (DESIGN.md §12, "Per-segment interpreter cost").
     __hash__ = object.__hash__
+
+
+# Hot code reads members through these module constants: a member loaded
+# through its class goes through EnumType.__getattr__ and costs over
+# 100 ns more than a global load (DESIGN.md §12).
+MODE_GUEST = CpuMode.GUEST
+MODE_HOST = CpuMode.HOST
+MODE_KERNEL = CpuMode.KERNEL
+MODE_SWITCH = CpuMode.SWITCH
+MODE_IDLE = CpuMode.IDLE
 
 
 class Consume:
     """Request to burn CPU time."""
 
-    __slots__ = ("requested", "remaining", "consumed", "mode", "interruptible")
+    __slots__ = ("remaining", "consumed", "mode", "interruptible")
 
-    def __init__(self, ns: int, mode: CpuMode = CpuMode.KERNEL, interruptible: bool = False):
+    def __init__(self, ns: int, mode: CpuMode = MODE_KERNEL, interruptible: bool = False):
         if ns < 0:
             raise SchedulerError(f"cannot consume negative time ({ns})")
-        ns = int(ns)
-        self.requested = ns
+        if type(ns) is not int:
+            ns = int(ns)
         self.remaining = ns
         self.consumed = 0
         self.mode = mode
@@ -87,6 +101,13 @@ class ThreadState(enum.Enum):
     FINISHED = "finished"
 
 
+THREAD_NEW = ThreadState.NEW
+THREAD_READY = ThreadState.READY
+THREAD_RUNNING = ThreadState.RUNNING
+THREAD_BLOCKED = ThreadState.BLOCKED
+THREAD_FINISHED = ThreadState.FINISHED
+
+
 class Thread:
     """A host-schedulable entity (vCPU thread, vhost worker, ...).
 
@@ -107,7 +128,7 @@ class Thread:
         self.nice = nice
         self.weight = nice_to_weight(nice)
         self.pinned_core = pinned_core
-        self.state = ThreadState.NEW
+        self.state = THREAD_NEW
         self.core = None  # the Core this thread is queued on / running on
         #: CFS virtual runtime (weighted ns)
         self.vruntime = 0
@@ -131,20 +152,21 @@ class Thread:
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Create the generator and make the thread runnable."""
-        if self.state is not ThreadState.NEW:
+        if self.state is not THREAD_NEW:
             raise SchedulerError(f"{self.name}: start() on non-new thread ({self.state})")
         self._gen = self.body()
-        self.state = ThreadState.BLOCKED  # wake() below transitions to READY
+        self.state = THREAD_BLOCKED  # wake() below transitions to READY
         self.wake()
 
     def wake(self) -> None:
         """Make a blocked thread runnable (idempotent, race-safe)."""
-        if self.state in (ThreadState.READY, ThreadState.RUNNING):
+        state = self.state
+        if state is THREAD_READY or state is THREAD_RUNNING:
             self._wake_pending = True
             return
-        if self.state is ThreadState.FINISHED:
+        if state is THREAD_FINISHED:
             return
-        if self.state is ThreadState.NEW:
+        if state is THREAD_NEW:
             raise SchedulerError(f"{self.name}: wake() before start()")
         self._wake_pending = False
         self.machine.placement.enqueue_woken(self)
@@ -158,19 +180,13 @@ class Thread:
         """
         self._poke_pending = True
         if (
-            self.state is ThreadState.RUNNING
+            self.state is THREAD_RUNNING
             and self.core is not None
             and self.core.current is self
             and self._request is not None
             and self._request.interruptible
         ):
             self.core.poke_current()
-
-    # ------------------------------------------------------------ accounting
-    def account(self, mode: CpuMode, ns: int) -> None:
-        """Charge ``ns`` of on-CPU time in ``mode`` (called by the core)."""
-        self.sum_exec += ns
-        self.mode_exec[mode] += ns
 
     # ----------------------------------------------------------------- hooks
     def on_sched_in(self, core) -> None:
@@ -182,7 +198,8 @@ class Thread:
     @property
     def runnable(self) -> bool:
         """True while the thread is on a runqueue or a CPU."""
-        return self.state in (ThreadState.READY, ThreadState.RUNNING)
+        state = self.state
+        return state is THREAD_READY or state is THREAD_RUNNING
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name} tid={self.tid} {self.state.value}>"

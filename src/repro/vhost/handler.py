@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sched.thread import Consume, CpuMode
+from repro.sched.thread import MODE_KERNEL, Consume
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vhost.worker import VhostWorker
@@ -109,7 +109,7 @@ class StockTxHandler(QueueHandler):
             if base is None:
                 base = cost.vhost_pkt_tx_ns + int(cost.vhost_per_byte_ns * size)
                 memo[size] = base
-            yield Consume(jittered(base, rng), CpuMode.KERNEL)
+            yield Consume(jittered(base, rng), MODE_KERNEL)
             self.packets += 1
             self.bytes += size
             transmit(pkt)
@@ -203,7 +203,7 @@ class RxHandler(QueueHandler):
             if base is None:
                 base = cost.vhost_pkt_rx_ns + int(cost.vhost_per_byte_ns * size)
                 memo[size] = base
-            yield Consume(jittered(base, rng), CpuMode.KERNEL)
+            yield Consume(jittered(base, rng), MODE_KERNEL)
             rxq_push(pkt)
             if pkt.ctx is not None:
                 sim = worker.sim
@@ -223,7 +223,7 @@ class RxHandler(QueueHandler):
             # Signal once per service round (or per coalescing window);
             # guest-side NAPI suppression decides whether it becomes a
             # virtual interrupt.
-            yield Consume(self.cost.irqfd_signal_ns, CpuMode.KERNEL)
+            yield Consume(self.cost.irqfd_signal_ns, MODE_KERNEL)
             self._signal_guest()
         if device.backlog and not rxq.is_full:
             worker.activate_delayed(self)

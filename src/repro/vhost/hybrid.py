@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.sched.thread import Consume, CpuMode
+from repro.sched.thread import MODE_KERNEL, Consume
 from repro.vhost.handler import StockTxHandler
 
 __all__ = ["HybridTxHandler"]
@@ -125,7 +125,7 @@ class HybridTxHandler(StockTxHandler):
             if base is None:
                 base = cost.vhost_pkt_tx_ns + int(cost.vhost_per_byte_ns * size)
                 memo[size] = base
-            yield Consume(jittered(base, rng), CpuMode.KERNEL)
+            yield Consume(jittered(base, rng), MODE_KERNEL)
             self.packets += 1
             self.bytes += size
             transmit(pkt)

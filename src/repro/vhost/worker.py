@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Set
 
-from repro.sched.thread import Block, Consume, CpuMode, Thread, YieldCPU
+from repro.sched.thread import MODE_KERNEL, Block, Consume, Thread, YieldCPU
 
 __all__ = ["VhostWorker"]
 
@@ -71,7 +71,7 @@ class VhostWorker(Thread):
             if not active:
                 yield Block()
                 # eventfd read + handler lookup on wakeup
-                yield Consume(wakeup_ns, CpuMode.KERNEL)
+                yield Consume(wakeup_ns, MODE_KERNEL)
                 self.wakeups += 1
                 fresh_wakeup = True
                 continue
@@ -81,7 +81,7 @@ class VhostWorker(Thread):
             if not fresh_wakeup:
                 # Rotation between handler rounds costs the switch overhead;
                 # the first round after a wakeup already paid the wakeup cost.
-                yield Consume(switch_ns, CpuMode.KERNEL)
+                yield Consume(switch_ns, MODE_KERNEL)
             fresh_wakeup = False
             yield from handler.run(self)
             # Fairness point: let CFS rotate to other host threads if needed.

@@ -173,7 +173,10 @@ class TestCli:
 
     def test_exit_zero_on_identity(self, tmp_path, monkeypatch, capsys):
         assert run_flow_with_bench(monkeypatch, tmp_path, _baseline(), "bench-compare") == 0
-        assert "0 failed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 failed" in out
+        # The table, not just the verdict: one row per metric.
+        assert re.search(r"^  throughput\[PI\]\.gbps +[\d.]+ +[\d.]+ +\+0\.0%$", out, re.M)
 
     def test_exit_one_on_regression(self, tmp_path, monkeypatch, capsys):
         worse = _baseline()
@@ -181,3 +184,6 @@ class TestCli:
         assert run_flow_with_bench(monkeypatch, tmp_path, worse, "bench-compare") == 1
         out = capsys.readouterr().out
         assert "FAILED  bench-compare" in out and "throughput[PI].gbps" in out
+        assert re.search(r"^  throughput\[PI\]\.gbps +[\d.]+ +[\d.]+ +-50\.0%  REGRESSION$",
+                         out, re.M)
+        assert re.search(r"^  throughput\[Baseline\]\.gbps +[\d.]+ +[\d.]+ +\+0\.0%$", out, re.M)

@@ -36,6 +36,33 @@ class TestCoreErrorPaths:
         with pytest.raises(SchedulerError):
             sim.run_until(MS)
 
+    @staticmethod
+    def _mid_segment(sim):
+        """A thread 1 ms into a queued (unfused) 10 ms segment."""
+        m = make_machine(sim, n_cores=1)
+
+        class Long(Thread):
+            def body(self):
+                yield Consume(10 * MS, CpuMode.KERNEL)
+
+        t = Long(m, "long", pinned_core=0)
+        m.spawn(t)
+        sim.run_until(MS)
+        assert m.cores[0]._completion_ev is not None
+        return t
+
+    def test_completion_with_time_remaining_rejected(self, sim):
+        t = self._mid_segment(sim)
+        t._request.remaining += US  # completion now fires 1 us early
+        with pytest.raises(SchedulerError, match="completed with time remaining"):
+            sim.run_until(20 * MS)
+
+    def test_segment_overrun_rejected(self, sim):
+        t = self._mid_segment(sim)
+        t._request.remaining -= US  # completion now fires 1 us late
+        with pytest.raises(SchedulerError, match="overran its scheduled completion"):
+            sim.run_until(20 * MS)
+
     def test_wake_before_start_rejected(self, sim):
         m = make_machine(sim, n_cores=1)
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SchedParams
 from repro.errors import SchedulerError
@@ -94,6 +98,13 @@ class TestRunqueue:
         rq.update_curr(heavy, MS)
         assert light.vruntime > heavy.vruntime
 
+    def test_negative_update_curr_rejected(self, machine):
+        rq = make_rq()
+        t = make_thread(machine, "t")
+        with pytest.raises(SchedulerError, match="negative runtime delta"):
+            rq.update_curr(t, -1)
+        assert t.vruntime == 0 and rq.min_vruntime == 0
+
     def test_min_vruntime_monotone(self, machine):
         rq = make_rq()
         t = make_thread(machine, "t")
@@ -181,6 +192,95 @@ class TestMinVruntimeUnification:
         rq.enqueue(b, wakeup=False)
         rq.dequeue(a)
         assert rq.min_vruntime == 0
+
+
+class FourCallCfs(CfsRunqueue):
+    """Reference: the floor maintenance as four nested calls, each step its
+    own method (update_curr -> _advance_min_vruntime -> leftmost_vruntime
+    -> _peek), with pick_next folding the picked thread in the same way."""
+
+    def pick_next(self):
+        entry = self._peek()
+        if entry is None:
+            return None
+        best = entry[3]
+        self.dequeue(best)
+        self._advance_min_vruntime(best)
+        return best
+
+    def update_curr(self, thread, delta_ns):
+        if delta_ns < 0:
+            raise SchedulerError("negative runtime delta")
+        thread.vruntime += delta_ns * NICE_0_WEIGHT // thread.weight
+        self._advance_min_vruntime(thread)
+
+    def _advance_min_vruntime(self, current):
+        v = None if current is None else current.vruntime
+        left = self.leftmost_vruntime()
+        if left is not None and (v is None or left < v):
+            v = left
+        if v is not None and v > self.min_vruntime:
+            self.min_vruntime = v
+
+
+_N_THREADS = 5
+_CFS_STEP = st.one_of(
+    st.tuples(st.just("enqueue"), st.integers(0, _N_THREADS - 1), st.booleans()),
+    st.tuples(st.just("dequeue"), st.integers(0, _N_THREADS - 1)),
+    st.tuples(st.just("pick_next")),
+    st.tuples(st.just("update_curr"), st.integers(0, 20 * MS)),
+)
+
+
+class TestOneCallFloorUpdate:
+    """``update_curr`` charges the delta and raises ``min_vruntime`` in one
+    call; it must agree with the four-call reference on every script."""
+
+    @given(st.lists(st.integers(-5, 5), min_size=_N_THREADS, max_size=_N_THREADS),
+           st.lists(_CFS_STEP, max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_four_call_reference(self, nices, script):
+        def population():
+            return [SimpleNamespace(tid=i + 1, name=f"t{i}", weight=nice_to_weight(n),
+                                    vruntime=0, state=None)
+                    for i, n in enumerate(nices)]
+
+        sides = [(CfsRunqueue(SchedParams()), population()),
+                 (FourCallCfs(SchedParams()), population())]
+        current = None  # index of the thread on the CPU, the same on both sides
+        for step in script:
+            op = step[0]
+            if op == "enqueue":
+                i, wakeup = step[1], step[2]
+                if i == current or sides[0][0].has(sides[0][1][i]):
+                    continue
+                for rq, threads in sides:
+                    rq.enqueue(threads[i], wakeup)
+            elif op == "dequeue":
+                # Leaves a dead heap entry behind (lazy deletion).
+                i = step[1]
+                if not sides[0][0].has(sides[0][1][i]):
+                    continue
+                for rq, threads in sides:
+                    rq.dequeue(threads[i])
+            elif op == "pick_next":
+                picked = []
+                for rq, threads in sides:
+                    if current is not None:
+                        rq.enqueue(threads[current], False)  # preemption requeue
+                    nxt = rq.pick_next()
+                    picked.append(None if nxt is None else threads.index(nxt))
+                assert picked[0] == picked[1]
+                current = picked[0]
+            elif current is not None:
+                for rq, threads in sides:
+                    rq.update_curr(threads[current], step[1])
+            (new, new_threads), (ref, ref_threads) = sides
+            assert new.min_vruntime == ref.min_vruntime
+            assert [t.vruntime for t in new_threads] == [t.vruntime for t in ref_threads]
+            # Same heap, dead entries included (reading it must not prune it).
+            assert [(*e[:3], e[3] is None) for e in new._heap] == \
+                [(*e[:3], e[3] is None) for e in ref._heap]
 
 
 class TestPlacement:
