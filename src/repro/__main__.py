@@ -53,12 +53,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure-ms", type=int, default=None,
                    help="measurement window (default: the experiment's own)")
     p.add_argument(
-        "--sched-policy",
-        choices=("cfs", "rr", "mlfq", "deadline"),
-        default=None,
-        help="host scheduler policy for every testbed (sets REPRO_SCHED_POLICY)",
-    )
-    p.add_argument(
         "--jobs",
         type=int,
         default=0,
@@ -158,12 +152,6 @@ def main(argv=None) -> int:
 
         return flow_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.sched_policy is not None:
-        import os
-
-        # Environment, not a parameter: forked task workers inherit it, and
-        # default-SchedParams testbeds resolve it uniformly.
-        os.environ["REPRO_SCHED_POLICY"] = args.sched_policy
 
     # Only the options the user gave reach a grid; the rest fall back to
     # the <x>_points signature, the one home of every default.

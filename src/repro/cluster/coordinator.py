@@ -260,10 +260,6 @@ class ShardedSimulator:
                     proc.terminate()
                     proc.join()
 
-    def _recv(self, conn, procs, shard_index: int) -> list:
-        reply = self._recv_raw(conn, procs, shard_index)
-        return reply[1]
-
     @staticmethod
     def _recv_raw(conn, procs, shard_index: int):
         """One barrier reply; turns worker death into a clear ClusterError.

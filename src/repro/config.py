@@ -171,7 +171,7 @@ class SchedParams:
     below them are ignored by policies that do not use them.
     """
 
-    #: runqueue policy name; "cfs" may be overridden by REPRO_SCHED_POLICY
+    #: runqueue policy name
     policy: str = "cfs"
     #: targeted preemption latency for CPU-bound tasks
     sched_latency_ns: int = 24 * MS

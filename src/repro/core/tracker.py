@@ -97,7 +97,3 @@ class VcpuScheduleTracker:
         """Offline vCPUs, head = offline the longest (next predicted online)."""
         self._ensure(vm)
         return self._offline[vm.vm_id]
-
-    def is_online(self, vm: "VirtualMachine", vcpu_index: int) -> bool:
-        """True if the vCPU index is currently online."""
-        return vcpu_index in self.online_indices(vm)

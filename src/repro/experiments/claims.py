@@ -45,6 +45,11 @@ def _grows_with_size(results, config) -> bool:
     return len(values) > 1 and all(a < b for a, b in zip(values, values[1:]))
 
 
+def _every_rack_cell(results, check) -> bool:
+    """``check`` holds for the telemetry block of every rack cell, and there is a cell."""
+    return bool(results) and all(check(report["telemetry"]) for report in results.values())
+
+
 def _fig4a(tag: str) -> Tuple[Claim, ...]:
     return (
         (f"{tag}: Baseline I/O exits > 40k/s", lambda r: r[None].io_exit_rate > 40_000, BOTH),
@@ -178,6 +183,13 @@ CLAIMS: Dict[str, Tuple[Claim, ...]] = {
     "rack": (
         ("every config byte-identical across shard counts",
          lambda r: set(rack_identical(r).values()) == {True}, BOTH),
+        ("every cell stitches complete multi-host request paths",
+         lambda r: _every_rack_cell(r, lambda t: t["paths"]["cross_host"]["complete_multi_host"] > 0),
+         BOTH),
+        ("every cell's rack watchdog checks windows and finds 0 violations",
+         lambda r: _every_rack_cell(
+             r, lambda t: t["watchdog"]["windows_checked"] > 0 and t["watchdog"]["violations"] == 0),
+         BOTH),
     ),
 }
 

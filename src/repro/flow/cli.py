@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    repro flow run [--mode full|reduced] [--only TASK ...] [--resume]
+    repro flow run [--mode full|reduced] [--only TASK ...]
                    [--force] [--dry-run] [--jobs N] [--state-dir DIR]
                    [--assert-cached] [--print-report] [--report-out F]
                    [--bench-out F] [--dashboard-out F]
@@ -14,9 +14,9 @@ Subcommands::
 
 Resume is the default: a re-invocation with unchanged code and
 configuration lands in the same run directory and only re-runs tasks
-whose inputs changed (``--resume`` exists to state that intent
-explicitly; ``--force`` recomputes everything: the per-task results are
-the only result cache, so no sweep point is served from disk).
+whose inputs changed (``--force`` recomputes everything: the per-task
+results are the only result cache, so no sweep point is served from
+disk).
 ``--assert-cached`` makes a run fail unless *every* selected task
 resolved from cache — the CI proof that resume/incremental-re-run
 actually works.
@@ -64,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "windows + trimmed grids (what CI runs)")
     run.add_argument("--only", nargs="+", default=None, metavar="TASK",
                      help="run only these tasks plus their transitive dependencies")
-    run.add_argument("--resume", action="store_true",
-                     help="resume from persisted state (this is the default; "
-                          "the flag documents intent)")
     run.add_argument("--force", action="store_true",
                      help="ignore persisted state and recompute every task")
     run.add_argument("--dry-run", action="store_true",

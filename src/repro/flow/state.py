@@ -27,8 +27,7 @@ Inside a run directory:
   dependents and re-invocations load from here (a mismatch is a miss).
 
 A task's cache key folds in its dependencies' **output digests**, so a
-task re-runs iff its own declaration changed, the code changed, the
-scheduler-policy override (``REPRO_SCHED_POLICY``) changed, or any
+task re-runs iff its own declaration changed, the code changed, or any
 upstream output changed — the incremental-re-run contract.  This is the
 repo's only result cache: keys and digests both rest on
 :func:`canonical`, and :func:`code_version` hashes every ``repro``
@@ -47,7 +46,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.flow.graph import Task
-from repro.sched.policy import ENV_POLICY
 
 __all__ = [
     "STATE_SCHEMA_VERSION",
@@ -150,10 +148,8 @@ def run_key_for(tasks, mode: str) -> str:
 def task_key(task: Task, dep_digests: Mapping[str, str]) -> str:
     """Incremental-re-run key for one task.
 
-    Folds the task's callable, canonical kwargs, the code version, the
-    ``REPRO_SCHED_POLICY`` override (it picks every default-``SchedParams``
-    testbed's scheduler; ``REPRO_TIMELINE`` only observes and stays out)
-    and the output digest of every dependency — so any upstream change
+    Folds the task's callable, canonical kwargs, the code version and the
+    output digest of every dependency — so any upstream change
     invalidates exactly the downstream cone, nothing else.
     """
     blob = "|".join(
@@ -162,7 +158,6 @@ def task_key(task: Task, dep_digests: Mapping[str, str]) -> str:
             f"{task.fn.__module__}.{task.fn.__qualname__}",
             canonical(task.kwargs),
             code_version(),
-            f"{ENV_POLICY}={os.environ.get(ENV_POLICY, '')}",
             *(f"{dep}={dep_digests[dep]}" for dep in task.deps),
         )
     )

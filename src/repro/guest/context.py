@@ -121,10 +121,6 @@ class GuestCpuContext:
             return None
         return self._softirqs.popleft()
 
-    def softirq_pending(self) -> bool:
-        """True if softirq work is queued on this vCPU."""
-        return bool(self._softirqs)
-
     # -------------------------------------------------------------- IRQ glue
     def irq_handler_ops(self, vector: int):
         """IDT dispatch for a vector on this vCPU (hard-IRQ ops)."""

@@ -42,8 +42,7 @@ class Machine:
         self.cost.validate()
         self.sched_params = sched_params if sched_params is not None else SchedParams()
         self.sched_params.validate()
-        # Resolve the scheduler policy once so a mid-run environment change
-        # cannot split this machine's cores across different policies.
+        # Checked once: every core's runqueue is built from this name.
         self.sched_policy = resolve_policy_name(self.sched_params)
         self.notifiers = NotifierSet()
         self.placement = Placement(self)
@@ -80,14 +79,8 @@ class Machine:
             self.sim.schedule(period + offset, self._tick, core)
 
     def _tick(self, core: Core) -> None:
-        if not self._ticking:
-            return
         core.on_tick()
         self.sim.schedule(self.sched_params.tick_ns, self._tick, core)
-
-    def stop_ticks(self) -> None:
-        """Stop the scheduler tick train."""
-        self._ticking = False
 
     # ------------------------------------------------------------------ IPIs
     def send_ipi(self, from_core: Core, to_core: Core, vector: int, kind: str) -> None:
@@ -112,10 +105,6 @@ class Machine:
         core — a dedicated core running one vCPU reads 1, an idle core 0.
         """
         return [c.rq.nr_running(c.current) for c in self.cores]
-
-    def total_core_time(self, elapsed: int) -> int:
-        """Aggregate core-nanoseconds available over ``elapsed``."""
-        return elapsed * len(self.cores)
 
     def busy_fraction(self, elapsed: int) -> float:
         """Machine-wide non-idle fraction over ``elapsed`` ns."""

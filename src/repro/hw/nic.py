@@ -119,15 +119,6 @@ class Link(LinkModel):
         # every packet, and rebinding the method per call allocates.
         self._deliver_to_peer = {a: b.receive, b: a.receive}
 
-    def peer_of(self, nic: Nic) -> Nic:
-        """The NIC at the other end of this link."""
-        a, b = self.ends
-        if nic is a:
-            return b
-        if nic is b:
-            return a
-        raise HardwareError("NIC is not attached to this link")
-
     def transmit(self, src: Nic, packet) -> None:
         """Serialize ``packet`` out of ``src`` and deliver it to the peer."""
         finish = self.serialize(src, packet.size)

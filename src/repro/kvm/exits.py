@@ -108,13 +108,6 @@ class ExitStats:
             out[EXIT_CATEGORY[reason]] += rate_per_sec(delta, elapsed)
         return out
 
-    def reason_rates_between(self, start: str, end: str) -> Dict[ExitReason, float]:
-        """Per-reason exits/second between two marks."""
-        t0, c0 = self._marks[start]
-        t1, c1 = self._marks[end]
-        elapsed = t1 - t0
-        return {r: rate_per_sec(c1[r] - c0[r], elapsed) for r in ExitReason}
-
     def total_rate_between(self, start: str, end: str) -> float:
         """Total exits/second between two marks."""
         return sum(self.rates_between(start, end).values())

@@ -58,24 +58,18 @@ __all__ = ["BENCH_SCHEMA_VERSION", "run_bench"]
 #: stage shares, rack-wide watchdog totals, and the barrier/straggler
 #: profile of the widest layout.  Additive: every v5 path is unchanged.
 #: v7: no wall-clock field and no run-loop profile: a function of code and seed.
-BENCH_SCHEMA_VERSION = 7
+#: v8: no ``rack`` block and no ``params.rack_duration_ns``: the flow's
+#: ``rack`` task runs the rack grid, and its claims gate it.
+BENCH_SCHEMA_VERSION = 8
 
 #: Default windows — identical to ``tests/test_bench_smoke.py``.
 DEFAULT_WARMUP_NS = 20 * MS
 DEFAULT_MEASURE_NS = 60 * MS
 DEFAULT_LATENCY_NS = 250 * MS
 DEFAULT_SCHED_NS = 100 * MS
-# The rack block's window is part of its simulated result: another value
-# moves every rack metric in the report and the checked-in baseline.
-DEFAULT_RACK_NS = 16 * MS
-RACK_WARMUP_NS = 1 * MS
 
 #: policies measured by the ``sched`` block
 SCHED_ZOO_POLICIES = ("cfs", "rr", "mlfq", "deadline")
-
-#: shard counts measured by the ``rack`` block: the simulated output must
-#: be identical at both (the ``simulated_identical`` verdict)
-RACK_SHARD_COUNTS = (1, 4)
 
 
 #: Downsampling cap for timeline windows embedded in the report — keeps
@@ -234,86 +228,6 @@ def _sched_policy_point(
     return point
 
 
-def _rack_block(seed: int, measure_ns: int,
-                warmup_ns: int = RACK_WARMUP_NS) -> Dict[str, Any]:
-    """The sharded-rack block: same spec at 1 and N shards.
-
-    The per-shard counter snapshots are merged deterministically (summed
-    per key over hosts in sorted order); the ``simulated_identical``
-    verdict asserts the byte-identity contract the determinism guard
-    enforces on the raw digests.
-
-    Since v6 the legs run with rack telemetry enabled — observer-only,
-    so the digests stay comparable across shard counts *and* across
-    bench revisions that ran without it — and the block carries the
-    compact ``telemetry`` summary of the widest layout.
-    """
-    from repro.cluster import RackTelemetry, run_rack_once, simulated_digest
-    from repro.experiments.rack import rack_spec
-
-    spec = rack_spec(config="PI+H+R", application="memcached", seed=seed)
-    points: Dict[str, Any] = {}
-    digests = []
-    last_report: Dict[str, Any] = {}
-    for n_shards in RACK_SHARD_COUNTS:
-        report = run_rack_once(spec, n_shards, measure_ns, warmup_ns=warmup_ns,
-                               telemetry=RackTelemetry())
-        last_report = report
-        digests.append(simulated_digest(report))
-        totals = report["simulated"]["totals"]
-        counters: Dict[str, int] = {}
-        for host in sorted(report["simulated"]["hosts"]):
-            for key, value in report["simulated"]["hosts"][host].get(
-                    "counters", {}).items():
-                counters[key] = counters.get(key, 0) + value
-        points[str(n_shards)] = {
-            "ops_per_sec": totals["ops_per_sec"],
-            "latency_mean_us": totals["latency_mean_us"],
-            "events_fired": totals["events_fired"],
-            "messages_cross_shard": report["perf"]["messages_cross_shard"],
-            "barrier_rounds": report["perf"]["barrier_rounds"],
-            "counters": counters,
-            "shards": [
-                {"shard": s["shard"], "hosts": s["hosts"],
-                 "events_fired": s["events_fired"]}
-                for s in report["perf"]["shards"]
-            ],
-        }
-    return {
-        "shard_counts": list(RACK_SHARD_COUNTS),
-        "spec": {"n_hosts": spec.n_hosts, "n_client_hosts": spec.n_client_hosts,
-                 "vms_per_host": spec.vms_per_host, "config": spec.config,
-                 "application": spec.application, "seed": spec.seed,
-                 "lookahead_ns": spec.lookahead_ns},
-        "simulated_identical": len(set(digests)) == 1,
-        "points": points,
-        "telemetry": _rack_telemetry_summary(last_report),
-    }
-
-
-def _rack_telemetry_summary(report: Dict[str, Any]) -> Dict[str, Any]:
-    """The JSON-embeddable core of one rack report's telemetry block.
-
-    Keeps the simulated aggregates (path counts and RTT, stage shares,
-    watchdog totals) and drops the raw marks/windows — a bench document
-    must stay diff-sized — and the wall-clock barrier profile.
-    """
-    tel = report.get("telemetry")
-    if not tel:
-        return {}
-    paths = tel["paths"]
-    return {
-        "paths": {
-            "counts": dict(paths["counts"]),
-            "rtt": dict(paths["rtt"]),
-            "cross_host": dict(paths["cross_host"]),
-            "stage_share": {name: s["share"]
-                            for name, s in paths["stages"].items()},
-        },
-        "watchdog": dict(tel["watchdog"]),
-    }
-
-
 def run_bench(
     seed: int = 1,
     warmup_ns: int = DEFAULT_WARMUP_NS,
@@ -321,7 +235,6 @@ def run_bench(
     latency_duration_ns: int = DEFAULT_LATENCY_NS,
     revision: str = "flow",
     sched_duration_ns: int = DEFAULT_SCHED_NS,
-    rack_duration_ns: int = DEFAULT_RACK_NS,
 ) -> Dict[str, Any]:
     """Run the smoke sweep and return the full report as a dict."""
     throughput = {
@@ -340,7 +253,6 @@ def run_bench(
         },
         "adaptive": _sched_policy_point("cfs", seed, sched_duration_ns, adaptive=True),
     }
-    rack = _rack_block(seed, rack_duration_ns)
     watchdog_violations = sum(
         p["timeline"]["watchdog"]["violations"]
         for p in (*throughput.values(), *latency.values())
@@ -358,13 +270,11 @@ def run_bench(
             "measure_ns": measure_ns,
             "latency_duration_ns": latency_duration_ns,
             "sched_duration_ns": sched_duration_ns,
-            "rack_duration_ns": rack_duration_ns,
         },
         "throughput": throughput,
         "hybrid": hybrid,
         "latency_ms": latency,
         "sched": sched,
-        "rack": rack,
         "watchdog_violations": watchdog_violations,
     }
     return report

@@ -60,40 +60,6 @@ def _metrics(report: Dict[str, Any]) -> Iterator[Tuple[str, str, float]]:
         yield "sched[adaptive].p99_ms", "lower", float(adaptive["p99_ms"])
 
 
-def _rack_info(report: Dict[str, Any]) -> Dict[str, float]:
-    """Schema v5+ rack metrics: listed for trajectory, never gated.
-
-    The rack's telemetry is observability output whose interesting
-    failure modes (missing marks, broken stitching) already fail tests.
-    Byte-identity — the rack's *correctness* claim — is enforced by the
-    determinism guard, not here.
-    """
-    rack = report.get("rack")
-    if not rack:
-        return {}
-    info: Dict[str, float] = {}
-    for count in rack.get("shard_counts", []):
-        point = rack["points"][str(count)]
-        info[f"rack[{count}].ops_per_sec"] = float(point["ops_per_sec"])
-    info["rack.simulated_identical"] = 1.0 if rack.get("simulated_identical") else 0.0
-    tel = rack.get("telemetry") or {}
-    if tel:
-        paths = tel.get("paths", {})
-        counts = paths.get("counts", {})
-        rtt = paths.get("rtt", {})
-        info["rack.telemetry.paths_total"] = float(counts.get("total", 0))
-        info["rack.telemetry.paths_complete"] = float(counts.get("complete", 0))
-        info["rack.telemetry.rtt_p50_us"] = float(rtt.get("p50_us", 0.0))
-        info["rack.telemetry.rtt_p99_us"] = float(rtt.get("p99_us", 0.0))
-        cross = paths.get("cross_host", {})
-        info["rack.telemetry.multi_host_paths"] = \
-            float(cross.get("complete_multi_host", 0))
-        wd = tel.get("watchdog", {})
-        info["rack.telemetry.watchdog_violations"] = \
-            float(wd.get("violations", 0))
-    return info
-
-
 def compare(
     baseline: Dict[str, Any], current: Dict[str, Any],
 ) -> Tuple[List[str], List[str]]:
@@ -126,15 +92,6 @@ def compare(
             regressions.append(
                 f"{mid}: {bval:.4f} -> {cval:.4f} ({delta_pct:+.1f}%, limit {MAX_REGRESSION_PCT:.0f}%)"
             )
-    rack_base = _rack_info(baseline)
-    rack_cur = _rack_info(current)
-    if rack_base or rack_cur:
-        lines.append("rack (informational, never gated):")
-        rwidth = max(len(m) for m in set(rack_base) | set(rack_cur))
-        for mid in sorted(set(rack_base) | set(rack_cur)):
-            bstr = f"{rack_base[mid]:>12.4f}" if mid in rack_base else f"{'-':>12}"
-            cstr = f"{rack_cur[mid]:>12.4f}" if mid in rack_cur else f"{'-':>12}"
-            lines.append(f"  {mid:<{rwidth}} {bstr} {cstr}")
     violations = current.get("watchdog_violations", 0)
     if violations:
         regressions.append(

@@ -14,7 +14,7 @@ Content:
   timeline, with a cross-check table proving the windowed series
   reaggregates to the bench's steady-state figure;
 * network-rate, gauge, and hybrid mode-residency charts;
-* the scheduler-zoo and sharded-rack panels;
+* the scheduler-zoo panel;
 * the per-stage event-path attribution table
   (:mod:`repro.obs.pathreport` output embedded in the report).
 
@@ -381,62 +381,6 @@ def _sched_section(report: Dict[str, Any]) -> str:
     return "<h2>Scheduler policies</h2>" + "".join(out)
 
 
-def _stitched_paths_card(rack: Dict[str, Any]) -> str:
-    """Schema v6 rack observability: the stitched cross-shard paths."""
-    paths = (rack.get("telemetry") or {}).get("paths", {})
-    shares = paths.get("stage_share", {})
-    if not shares:
-        return ""
-    counts = paths.get("counts", {})
-    rtt = paths.get("rtt", {})
-    cross = paths.get("cross_host", {})
-    return card(
-        "Stitched cross-shard event paths",
-        table(("stage", "share of RTT"),
-              [(name, f"{share:.1%}") for name, share in shares.items()],
-              num=(1,)),
-        unit=f'{counts.get("complete", 0):,} complete of '
-             f'{counts.get("total", 0):,} '
-             f'({cross.get("complete_multi_host", 0):,} multi-host, '
-             f'{cross.get("xshard_hops_mean", 0.0):.1f} fabric hops each); '
-             f'end-to-end p50 {rtt.get("p50_us", 0.0):.1f} µs, '
-             f'p99 {rtt.get("p99_us", 0.0):.1f} µs; stages telescope to RTT '
-             f'for {cross.get("telescoping_exact", 0):,} paths')
-
-
-def _rack_section(report: Dict[str, Any]) -> str:
-    """Sharded-rack panel (schema v5 ``rack`` block; additive)."""
-    rack = report.get("rack")
-    if not rack:
-        return ""
-    spec = rack.get("spec", {})
-    rows = []
-    for count in rack.get("shard_counts", []):
-        point = rack["points"][str(count)]
-        rows.append((
-            str(count), f'{point["events_fired"]:,}', f'{point["ops_per_sec"]:,.0f}',
-            f'{point["latency_mean_us"]:,.0f}', f'{point["messages_cross_shard"]:,}',
-        ))
-    identical = rack.get("simulated_identical")
-    verdict = ("simulated output byte-identical across shard counts"
-               if identical else
-               "simulated output DIVERGED across shard counts")
-    wd = (rack.get("telemetry") or {}).get("watchdog")
-    watchdog = (f'; rack watchdog {wd.get("violations", 0)} violation(s) over '
-                f'{wd.get("windows_checked", 0):,} checked windows' if wd else "")
-    return (
-        "<h2>Sharded rack</h2>"
-        + card("Rack by shard count",
-               table(("shards", "events", "ops/s", "lat mean µs", "cross msgs"),
-                     rows, num=range(5)),
-               unit=f'{spec.get("n_hosts", "?")} ES2 hosts + '
-                    f'{spec.get("n_client_hosts", "?")} client hosts, '
-                    f'{spec.get("config", "?")} / {spec.get("application", "?")}; '
-                    f"{verdict}{watchdog}")
-        + _stitched_paths_card(rack)
-    )
-
-
 # --------------------------------------------------------------------- entry
 def render_dashboard(report: Dict[str, Any]) -> str:
     """The complete dashboard document for one bench report."""
@@ -455,7 +399,6 @@ def render_dashboard(report: Dict[str, Any]) -> str:
         + _crosscheck_table(report)
         + _timeline_sections(report)
         + _sched_section(report)
-        + _rack_section(report)
         + "<h2>Event-path attribution</h2>"
         + _path_table(report)
         + '<div id="tooltip"></div>'

@@ -51,7 +51,6 @@ __all__ = [
     "aggregate_timelines",
     "barrier_profile",
     "build_rack_telemetry",
-    "strip_raw",
     "rack_perfetto_trace",
     "format_rack_telemetry",
     "render_rack_dashboard",
@@ -358,8 +357,7 @@ def build_rack_telemetry(config: Dict[str, Any],
 
     The compact analytical view (paths, timeline families, watchdog,
     barrier profile) is JSON-embeddable; the raw marks and windows ride
-    under ``"raw"`` for exporters (Perfetto, dashboard) and are stripped
-    before a report is persisted into a bench document.
+    under ``"raw"`` for exporters (Perfetto, dashboard).
     """
     host_marks = {h: b["span_marks"] for h, b in host_bundles.items()
                   if "span_marks" in b}
@@ -399,11 +397,6 @@ def build_rack_telemetry(config: Dict[str, Any],
             },
         },
     }
-
-
-def strip_raw(telemetry: Dict[str, Any]) -> Dict[str, Any]:
-    """The JSON-embeddable telemetry block (raw marks/windows removed)."""
-    return {k: v for k, v in telemetry.items() if k != "raw"}
 
 
 # ----------------------------------------------------------------- perfetto

@@ -47,8 +47,8 @@ def pool_context():
     rack's shards.
 
     fork keeps worker startup cheap and inherits sys.path and the
-    environment (``REPRO_SCHED_POLICY`` included); fall back to the
-    platform default where fork is unavailable.
+    environment; fall back to the platform default where fork is
+    unavailable.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)

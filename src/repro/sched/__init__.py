@@ -11,8 +11,7 @@ chopping work into tiny events.
 
 Per-core runqueues implement the :class:`~repro.sched.policy.SchedPolicy`
 interface; the shipped zoo is CFS (default), round-robin, multilevel
-feedback queue, and deadline, selected by ``SchedParams.policy`` /
-``--sched-policy`` / ``REPRO_SCHED_POLICY``.
+feedback queue, and deadline, selected by ``SchedParams.policy``.
 """
 
 from repro.sched.thread import Block, Consume, CpuMode, Thread, YieldCPU

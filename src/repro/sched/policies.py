@@ -3,9 +3,7 @@
 These answer the cross-cutting question behind ROADMAP item 4: does ES2's
 intelligent redirection still win when the host scheduler is *not* CFS?
 Each policy implements the :class:`~repro.sched.policy.SchedPolicy`
-interface and is selectable with ``SchedParams(policy=...)``, the
-``--sched-policy`` CLI flag, or the ``REPRO_SCHED_POLICY`` environment
-variable.
+interface and is selected with ``SchedParams(policy=...)``.
 
 All three are deliberately textbook-shaped (the schedsi policy zoo is the
 design reference) rather than faithful kernel ports: the point is a

@@ -16,20 +16,13 @@ conformance suite checks.
 
 Policy selection
 ----------------
-``make_runqueue(params)`` resolves the policy name with this precedence:
-
-1. an explicit non-default ``SchedParams.policy`` (programmatic choice wins);
-2. the ``REPRO_SCHED_POLICY`` environment variable (CLI/CI override);
-3. the default, ``"cfs"``.
-
-:class:`~repro.hw.machine.Machine` resolves the name once at construction so
-a mid-run environment change can never split one machine's cores across
-different policies.
+``SchedParams.policy`` names the policy (default ``"cfs"``); nothing else
+picks it.  :class:`~repro.hw.machine.Machine` checks the name against the
+registry once, at construction, and builds every core's runqueue from it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Type
 
 from repro.config import SchedParams
@@ -40,7 +33,6 @@ __all__ = [
     "SchedPolicy",
     "POLICIES",
     "DEFAULT_POLICY",
-    "ENV_POLICY",
     "register_policy",
     "available_policies",
     "resolve_policy_name",
@@ -48,8 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_POLICY = "cfs"
-#: environment override consulted when ``SchedParams.policy`` is the default
-ENV_POLICY = "REPRO_SCHED_POLICY"
 
 #: registered policy classes, keyed by ``cls.name``
 POLICIES: Dict[str, Type["SchedPolicy"]] = {}
@@ -149,12 +139,8 @@ def available_policies() -> List[str]:
 
 
 def resolve_policy_name(params: SchedParams) -> str:
-    """Apply the selection precedence documented in the module docstring."""
+    """``params.policy``, checked against the registry."""
     configured = getattr(params, "policy", DEFAULT_POLICY)
-    if configured == DEFAULT_POLICY:
-        env = os.environ.get(ENV_POLICY, "").strip()
-        if env:
-            configured = env
     _load_builtin_policies()
     if configured not in POLICIES:
         raise ConfigError(

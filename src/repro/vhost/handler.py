@@ -70,13 +70,6 @@ class StockTxHandler(QueueHandler):
         """The guest kicked this queue: schedule a service round."""
         self.worker.activate(self)
 
-    def _tx_cost(self, packet) -> int:
-        base = self._base_cost_memo.get(packet.size)
-        if base is None:
-            base = self.cost.vhost_pkt_tx_ns + int(self.cost.vhost_per_byte_ns * packet.size)
-            self._base_cost_memo[packet.size] = base
-        return self.cost.jittered(base, self._rng)
-
     def run(self, worker):
         """Service the queue for one round (generator; consumes worker CPU)."""
         q = self.queue
@@ -164,13 +157,6 @@ class RxHandler(QueueHandler):
             self._last_signal = self.worker.sim.now
             self.signals += 1
             self.device.raise_rx_interrupt()
-
-    def _rx_cost(self, packet) -> int:
-        base = self._base_cost_memo.get(packet.size)
-        if base is None:
-            base = self.cost.vhost_pkt_rx_ns + int(self.cost.vhost_per_byte_ns * packet.size)
-            self._base_cost_memo[packet.size] = base
-        return self.cost.jittered(base, self._rng)
 
     def run(self, worker):
         """Service the queue for one round (generator; consumes worker CPU)."""

@@ -55,10 +55,6 @@ class VhostWorker(Thread):
         """Queue a handler for service after an explicit delay."""
         self.sim.schedule(delay_ns, self._activate_cb, handler)
 
-    def has_active(self) -> bool:
-        """True while any handler is queued for service."""
-        return bool(self._active)
-
     def body(self):
         """Thread behaviour (generator of CPU/scheduling requests)."""
         cost = self.machine.cost

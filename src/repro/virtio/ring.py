@@ -139,11 +139,6 @@ class Virtqueue:
         """Re-enable backend-to-guest interrupts."""
         self._interrupt_suppressed = False
 
-    @property
-    def interrupts_suppressed(self) -> bool:
-        """True while backend-to-guest interrupts are disabled."""
-        return self._interrupt_suppressed
-
     def guest_wants_interrupt(self) -> bool:
         """Checked by the backend after adding used buffers."""
         return not self._interrupt_suppressed

@@ -10,12 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.fig7 import fig7_points
 from repro.experiments.table1 import table1_points
 from repro.flow.graph import FlowError, Task, TaskGraph
 from repro.flow.runner import FlowRunner
 from repro.flow.state import FlowState, RunDirectory, TaskRecord, output_digest, task_key
-from repro.flow.tasks import sweep_tasks
 from repro.parallel import run_sweep
 from repro.units import MS
 
@@ -311,20 +309,6 @@ class TestRunner:
         assert actions == {"a": "cached", "b": "run", "c": "cached", "d": "run"}
         # b recomputes to the same digest, so d's key holds and it stays cached.
         assert run_quiet(runner).executed == ["b"]
-
-    def test_sched_policy_override_invalidates_points(self, tmp_path, monkeypatch):
-        """``REPRO_SCHED_POLICY`` changes what a point computes, so a run
-        under another policy must recompute, not serve the old digests."""
-        graph = TaskGraph(sweep_tasks("fig7", fig7_points(duration_ns=20 * MS)))
-        points = {t.name for t in graph.tasks if t.kind == "point"}
-        monkeypatch.delenv("REPRO_SCHED_POLICY", raising=False)
-        cfs = run_quiet(FlowRunner(graph, state_root=tmp_path, jobs=1, echo=None))
-        monkeypatch.setenv("REPRO_SCHED_POLICY", "rr")
-        rr = run_quiet(FlowRunner(graph, state_root=tmp_path, jobs=1, echo=None))
-        assert cfs.ok and rr.ok and len(points) == 3
-        assert points <= set(rr.executed) and not rr.cached
-        again = run_quiet(FlowRunner(graph, state_root=tmp_path, jobs=1, echo=None))
-        assert set(again.cached) == points | {"fig7"}
 
 
 class TestRunLock:

@@ -254,14 +254,34 @@ def test_rack_dashboard_renders(rack_runs):
     assert "rack.fabric" in html_doc
 
 
-def test_bench_rack_telemetry_summary(rack_runs):
-    from repro.obs.bench import _rack_telemetry_summary
+def test_rack_claims_hold_and_each_breaks_alone(rack_runs):
+    """The flow's rack claims pass on real telemetry-on cells, and a cell
+    that breaks one telemetry claim fails exactly that claim."""
+    from repro.experiments.claims import failed_claims
 
-    _spec, _off, on = rack_runs
-    summary = _rack_telemetry_summary(on[4])
-    assert summary["paths"]["counts"]["complete"] > 0
-    assert 0.99 < sum(summary["paths"]["stage_share"].values()) < 1.01
-    assert "raw" not in json.dumps(summary)
+    spec, _off, on = rack_runs
+    grid = {(spec.config, n): report for n, report in on.items()}
+    for mode in ("reduced", "full"):
+        assert failed_claims("rack", grid, mode) == []
+
+    def broken(report, block, key, value):
+        tel = report["telemetry"]
+        if block == "paths":
+            part = {**tel["paths"], "cross_host": {**tel["paths"]["cross_host"], key: value}}
+        else:
+            part = {**tel["watchdog"], key: value}
+        return {**report, "telemetry": {**tel, block: part}}
+
+    cell = (spec.config, 4)
+    for block, key, value, name in (
+        ("paths", "complete_multi_host", 0,
+         "every cell stitches complete multi-host request paths"),
+        ("watchdog", "violations", 1,
+         "every cell's rack watchdog checks windows and finds 0 violations"),
+    ):
+        bad = {**grid, cell: broken(grid[cell], block, key, value)}
+        for mode in ("reduced", "full"):
+            assert failed_claims("rack", bad, mode) == [name], (name, mode)
 
 
 # ----------------------------------------------------------- fault handling

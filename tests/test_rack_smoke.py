@@ -69,19 +69,6 @@ def test_rack_experiment_and_formatter():
     assert "PI+H+R" in table and "identical" in table
 
 
-def test_bench_rack_block():
-    from repro.obs.bench import _rack_block
-
-    block = _rack_block(seed=1, measure_ns=4 * MS, warmup_ns=1 * MS)
-    assert block["simulated_identical"] is True
-    assert block["shard_counts"] == [1, 4]
-    for count in ("1", "4"):
-        point = block["points"][count]
-        assert point["events_fired"] > 0
-        assert point["counters"]  # merged per-host counter snapshot
-    assert block["points"]["1"]["events_fired"] == block["points"]["4"]["events_fired"]
-
-
 def test_rack_cli_writes_trace_and_dashboard(tmp_path, capsys):
     from repro.__main__ import main
 

@@ -1,8 +1,7 @@
 """Engine-level tests for the policy zoo: selection, behaviour, adaptive
 core allocation.
 
-Covers the selection precedence (explicit ``SchedParams.policy`` beats the
-``REPRO_SCHED_POLICY`` environment override beats the default), the
+Covers the selection (``SchedParams.policy`` alone picks the policy), the
 characteristic preemption geometry of each non-CFS policy, and the
 adaptive backend-CPU allocation controller.
 """
@@ -62,25 +61,18 @@ class TestPolicySelection:
         for core in m.cores:
             assert type(core.rq) is EXPECTED_RQ[policy]
 
-    def test_env_override_applies_to_default_params(self, sim, monkeypatch):
+    def test_environment_does_not_override_cfs(self, sim, monkeypatch):
+        """An explicit or default ``SchedParams`` asks for CFS, and gets it
+        whatever the environment holds."""
         monkeypatch.setenv("REPRO_SCHED_POLICY", "rr")
-        m = make_machine(sim, n_cores=1)
-        assert m.sched_policy == "rr"
-        assert type(m.cores[0].rq) is RoundRobinQueue
-
-    def test_explicit_policy_beats_env(self, sim, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_POLICY", "rr")
-        m = make_machine(sim, n_cores=1, sched_params=SchedParams(policy="mlfq"))
-        assert m.sched_policy == "mlfq"
+        for params in (SchedParams(policy="cfs"), SchedParams()):
+            m = make_machine(sim, n_cores=1, sched_params=params)
+            assert m.sched_policy == "cfs"
+            assert type(m.cores[0].rq) is CfsRunqueue
 
     def test_unknown_policy_rejected(self, sim):
         with pytest.raises(ConfigError):
             make_machine(sim, n_cores=1, sched_params=SchedParams(policy="bogus"))
-
-    def test_unknown_env_policy_rejected(self, sim, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_POLICY", "fifo9000")
-        with pytest.raises(ConfigError):
-            make_machine(sim, n_cores=1)
 
 
 class TestPolicyBehaviour:
