@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test perfbench-test lint bench-smoke sched-sweep rack-smoke bench trace-smoke determinism ci experiments flow flow-smoke flow-report flow-dashboard
+.PHONY: test perfbench-test lint bench trace-smoke determinism ci experiments flow flow-smoke flow-report flow-dashboard
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -19,22 +19,6 @@ lint:
 		echo "ruff not found; using scripts/lint.py fallback"; \
 		$(PYTHON) scripts/lint.py src tests scripts examples; \
 	fi
-
-# Reduced end-to-end sweep for CI (stays within a one-minute budget).
-# The bench_smoke marker (pyproject.toml) is the single source of truth
-# for what this runs — no file paths here.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q -m bench_smoke
-
-# Reduced scheduler-policy-zoo sweep (marker-selected, see pyproject.toml).
-# Set REPRO_SCHED_SWEEP_ARTIFACT=<path> to export the JSON summary.
-sched-sweep:
-	PYTHONPATH=src $(PYTHON) -m pytest -q -m sched_sweep
-
-# Reduced sharded-rack scenario at 1 and 4 shards (marker-selected):
-# byte-identity + window-barrier protocol smoke, the CI `rack` job.
-rack-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q -m rack_smoke
 
 # The bench report (BENCH_current.json), its regression gate against the
 # checked-in BENCH_baseline.json (exit 1 on a >10% move of a gated metric
@@ -60,10 +44,10 @@ determinism:
 # Mirror of the GitHub workflow job list (.github/workflows/ci.yml) so
 # local and hosted CI agree:
 #   lint -> lint, test + perfbench-test -> test (the sched-conformance
-#   matrix re-runs a subset of it), bench-smoke + bench -> bench-smoke,
-#   sched-sweep -> sched-sweep, rack-smoke -> rack, determinism ->
+#   matrix re-runs a subset of it), bench -> bench-smoke, determinism ->
 #   determinism, trace-smoke -> path-trace, flow-smoke -> experiments-dag.
-ci: lint test perfbench-test bench-smoke sched-sweep rack-smoke determinism trace-smoke bench flow-smoke
+#   The rack job's CLI export has no target here.
+ci: lint test perfbench-test determinism trace-smoke bench flow-smoke
 
 # The full paper reproduction (long; resumable DAG, parallel + cached).
 experiments: flow

@@ -5,13 +5,13 @@ Runs one fixed-seed Fig.-4 point set three ways — as point and merge
 tasks under the flow runner with one worker and with two
 (``FlowRunner(jobs=1)`` vs ``FlowRunner(jobs=2)``, the fan-out behind
 ``flow run --jobs`` and ``python -m repro <experiment> --jobs``), and
-serially with windowed telemetry + invariant watchdog enabled
-(``REPRO_TIMELINE=1``) — serializes each merged result to canonical
-JSON, and fails (exit 1) if any pair differs by a single byte.  This is
-the executable form of two contracts: worker scheduling must never
-influence results (``repro.flow.runner``), and the timeline sampler is
-an observer whose boundary events never perturb simulated metrics
-(``repro.obs.timeline``).
+serially with windowed telemetry + invariant watchdog enabled on every
+testbed at boot (:func:`_boot_with_timeline`) — serializes each merged
+result to canonical JSON, and fails (exit 1) if any pair differs by a
+single byte.  This is the executable form of two contracts: worker
+scheduling must never influence results (``repro.flow.runner``), and the
+timeline sampler is an observer whose boundary events never perturb
+simulated metrics (``repro.obs.timeline``).
 
 A **sharded leg** extends the guard to the rack (``repro.cluster``): the
 same fixed-seed rack scenario at 1, 2 and 4 shards must produce
@@ -34,6 +34,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.experiments.fig4 import fig4_points  # noqa: E402
+from repro.experiments.testbed import Testbed  # noqa: E402
 from repro.flow.graph import TaskGraph  # noqa: E402
 from repro.flow.runner import FlowRunner  # noqa: E402
 from repro.flow.tasks import sweep_tasks  # noqa: E402
@@ -68,6 +69,15 @@ def _flow_run(points, jobs: int):
     return result.results["fig4-udp"]
 
 
+def _boot_with_timeline(self, *args, **kwargs) -> None:
+    """``Testbed.boot``, then the standard timeline + watchdog wiring."""
+    _plain_boot(self, *args, **kwargs)
+    self.enable_timeline()
+
+
+_plain_boot = Testbed.boot
+
+
 def _diff(label_a: str, a: str, label_b: str, b: str) -> None:
     print(f"DETERMINISM GUARD FAILED: {label_a} and {label_b} results differ",
           file=sys.stderr)
@@ -85,15 +95,11 @@ def main() -> int:
     if serial != parallel:
         _diff("serial", serial, "parallel", parallel)
         return 1
-    prev_timeline = os.environ.get("REPRO_TIMELINE")
-    os.environ["REPRO_TIMELINE"] = "1"
+    Testbed.boot = _boot_with_timeline
     try:
         timeline = _canonical_json(run_sweep(points))
     finally:
-        if prev_timeline is None:
-            del os.environ["REPRO_TIMELINE"]
-        else:
-            os.environ["REPRO_TIMELINE"] = prev_timeline
+        Testbed.boot = _plain_boot
     if serial != timeline:
         _diff("plain", serial, "timeline", timeline)
         return 1

@@ -34,7 +34,8 @@ from repro.experiments.rack import (
     DEFAULT_RACK_CONFIGS,
     DEFAULT_SHARD_COUNTS,
     format_rack,
-    run_rack,
+    rack_points,
+    rack_trace,
     showcase_key,
 )
 from repro.experiments.schedzoo import format_sched_sweep, sched_sweep_points
@@ -102,12 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--application", choices=("memcached", "apache"),
                    default="memcached")
     p.add_argument("--trace", metavar="PATH", default=None,
-                   help="enable rack telemetry and write the merged "
-                        "(per-shard track groups + stitched paths) "
-                        "Perfetto JSON here")
+                   help="write the showcase cell's merged (per-shard track "
+                        "groups + stitched paths) Perfetto JSON here")
     p.add_argument("--dashboard", metavar="PATH", default=None,
-                   help="enable rack telemetry and write the rack "
-                        "observability dashboard HTML here")
+                   help="write the showcase cell's rack observability "
+                        "dashboard HTML here")
 
     p = sub.add_parser(
         "schedsweep",
@@ -168,34 +168,6 @@ def main(argv=None) -> int:
         duration["duration_ns"] = args.duration_ms * MS
 
     cmd = args.command
-    if cmd == "rack":
-        telemetry = None
-        if args.trace or args.dashboard:
-            from repro.cluster import RackTelemetry
-
-            telemetry = RackTelemetry()
-        rack_results = run_rack(
-            configs=tuple(args.configs), shard_counts=tuple(args.shards),
-            application=args.application, telemetry=telemetry,
-            **common, **window)
-        print(format_rack(rack_results))
-        if telemetry is not None:
-            from repro.obs.rack import rack_perfetto_trace, render_rack_dashboard
-            from repro.obs.render import write_trace
-
-            key = showcase_key(rack_results)
-            report = rack_results[key]
-            if args.trace:
-                write_trace(rack_perfetto_trace(report), args.trace)
-                print(f"rack perfetto trace ({key[0]}, {key[1]} shards) "
-                      f"-> {args.trace}")
-            if args.dashboard:
-                Path(args.dashboard).write_text(render_rack_dashboard(report),
-                                                encoding="utf-8")
-                print(f"rack dashboard ({key[0]}, {key[1]} shards) "
-                      f"-> {args.dashboard}")
-        return 0
-
     # (points, formatter, format args) per table, in print order.
     if cmd == "table1":
         tables = [(table1_points(**common, **window), format_table1, ())]
@@ -224,6 +196,10 @@ def main(argv=None) -> int:
         tables = [(redirect_policy_ablation_points(**common), format_redirect_ablation, ())]
     elif cmd == "coalescing":
         tables = [(coalescing_points(**common, **window), format_coalescing, ())]
+    elif cmd == "rack":
+        tables = [(rack_points(configs=tuple(args.configs), shard_counts=tuple(args.shards),
+                               application=args.application, **common, **window),
+                   format_rack, ())]
     else:  # schedsweep
         from repro.experiments.schedzoo import REDIRECTION_MODES, SCHED_POLICIES
 
@@ -243,7 +219,26 @@ def main(argv=None) -> int:
         return 1
     for i, (_, formatter, format_args) in enumerate(tables):
         print(formatter(result.results[str(i)], *format_args))
+    if cmd == "rack" and (args.trace or args.dashboard):
+        _export_rack(args, tables[0][0], result.results["0"])
     return 0
+
+
+def _export_rack(args, points, results) -> None:
+    """Write the showcase cell's Perfetto trace (``--trace``) and
+    dashboard (``--dashboard``)."""
+    from repro.obs.rack import render_rack_dashboard
+    from repro.obs.render import write_trace
+
+    key = showcase_key(results)
+    if args.trace:
+        write_trace(rack_trace(next(p for p in points if p.key == key)), args.trace)
+        print(f"rack perfetto trace ({key[0]}, {key[1]} shards) -> {args.trace}")
+    if args.dashboard:
+        Path(args.dashboard).write_text(render_rack_dashboard(results[key]),
+                                        encoding="utf-8")
+        print(f"rack dashboard ({key[0]}, {key[1]} shards) -> {args.dashboard}")
+
 
 if __name__ == "__main__":
     sys.exit(main())

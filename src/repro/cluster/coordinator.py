@@ -28,10 +28,12 @@ the contract the determinism guard's sharded leg enforces.
 Observability piggybacks on the same pipes: each barrier reply carries
 the shard's window wall time and cumulative event count (the barrier
 profile's raw material), and the finish reply carries the per-host
-telemetry bundles (span marks, timeline windows, watchdog verdicts)
-that :mod:`repro.obs.rack` stitches and aggregates into the report's
-``telemetry`` block.  All of it is observer-only —
-the ``simulated`` block never changes with telemetry on or off.
+telemetry bundles (span marks, timeline windows, watchdog verdicts).
+The coordinator keeps those bundles as ``host_telemetry`` for the
+merged Perfetto export, and :mod:`repro.obs.rack` stitches and
+aggregates them into the report's compact ``telemetry`` block.  All of
+it is observer-only — the ``simulated`` block never changes with
+telemetry on or off.
 """
 
 from __future__ import annotations
@@ -65,22 +67,9 @@ def _shard_main(conn, spec: RackSpec, host_names,
             barrier_wait_s += wait_s
             if cmd[0] == "window":
                 _tag, t_end, inbound, mark_first = cmd
-                if mark_first:
-                    shard.mark()
-                out = shard.run_window(t_end, inbound)
-                stats = shard.window_stats()
-                stats["wait_s"] = wait_s
-                conn.send(("out", out, stats))
+                conn.send(("out", *shard.barrier_round(t_end, inbound, mark_first, wait_s)))
             elif cmd[0] == "finish":
-                stats = {
-                    "events_fired": shard.events_fired(),
-                    "run_wall_s": shard.run_wall_s,
-                    "barrier_wait_s": barrier_wait_s,
-                    "messages_emitted": shard.fabric.emitted,
-                    "messages_delivered": shard.fabric.delivered,
-                }
-                conn.send(("results", shard.results(), stats,
-                           shard.host_telemetry()))
+                conn.send(("results", *shard.finish(barrier_wait_s)))
                 return
             else:  # pragma: no cover - protocol bug
                 raise ClusterError(f"unknown shard command {cmd[0]!r}")
@@ -95,41 +84,12 @@ def _shard_main(conn, spec: RackSpec, host_names,
         conn.close()
 
 
-class _InlineShard:
-    """Single-process driver speaking the same protocol as a worker."""
-
-    def __init__(self, spec: RackSpec, host_names,
-                 telemetry: Optional[RackTelemetry] = None):
-        self.shard = Shard(spec, host_names, telemetry=telemetry)
-        self.shard.start()
-
-    def round(self, t_end, inbound, mark_first):
-        if mark_first:
-            self.shard.mark()
-        out = self.shard.run_window(t_end, inbound)
-        stats = self.shard.window_stats()
-        stats["wait_s"] = 0.0
-        return out, stats
-
-    def finish(self):
-        shard = self.shard
-        return shard.results(), {
-            "events_fired": shard.events_fired(),
-            "run_wall_s": shard.run_wall_s,
-            "barrier_wait_s": 0.0,
-            "messages_emitted": shard.fabric.emitted,
-            "messages_delivered": shard.fabric.delivered,
-        }, shard.host_telemetry()
-
-
 class ShardedSimulator:
     """Coordinator for one sharded rack run."""
 
     def __init__(self, spec: RackSpec, n_shards: int = 1,
                  telemetry: Optional[RackTelemetry] = None):
         spec.validate()
-        if telemetry is not None:
-            telemetry.validate()
         self.spec = spec
         self.n_shards = n_shards
         self.telemetry = telemetry
@@ -139,6 +99,10 @@ class ShardedSimulator:
         #: window_records[s][k] = shard s's {"wall_s","events","wait_s"}
         #: for barrier round k (filled during run)
         self._window_records: List[List[Dict[str, float]]] = []
+        #: per-host telemetry bundles the shards shipped at finish (span
+        #: marks, timeline windows, watchdog verdicts), set by run when
+        #: telemetry is on; the report carries only their compact view
+        self.host_telemetry: Optional[Dict[str, dict]] = None
 
     # ----------------------------------------------------------------- run
     def run(self, duration_ns: int, warmup_ns: int = 0) -> Dict[str, Any]:
@@ -163,14 +127,14 @@ class ShardedSimulator:
         self._window_records = [[] for _ in range(self.n_shards)]
         wall0 = perf_counter()
         if self.n_shards == 1:
-            results, shard_stats, cross, host_telemetry = self._run_inline(
+            results, shard_stats, cross, self.host_telemetry = self._run_inline(
                 window, total_windows, mark_window)
         else:
-            results, shard_stats, cross, host_telemetry = self._run_processes(
+            results, shard_stats, cross, self.host_telemetry = self._run_processes(
                 window, total_windows, mark_window)
         wall = perf_counter() - wall0
         return self._report(results, shard_stats, cross, window,
-                            total_windows, mark_window, wall, host_telemetry)
+                            total_windows, mark_window, wall)
 
     def _route(self, outboxes: List[list]) -> Tuple[List[list], int]:
         """Group one round's emissions by destination shard.
@@ -190,17 +154,15 @@ class ShardedSimulator:
         return inbound, cross
 
     def _run_inline(self, window, total_windows, mark_window):
-        driver = _InlineShard(self.spec, self.partitions[0],
-                              telemetry=self.telemetry)
+        shard = Shard(self.spec, self.partitions[0], telemetry=self.telemetry)
+        shard.start()
         pending = []
-        cross = 0
         for k in range(1, total_windows + 1):
-            pending, wstats = driver.round(k * window, pending,
-                                           k - 1 == mark_window)
+            pending, wstats = shard.barrier_round(k * window, pending,
+                                                  k - 1 == mark_window)
             self._window_records[0].append(wstats)
-        results, stats, host_telemetry = driver.finish()
-        bundles = dict(host_telemetry) if host_telemetry else {}
-        return results, [stats], cross, (bundles or None)
+        results, stats, host_telemetry = shard.finish()
+        return results, [stats], 0, host_telemetry
 
     def _run_processes(self, window, total_windows, mark_window):
         ctx = pool_context()
@@ -287,7 +249,7 @@ class ShardedSimulator:
 
     # -------------------------------------------------------------- report
     def _report(self, results, shard_stats, cross, window, total_windows,
-                mark_window, wall_s, host_telemetry=None) -> Dict[str, Any]:
+                mark_window, wall_s) -> Dict[str, Any]:
         # Aggregate in sorted host order: float reductions are not
         # associative, and gather order depends on the shard layout.
         results = {name: results[name] for name in sorted(results)}
@@ -353,10 +315,10 @@ class ShardedSimulator:
                 "shards": perf_shards,
             },
         }
-        if host_telemetry is not None and self.telemetry is not None:
+        if self.host_telemetry is not None and self.telemetry is not None:
             report["telemetry"] = build_rack_telemetry(
                 config=asdict(self.telemetry),
-                host_bundles=host_telemetry,
+                host_bundles=self.host_telemetry,
                 host_order=self.spec.hosts,
                 window_records=self._window_records,
                 partitions=self.partitions,

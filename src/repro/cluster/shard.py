@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.host import RackClientHost, RackServerHost, build_host
 from repro.cluster.link import Message, decode_packet, encode_packet, message_sort_key
@@ -31,6 +31,14 @@ from repro.errors import ClusterError
 from repro.obs.spans import SPAN_MARK_KIND
 
 __all__ = ["ShardFabric", "Shard"]
+
+#: Rack telemetry settings: every request's span is kept (1 in
+#: SPAN_SAMPLE_EVERY), each host's TraceBus ring retains SPAN_CAPACITY
+#: marks for stitching, and server timelines sample every
+#: TIMELINE_WINDOW_NS of simulated time.
+SPAN_SAMPLE_EVERY = 1
+SPAN_CAPACITY = 262144
+TIMELINE_WINDOW_NS = 100_000
 
 
 class ShardFabric:
@@ -114,7 +122,7 @@ class Shard:
         self.run_wall_s = 0.0
         self.last_window_wall_s = 0.0
         if telemetry is not None:
-            self._enable_telemetry(telemetry.validate())
+            self._enable_telemetry(telemetry)
 
     def _enable_telemetry(self, cfg: RackTelemetry) -> None:
         """Instrument every local host (observers only — no simulated effect).
@@ -130,10 +138,10 @@ class Shard:
             sim = host.sim
             if cfg.spans:
                 sim.trace_bus(categories=("span", "watchdog"),
-                              capacity=cfg.span_capacity)
-                sim.enable_spans(sample_every=cfg.sample_every, scope=name)
+                              capacity=SPAN_CAPACITY)
+                sim.enable_spans(sample_every=SPAN_SAMPLE_EVERY, scope=name)
             if cfg.timeline and isinstance(host, RackServerHost):
-                host.enable_timeline(window_ns=cfg.timeline_window_ns)
+                host.enable_timeline(window_ns=TIMELINE_WINDOW_NS)
 
     # -------------------------------------------------------------- control
     def start(self) -> None:
@@ -164,15 +172,22 @@ class Shard:
         self.run_wall_s += self.last_window_wall_s
         return out
 
-    def window_stats(self) -> Dict[str, float]:
-        """The per-window record piggybacked on each barrier reply.
+    def barrier_round(self, t_end: int, inbound: List[Message], mark_first: bool,
+                      wait_s: float = 0.0) -> Tuple[List[Message], Dict[str, float]]:
+        """One barrier round of the protocol: ``(outbox, window record)``.
 
-        Cheap on purpose (two numbers): the coordinator derives per-window
-        compute wall, events, straggler attribution and lookahead
-        utilization from the deltas, without a second readout protocol.
+        ``mark_first`` opens the measurement window before advancing.  The
+        record piggybacked on the barrier reply is cheap on purpose: the
+        window's compute wall, the cumulative event count and ``wait_s``,
+        the time the shard waited for this round's command.  The
+        coordinator derives straggler attribution and lookahead
+        utilization from them, without a second readout protocol.
         """
-        return {"wall_s": self.last_window_wall_s,
-                "events": float(self.events_fired())}
+        if mark_first:
+            self.mark()
+        out = self.run_window(t_end, inbound)
+        return out, {"wall_s": self.last_window_wall_s,
+                     "events": float(self.events_fired()), "wait_s": wait_s}
 
     # -------------------------------------------------------------- readout
     def results(self) -> Dict[str, dict]:
@@ -182,6 +197,16 @@ class Shard:
     def events_fired(self) -> int:
         """Total events executed across this shard's hosts."""
         return sum(host.sim.events_fired for host in self.hosts.values())
+
+    def finish(self, barrier_wait_s: float = 0.0):
+        """The finish readout: ``(results, shard stats, host telemetry)``."""
+        return self.results(), {
+            "events_fired": self.events_fired(),
+            "run_wall_s": self.run_wall_s,
+            "barrier_wait_s": barrier_wait_s,
+            "messages_emitted": self.fabric.emitted,
+            "messages_delivered": self.fabric.delivered,
+        }, self.host_telemetry()
 
     def host_telemetry(self):
         """Per-host telemetry bundles shipped to the coordinator at finish.

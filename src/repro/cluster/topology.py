@@ -44,28 +44,14 @@ class RackTelemetry:
     describes how we watch it.  Everything here is observer-only — the
     coordinator's ``simulated`` block is byte-identical with any
     telemetry configuration, including none (asserted by the
-    determinism guard's rack leg).
+    determinism guard's rack leg).  The sampling settings are constants
+    of :mod:`repro.cluster.shard`.
     """
 
     #: per-request span contexts on every host (host-scoped ids)
     spans: bool = True
-    #: deterministic span sampling: keep 1 of every N requests
-    sample_every: int = 1
     #: windowed counter/gauge sampling + invariant watchdog (server hosts)
     timeline: bool = True
-    timeline_window_ns: int = 100_000
-    #: TraceBus ring capacity per host (marks retained for stitching)
-    span_capacity: int = 262144
-
-    def validate(self) -> "RackTelemetry":
-        """Raise :class:`ClusterError` on an unusable configuration."""
-        if self.sample_every < 1:
-            raise ClusterError("telemetry sample_every must be >= 1")
-        if self.timeline_window_ns <= 0:
-            raise ClusterError("telemetry timeline window must be positive")
-        if self.span_capacity < 1:
-            raise ClusterError("telemetry span capacity must be positive")
-        return self
 
 
 @dataclass(frozen=True)

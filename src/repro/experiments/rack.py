@@ -12,28 +12,32 @@ hosts to every server VM — driven by the sharded simulator
   is its own Python interpreter, so the rack simulates at multi-core
   speed instead of being bound by one event loop.
 
-Unlike the figure sweeps this experiment is not declared as
-``SweepPoint``s: each cell is already a multi-process run (its shards),
-so the cells run one after another and the flow runs the grid as one
-task (:func:`repro.flow.tasks.experiment_task` says why).
+The grid is declared like every figure sweep, one ``SweepPoint`` per
+``(config, n_shards)`` cell (:func:`rack_points`), so the flow runs each
+cell as a point task; a cell's shards are processes of that task.  Every
+cell runs with rack telemetry on (stitched spans, per-host steady rates,
+watchdog, barrier profile): observer-only, so the digest identity check
+is unchanged by it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster import (
     RackSpec,
     RackTelemetry,
+    ShardedSimulator,
     reduced_rack_spec,
-    run_rack_once,
     simulated_digest,
 )
 from repro.metrics.report import format_table
+from repro.obs.rack import format_rack_telemetry, rack_perfetto_trace
+from repro.parallel import SweepPoint
 from repro.units import MS
 
-__all__ = ["run_rack", "format_rack", "rack_identical", "showcase_key", "FLOW_REDUCED",
-           "DEFAULT_SHARD_COUNTS", "DEFAULT_RACK_CONFIGS"]
+__all__ = ["rack_points", "rack_trace", "format_rack", "rack_identical", "showcase_key",
+           "FLOW_REDUCED", "DEFAULT_SHARD_COUNTS", "DEFAULT_RACK_CONFIGS"]
 
 #: shard counts every rack run compares (the scaling axis)
 DEFAULT_SHARD_COUNTS = (1, 4)
@@ -54,34 +58,48 @@ def rack_spec(config: str = "PI+H+R", application: str = "memcached",
     )
 
 
-def run_rack(
+def _rack_run(config: str, n_shards: int, application: str, seed: int,
+              warmup_ns: int, measure_ns: int) -> Tuple[ShardedSimulator, dict]:
+    """One cell, telemetry on: its coordinator and its report."""
+    sim = ShardedSimulator(rack_spec(config=config, application=application, seed=seed),
+                           n_shards=n_shards, telemetry=RackTelemetry())
+    return sim, sim.run(measure_ns, warmup_ns=warmup_ns)
+
+
+def _rack_cell(**params) -> dict:
+    """One point of the grid: the cell's report."""
+    return _rack_run(**params)[1]
+
+
+def rack_points(
     configs: Sequence[str] = DEFAULT_RACK_CONFIGS,
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
     application: str = "memcached",
     seed: int = 3,
     warmup_ns: int = 2 * MS,
     measure_ns: int = 20 * MS,
-    telemetry: Optional[RackTelemetry] = None,
-) -> Dict[Tuple[str, int], dict]:
-    """Run the rack grid; keys are ``(config, n_shards)``.
+) -> List[SweepPoint]:
+    """The rack grid: one point per cell, keyed ``(config, n_shards)``."""
+    return [
+        SweepPoint(
+            key=(config, n_shards),
+            fn=_rack_cell,
+            kwargs=dict(config=config, n_shards=n_shards, application=application,
+                        seed=seed, warmup_ns=warmup_ns, measure_ns=measure_ns),
+        )
+        for config in configs
+        for n_shards in shard_counts
+    ]
 
-    ``telemetry`` turns rack observability on for every cell (spans are
-    stitched, timelines aggregated, barriers profiled per run) — an
-    observer-only addition, so the per-config digest identity check is
-    unchanged by it.  ``True`` means the default :class:`RackTelemetry`
-    (convenient for task signatures that must stay plain values).
+
+def rack_trace(point: SweepPoint) -> dict:
+    """The merged Perfetto document of one cell.
+
+    The cell runs again: the per-host bundles the export reads stay on
+    the coordinator and never enter a point's result.
     """
-    if telemetry is True:
-        telemetry = RackTelemetry()
-    results: Dict[Tuple[str, int], dict] = {}
-    for config in configs:
-        spec = rack_spec(config=config, application=application, seed=seed)
-        for n_shards in shard_counts:
-            results[(config, n_shards)] = run_rack_once(
-                spec, n_shards, measure_ns, warmup_ns=warmup_ns,
-                telemetry=telemetry,
-            )
-    return results
+    sim, report = _rack_run(**point.kwargs)
+    return rack_perfetto_trace(report, sim.host_telemetry)
 
 
 def rack_identical(results: Dict[Tuple[str, int], dict]) -> Dict[str, bool]:
@@ -100,7 +118,8 @@ def showcase_key(results: Dict[Tuple[str, int], dict]) -> Tuple[str, int]:
 
 
 def format_rack(results: Dict[Tuple[str, int], dict]) -> str:
-    """Render the rack grid as a paper-style text table."""
+    """Render the rack grid as a paper-style text table, followed by the
+    showcase cell's rack observability report."""
     identical = rack_identical(results)
     rows = []
     base_ops = None
@@ -129,16 +148,9 @@ def format_rack(results: Dict[Tuple[str, int], dict]) -> str:
         title="Rack: sharded multi-host simulation "
               "(fan-out clients -> ES2 server hosts)",
     )
-    # When the grid ran with telemetry, append the rack observability
-    # report for the showcase cell.
-    telemetered = {k: r for k, r in results.items() if "telemetry" in r}
-    if telemetered:
-        from repro.obs.rack import format_rack_telemetry
-
-        config, n_shards = showcase_key(telemetered)
-        return (
-            table
-            + f"\n\nRack telemetry ({config}, {n_shards} shards)\n"
-            + format_rack_telemetry(telemetered[(config, n_shards)]["telemetry"])
-        )
-    return table
+    config, n_shards = showcase_key(results)
+    return (
+        table
+        + f"\n\nRack telemetry ({config}, {n_shards} shards)\n"
+        + format_rack_telemetry(results[(config, n_shards)]["telemetry"])
+    )

@@ -33,7 +33,6 @@ from repro.workloads.ping import PingWorkload
 __all__ = [
     "sched_sweep_points",
     "format_sched_sweep",
-    "sched_sweep_summary",
     "SCHED_POLICIES",
     "REDIRECTION_MODES",
     "FLOW_REDUCED",
@@ -119,15 +118,6 @@ def sched_sweep_points(
                     )
                 )
     return sweep
-
-
-def sched_sweep_summary(results: Dict[Tuple[str, str, str], Dict[str, object]]) -> Dict[str, Dict]:
-    """JSON-friendly nesting: policy -> mode -> alloc -> stats (no series)."""
-    out: Dict[str, Dict] = {}
-    for (policy, mode, alloc), point in sorted(results.items()):
-        stats = {k: v for k, v in point.items() if k != "rtt_ms"}
-        out.setdefault(policy, {}).setdefault(mode, {})[alloc] = stats
-    return out
 
 
 def format_sched_sweep(results: Dict[Tuple[str, str, str], Dict[str, object]]) -> str:

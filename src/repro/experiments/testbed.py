@@ -14,7 +14,6 @@ layouts cover all experiments:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
@@ -179,11 +178,6 @@ class Testbed:
 
             self.adaptive = AdaptiveAllocator(self.machine)
             self.adaptive.start()
-        # Opt-in hook so whole sweeps (determinism guard, experiment
-        # scripts) can turn on windowed telemetry without code changes —
-        # the observer contract guarantees identical simulated results.
-        if os.environ.get("REPRO_TIMELINE"):
-            self.enable_timeline()
 
     def enable_timeline(
         self,
@@ -206,7 +200,7 @@ class Testbed:
         The watchdog additionally gets every vhost-backed device's rings
         and conservation counters, and each hybrid handler's residency
         pair.  Safe to call once per testbed, any time after the VMs are
-        added (``boot`` calls it when ``REPRO_TIMELINE`` is set).
+        added.
         """
         sim = self.sim
         already = sim.obs.timeline is not None

@@ -5,14 +5,13 @@ This module is the single declaration of *what the full reproduction is*:
 * ``calibrate`` — a cheap sanity run every sweep depends on; it fails fast
   (before hours of sweeping) if the simulator's basic readouts are off.
 * the **bench report** (``bench``; ``bench-compare`` gates it against
-  the checked-in baseline, ``dashboard`` renders it) and the **rack**
-  grid (:func:`experiment_task` says why it stays whole), declared right
+  the checked-in baseline, ``dashboard`` renders it), declared right
   after ``calibrate``: the runner submits ready tasks in declaration
-  order, and these are the longest;
-* every other experiment as **point tasks plus a merge task**
-  (:func:`sweep_tasks`) over its ``<x>_points(...)`` grid, with each
-  module's ``FLOW_REDUCED`` overrides (short windows + trimmed grids —
-  what CI runs end-to-end) in ``reduced`` mode;
+  order, and ``bench`` is the longest task;
+* every experiment, the rack grid included, as **point tasks plus a
+  merge task** (:func:`sweep_tasks`) over its ``<x>_points(...)`` grid,
+  with each module's ``FLOW_REDUCED`` overrides (short windows + trimmed
+  grids — what CI runs end-to-end) in ``reduced`` mode;
 * one **render task per sweep**: it checks the sweep's paper claims
   (:mod:`repro.experiments.claims`), then renders the paper-style table;
 * ``report`` — the concatenation of every render in flat-script order:
@@ -80,13 +79,9 @@ _SWEEPS = (
     ("schedsweep", "Scheduler policy zoo x redirection x adaptive allocation",
      schedzoo.sched_sweep_points, schedzoo.format_sched_sweep, (),
      dict(seed=3, duration_ns=int(0.8 * SEC)), schedzoo),
+    ("rack", "Rack: sharded multi-host fan-out", rack.rack_points, rack.format_rack, (),
+     dict(seed=3, warmup_ns=2 * MS, measure_ns=20 * MS), rack),
 )
-
-#: The rack grid, in the same shape; it runs as one task and renders last.
-_RACK = ("rack", "Rack: sharded multi-host fan-out", rack.run_rack, rack.format_rack, (),
-         # telemetry=True: rack observability (stitched spans, barrier
-         # profile) rides along; observer-only, the digest check still holds.
-         dict(seed=3, warmup_ns=2 * MS, measure_ns=20 * MS, telemetry=True), rack)
 
 
 # -- task callables (module-level: they run in worker processes) ----------
@@ -124,16 +119,6 @@ def calibrate_task(deps, seed=1, warmup_ns=20 * MS, measure_ns=60 * MS):
             readout["Baseline"]["interrupt_delivery_per_sec"]:
         raise FlowError("calibration: posted interrupts did not reduce delivery exits")
     return readout
-
-
-def experiment_task(deps, runner, params):
-    """One experiment grid run whole; ``calibrate`` gates it through ``deps``.
-
-    Only ``rack`` runs this way: its cells are multi-process runs whose
-    telemetry-laden results (8.3 MB reduced) point tasks would pickle and
-    digest twice, per cell and again in the merge (DESIGN.md §15).
-    """
-    return runner(**params)
 
 
 def point_task(deps, fn, params):
@@ -301,19 +286,12 @@ def build_graph(mode: str = "full") -> TaskGraph:
         budget_s=_budget(mode, "render"),
         description="self-contained HTML dashboard from the bench report",
     ))
-    name, label, runner, _, _, full_params, module = _RACK
-    graph.add(Task(
-        name=name, fn=experiment_task, deps=("calibrate",), kind="sweep",
-        budget_s=_budget(mode, "sweep"),
-        kwargs=dict(runner=runner, params=_params(full_params, module, mode)),
-        description=f"{label} grid",
-    ))
     for name, _, points, _, _, full_params, module in _SWEEPS:
         for task in sweep_tasks(name, points(**_params(full_params, module, mode)),
                                 deps=("calibrate",), mode=mode):
             graph.add(task)
     sections = []
-    for name, label, _, formatter, format_args, _, _ in _SWEEPS + (_RACK,):
+    for name, label, _, formatter, format_args, _, _ in _SWEEPS:
         render_name = f"render-{name}"
         graph.add(Task(
             name=render_name, fn=render_task, deps=(name,), kind="render",

@@ -46,7 +46,7 @@ from typing import Optional
 
 from repro.obs.counters import CounterRegistry
 from repro.obs.pathreport import build_path_report, format_path_report
-from repro.obs.spans import PathTrace, SpanRecorder, collect_traces, completed
+from repro.obs.spans import PathTrace, SpanRecorder, collect_traces
 from repro.obs.timeline import TimelineSampler, WindowSample, downsample
 from repro.obs.tracebus import KIND_CATEGORY, TRACE_CATEGORIES, TraceBus, TraceEvent
 from repro.obs.watchdog import InvariantWatchdog, WatchdogError, WatchdogViolation
@@ -61,7 +61,6 @@ __all__ = [
     "SpanRecorder",
     "PathTrace",
     "collect_traces",
-    "completed",
     "TimelineSampler",
     "WindowSample",
     "downsample",

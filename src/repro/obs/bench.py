@@ -1,6 +1,6 @@
 """The machine-readable bench report: the flow's ``bench`` task.
 
-Runs the same reduced end-to-end sweep as the ``bench_smoke`` test marker
+Runs the same reduced end-to-end sweep as ``tests/test_bench_smoke.py``
 — single-vCPU TCP send (Table I shape), the UDP quota-8 hybrid point
 (Fig. 4 shape) and a multiplexed ping latency point (Fig. 7 shape) — but
 instead of asserting qualitative claims it *measures through the
@@ -59,7 +59,7 @@ __all__ = ["BENCH_SCHEMA_VERSION", "run_bench"]
 #: profile of the widest layout.  Additive: every v5 path is unchanged.
 #: v7: no wall-clock field and no run-loop profile: a function of code and seed.
 #: v8: no ``rack`` block and no ``params.rack_duration_ns``: the flow's
-#: ``rack`` task runs the rack grid, and its claims gate it.
+#: ``rack`` sweep runs the rack grid, and its claims gate it.
 BENCH_SCHEMA_VERSION = 8
 
 #: Default windows — identical to ``tests/test_bench_smoke.py``.

@@ -63,8 +63,6 @@ class CounterRegistry:
 
     def __init__(self) -> None:
         self._groups: Dict[str, object] = {}
-        #: bumped on any registration change; invalidates prefix caches
-        self._version = 0
         self._prefix_cache: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------ registration
@@ -88,13 +86,6 @@ class CounterRegistry:
         self._groups[path] = _FnGroup(snapshot_fn, reset_fn)
         self._note_changed()
 
-    def unregister(self, path: str) -> bool:
-        """Drop one group; returns True if it existed."""
-        existed = self._groups.pop(path, None) is not None
-        if existed:
-            self._note_changed()
-        return existed
-
     def unregister_prefix(self, prefix: str) -> int:
         """Drop every group whose path starts with ``prefix`` (VM teardown)."""
         doomed = [p for p in self._groups if p.startswith(prefix)]
@@ -105,20 +96,11 @@ class CounterRegistry:
         return len(doomed)
 
     def _note_changed(self) -> None:
-        self._version += 1
+        """Invalidate the per-prefix path caches (registration changed)."""
         if self._prefix_cache:
             self._prefix_cache.clear()
 
-    @property
-    def version(self) -> int:
-        """Monotonic registration-change counter (for caching consumers)."""
-        return self._version
-
     # ---------------------------------------------------------------- queries
-    def paths(self):
-        """Sorted list of registered group paths."""
-        return sorted(self._groups)
-
     def __len__(self) -> int:
         return len(self._groups)
 
@@ -157,10 +139,6 @@ class CounterRegistry:
             for name, value in group.snapshot().items():
                 out[f"{path}.{name}"] = value
         return out
-
-    def get(self, path: str, name: str) -> int:
-        """One counter value (KeyError/AttributeError on unknown names)."""
-        return self._groups[path].snapshot()[name]
 
     # ------------------------------------------------------------------ reset
     def reset(self) -> None:

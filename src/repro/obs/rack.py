@@ -16,18 +16,20 @@ side that puts the rack-wide picture back together:
   whose telescoping stages still sum exactly to the client-observed RTT.
 * **per-shard telemetry aggregation** — shards ship counter snapshots,
   timeline windows (raw deltas) and watchdog verdicts over the barrier
-  pipes at finish;
-  :func:`aggregate_timelines` re-aggregates the aligned windows into a
-  rack-wide view with a per-host breakdown of headline rate families.
+  pipes at finish, and the coordinator keeps those per-host bundles
+  (``ShardedSimulator.host_telemetry``); :func:`aggregate_timelines`
+  reduces each host's windows to its steady rates per headline family.
 * **barrier/straggler profiling** — each barrier reply piggybacks the
   shard's window wall time and cumulative event count;
   :func:`barrier_profile` turns those into per-shard barrier-wait
   fractions, lookahead utilization, and straggler attribution (which
   shard bounded each window) — the numbers that decide whether the next
   10x is a faster event core or more shards.
-* **surfacing** — a merged Perfetto export (one track group per shard
-  plus stitched-path and cross-shard fabric tracks), a text report, and
-  a self-contained rack dashboard page.
+* **surfacing** — a text report and a self-contained rack dashboard,
+  both rendered from the report's compact ``telemetry`` block, and a
+  merged Perfetto export (one track group per shard plus stitched-path
+  and cross-shard fabric tracks), the one view that reads the raw
+  per-host bundles.
 
 Everything here consumes *plain data* (tuples, dicts) shipped from the
 shards — this module never imports :mod:`repro.cluster`, so the cluster
@@ -179,94 +181,31 @@ def stitched_path_report(traces: Iterable[StitchedTrace]) -> Dict[str, Any]:
 
 
 # ------------------------------------------------------------- aggregation
-def aggregate_timelines(host_timelines: Dict[str, Dict[str, Any]],
-                        max_windows: int = 60) -> Dict[str, Any]:
-    """Rack-wide windowed rates with a per-host breakdown.
+def aggregate_timelines(host_timelines: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """Per-host steady rates of the headline families: ``{"steady": {host:
+    {family: rate/s}}}``.
 
-    ``host_timelines`` is the shipped form (``{host: {"window_ns",
-    "windows": [{t_start, t_end, deltas, gauges}]}}``).  Every sampler
-    started at t=0 with the same window length and stopped at the same
-    horizon, so windows align exactly; deltas are summed across hosts by
-    rate family and rates recomputed over the merged span (never a mean
-    of means).  Consecutive windows are merged down to ``max_windows``
-    buckets for embedding.
+    ``host_timelines`` is the shipped form (``{host: {"windows":
+    [{t_start, t_end, deltas}]}}``).  A host's deltas are summed by rate
+    family over all its windows and divided by their total span (never a
+    mean of per-window rates).
     """
-    if not host_timelines:
-        return {"window_ns": 0, "hosts": [], "windows": [], "steady": {}}
-    window_ns = max(tl.get("window_ns", 0) for tl in host_timelines.values())
-    boundaries: Dict[Tuple[int, int], Dict[str, Dict[str, int]]] = {}
-    totals: Dict[str, Dict[str, int]] = {}
-    spans_ns: Dict[str, int] = {}
+    steady: Dict[str, Dict[str, float]] = {}
     for host, tl in sorted(host_timelines.items()):
-        for win in tl.get("windows", []):
-            key = (win["t_start"], win["t_end"])
-            per_host = boundaries.setdefault(key, {})
-            fam_deltas = per_host.setdefault(host, {})
-            host_totals = totals.setdefault(host, {})
-            spans_ns[host] = spans_ns.get(host, 0) + (win["t_end"] - win["t_start"])
+        windows = tl.get("windows", [])
+        if not windows:
+            continue
+        totals: Dict[str, int] = {}
+        span = 0
+        for win in windows:
+            span += win["t_end"] - win["t_start"]
             for ckey, delta in win["deltas"].items():
                 family = _family_of(ckey)
-                if family is None:
-                    continue
-                fam_deltas[family] = fam_deltas.get(family, 0) + delta
-                host_totals[family] = host_totals.get(family, 0) + delta
-
-    merged: List[Dict[str, Any]] = []
-    for (t_start, t_end) in sorted(boundaries):
-        per_host = boundaries[(t_start, t_end)]
-        span = t_end - t_start
+                if family is not None:
+                    totals[family] = totals.get(family, 0) + delta
         scale = 1e9 / span if span > 0 else 0.0
-        rack: Dict[str, float] = {}
-        hosts_out: Dict[str, Dict[str, float]] = {}
-        for host in sorted(per_host):
-            rates = {fam: d * scale for fam, d in sorted(per_host[host].items())}
-            hosts_out[host] = rates
-            for fam, rate in rates.items():
-                rack[fam] = rack.get(fam, 0.0) + rate
-        merged.append({"t_start": t_start, "t_end": t_end,
-                       "rack": rack, "hosts": hosts_out})
-
-    # Downsample by merging consecutive buckets.  A merged rate must be
-    # the *time-weighted* average of its members — accumulate rate*span
-    # (units: events, scaled by 1e9) and divide by the merged span.
-    if max_windows > 0 and len(merged) > max_windows:
-        per_bucket = -(-len(merged) // max_windows)
-        out: List[Dict[str, Any]] = []
-        for i in range(0, len(merged), per_bucket):
-            bucket = merged[i:i + per_bucket]
-            t_start = bucket[0]["t_start"]
-            t_end = bucket[-1]["t_end"]
-            total_span = t_end - t_start
-            rack: Dict[str, float] = {}
-            hosts_out: Dict[str, Dict[str, float]] = {}
-            for win in bucket:
-                span = win["t_end"] - win["t_start"]
-                for fam, rate in win["rack"].items():
-                    rack[fam] = rack.get(fam, 0.0) + rate * span
-                for host, rates in win["hosts"].items():
-                    acc = hosts_out.setdefault(host, {})
-                    for fam, rate in rates.items():
-                        acc[fam] = acc.get(fam, 0.0) + rate * span
-            inv = 1.0 / total_span if total_span > 0 else 0.0
-            out.append({
-                "t_start": t_start, "t_end": t_end,
-                "rack": {f: v * inv for f, v in rack.items()},
-                "hosts": {h: {f: v * inv for f, v in r.items()}
-                          for h, r in hosts_out.items()},
-            })
-        merged = out
-
-    steady = {}
-    for host in sorted(totals):
-        span = spans_ns.get(host, 0)
-        scale = 1e9 / span if span > 0 else 0.0
-        steady[host] = {fam: d * scale for fam, d in sorted(totals[host].items())}
-    return {
-        "window_ns": window_ns,
-        "hosts": sorted(host_timelines),
-        "windows": merged,
-        "steady": steady,
-    }
+        steady[host] = {fam: d * scale for fam, d in sorted(totals.items())}
+    return {"steady": steady}
 
 
 # ------------------------------------------------------- barrier profiling
@@ -355,9 +294,9 @@ def build_rack_telemetry(config: Dict[str, Any],
                          lookahead_ns: int) -> Dict[str, Any]:
     """Assemble the report's ``telemetry`` block from shipped shard data.
 
-    The compact analytical view (paths, timeline families, watchdog,
-    barrier profile) is JSON-embeddable; the raw marks and windows ride
-    under ``"raw"`` for exporters (Perfetto, dashboard).
+    Only the compact analytical view (paths, per-host steady rates,
+    watchdog, barrier profile): the raw marks and windows stay with the
+    caller, which keeps them for :func:`rack_perfetto_trace`.
     """
     host_marks = {h: b["span_marks"] for h, b in host_bundles.items()
                   if "span_marks" in b}
@@ -387,15 +326,6 @@ def build_rack_telemetry(config: Dict[str, Any],
         "watchdog": watchdog_totals,
         "per_host": per_host,
         "barrier": barrier_profile(window_records, partitions, lookahead_ns),
-        "raw": {
-            "host_marks": host_marks,
-            "host_timelines": host_timelines,
-            "watchdog_violations": {
-                h: b["watchdog"]["violations"]
-                for h, b in host_bundles.items()
-                if b.get("watchdog", {}).get("violations")
-            },
-        },
     }
 
 
@@ -455,12 +385,11 @@ def _fabric_events(traces: Dict[Any, StitchedTrace]) -> List[Dict[str, Any]]:
     return events
 
 
-def _shard_group_events(telemetry: Dict[str, Any],
+def _shard_group_events(host_timelines: Dict[str, Dict[str, Any]],
                         partitions: Sequence[Sequence[str]]) -> List[Dict[str, Any]]:
     """Per-shard track groups: host rate-family counter tracks."""
     from repro.obs.render import counter, meta
 
-    host_timelines = telemetry.get("raw", {}).get("host_timelines", {})
     host_shard: Dict[str, int] = {}
     for s, hosts in enumerate(partitions):
         for h in hosts:
@@ -508,32 +437,39 @@ def _barrier_events(telemetry: Dict[str, Any]) -> List[Dict[str, Any]]:
     return events
 
 
-def rack_perfetto_trace(report: Dict[str, Any]) -> Dict[str, Any]:
-    """The merged Chrome ``trace_event`` document for one rack report.
+def rack_perfetto_trace(report: Dict[str, Any],
+                        host_bundles: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """The merged Chrome ``trace_event`` document for one rack run.
 
-    Track groups: stitched end-to-end request paths, cross-shard fabric
-    transits (one track per directed host hop), the barrier profile, and
-    one telemetry group per shard with its hosts' rate-family counters.
-    Write it with :func:`repro.obs.render.write_trace`.
+    ``host_bundles`` are the per-host telemetry bundles the run's shards
+    shipped (``ShardedSimulator.host_telemetry``); ``report`` is the
+    run's report.  Track groups: stitched end-to-end request paths,
+    cross-shard fabric transits (one track per directed host hop), the
+    barrier profile, and one telemetry group per shard with its hosts'
+    rate-family counters.  Write it with
+    :func:`repro.obs.render.write_trace`.
     """
     from repro.obs.render import trace_doc
 
     telemetry = report.get("telemetry")
     if not telemetry:
         raise ValueError("report has no telemetry block: run with telemetry on")
-    raw = telemetry.get("raw", {})
-    host_order = tuple(sorted(raw.get("host_marks", {})))
+    host_marks = {h: b["span_marks"] for h, b in host_bundles.items()
+                  if "span_marks" in b}
+    host_order = tuple(sorted(host_marks))
     spec = report.get("spec", {})
     if spec:
         servers = tuple(f"h{i}" for i in range(spec.get("n_hosts", 0)))
         clients = tuple(f"c{i}" for i in range(spec.get("n_client_hosts", 0)))
         host_order = servers + clients
-    traces = stitch_marks(raw.get("host_marks", {}), host_order)
+    traces = stitch_marks(host_marks, host_order)
     partitions = [s["hosts"] for s in telemetry.get("barrier", {}).get("per_shard", [])]
     events = _stitched_events(traces)
     events.extend(_fabric_events(traces))
     events.extend(_barrier_events(telemetry))
-    events.extend(_shard_group_events(telemetry, partitions))
+    events.extend(_shard_group_events(
+        {h: b["timeline"] for h, b in host_bundles.items() if "timeline" in b},
+        partitions))
     return trace_doc(events, __name__)
 
 

@@ -59,7 +59,7 @@ the previous mark (:data:`STAGE_OF_POINT`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "SPAN_MARK_KIND",
@@ -70,7 +70,6 @@ __all__ = [
     "PathTrace",
     "SpanRecorder",
     "collect_traces",
-    "completed",
 ]
 
 #: TraceBus record kind carrying one milestone mark.
@@ -392,7 +391,3 @@ def collect_traces(bus) -> Dict[int, PathTrace]:
         trace.marks.append(Mark(t, fields["point"], attrs))
     return traces
 
-
-def completed(traces: Iterable[PathTrace]) -> List[PathTrace]:
-    """The subset of traces with a full origin→delivered path."""
-    return [t for t in traces if t.complete]

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["TimelineSampler", "WindowSample", "DEFAULT_WINDOW_NS",
-           "downsample", "export_csv"]
+__all__ = ["TimelineSampler", "WindowSample", "DEFAULT_WINDOW_NS", "downsample"]
 
 #: Default sampling window: 100 µs of simulated time.
 DEFAULT_WINDOW_NS = 100_000
@@ -125,8 +124,6 @@ class TimelineSampler:
         )
         #: closed windows, oldest first
         self.samples: List[WindowSample] = []
-        #: windows sampled (== len(samples) unless the caller trims)
-        self.windows_sampled = 0
         #: boundary events this sampler fired on the simulator's run loop.
         #: These are the only events an observer adds, so readouts that
         #: report ``sim.events_fired`` as a *simulated* metric (the rack
@@ -190,7 +187,6 @@ class TimelineSampler:
     def clear(self) -> None:
         """Drop all collected samples (wiring and schedule are kept)."""
         self.samples.clear()
-        self.windows_sampled = 0
 
     # ----------------------------------------------------------------- sampling
     def _snapshot_flat(self) -> Dict[str, int]:
@@ -224,7 +220,6 @@ class TimelineSampler:
             self._prev_cumulative[mid] = total
         sample = WindowSample(t_start, t_end, deltas, rates, gauges)
         self.samples.append(sample)
-        self.windows_sampled += 1
         self._prev_flat = cur
         self._window_start = t_end
         for fn in self._listeners:
@@ -242,24 +237,6 @@ class TimelineSampler:
     # ------------------------------------------------------------------ queries
     def __len__(self) -> int:
         return len(self.samples)
-
-    def metric_ids(self) -> List[str]:
-        """Sorted union of rate and gauge metric ids across all samples."""
-        ids = set()
-        for s in self.samples:
-            ids.update(s.rates)
-            ids.update(s.gauges)
-        return sorted(ids)
-
-    def series(self, metric_id: str) -> List[Tuple[int, float]]:
-        """``(t_end, value)`` points for one metric (rates, then gauges)."""
-        out: List[Tuple[int, float]] = []
-        for s in self.samples:
-            if metric_id in s.rates:
-                out.append((s.t_end, s.rates[metric_id]))
-            elif metric_id in s.gauges:
-                out.append((s.t_end, s.gauges[metric_id]))
-        return out
 
     def window(self, t_start: int, t_end: int) -> List[WindowSample]:
         """Samples whose window lies entirely inside ``[t_start, t_end]``."""
@@ -299,30 +276,3 @@ def downsample(samples: Sequence[WindowSample], max_windows: int) -> List[Window
                                 dict(bucket[-1].gauges)))
     return out
 
-
-def export_csv(samples: Sequence[WindowSample], path: str) -> int:
-    """Write samples as CSV (one row per window); returns the row count.
-
-    Columns: ``t_start_ns``, ``t_end_ns``, then every rate metric
-    (suffixed ``_per_sec``) and every gauge, sorted.  Metrics missing
-    from a window are left empty.
-    """
-    samples = list(samples)
-    rate_ids = sorted({key for s in samples for key in s.rates})
-    gauge_ids = sorted({key for s in samples for key in s.gauges})
-    header = (["t_start_ns", "t_end_ns"]
-              + [f"{k}_per_sec" for k in rate_ids] + gauge_ids)
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for s in samples:
-            row = [str(s.t_start), str(s.t_end)]
-            for k in rate_ids:
-                v = s.rates.get(k)
-                row.append(f"{v:.6g}" if v is not None else "")
-            for k in gauge_ids:
-                v = s.gauges.get(k)
-                row.append(f"{v:.6g}" if v is not None else "")
-            fh.write(",".join(row) + "\n")
-            n += 1
-    return n

@@ -41,8 +41,6 @@ to attribute, or filter the bus down to the categories you need.
 
 from __future__ import annotations
 
-import json
-
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -147,47 +145,12 @@ class TraceBus:
         """All retained records of one kind as ``(time, fields)`` pairs."""
         return [(e.t, e.fields) for e in self._ring if e.kind == kind]
 
-    def of_category(self, category: str) -> List[TraceEvent]:
-        """All retained records of one category."""
-        return [e for e in self._ring if e.category == category]
-
-    def kinds_seen(self) -> List[str]:
-        """Sorted set of record kinds currently retained."""
-        return sorted({e.kind for e in self._ring})
-
     def counts_by_kind(self) -> Dict[str, int]:
         """Retained record counts per kind."""
         out: Dict[str, int] = {}
         for e in self._ring:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
-
-    def counts_by_category(self) -> Dict[str, int]:
-        """Retained record counts per category."""
-        out: Dict[str, int] = {}
-        for e in self._ring:
-            out[e.category] = out.get(e.category, 0) + 1
-        return out
-
-    # ----------------------------------------------------------------- export
-    def export_jsonl(self, path: str) -> int:
-        """Write the retained records (oldest first) as JSON Lines.
-
-        One object per line: ``{"t", "category", "kind", "fields"}``.
-        Only the retained window is exported — evicted records are gone
-        (see the module docstring); the returned count is the number of
-        lines written.
-        """
-        n = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self._ring:
-                fh.write(json.dumps(
-                    {"t": e.t, "category": e.category, "kind": e.kind, "fields": e.fields},
-                    sort_keys=True, allow_nan=False,
-                ))
-                fh.write("\n")
-                n += 1
-        return n
 
     def clear(self) -> None:
         """Drop all retained records and reset the bookkeeping counters."""

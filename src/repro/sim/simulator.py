@@ -137,10 +137,6 @@ class Simulator:
                                           scope=scope)
         return self.obs.spans
 
-    def disable_spans(self) -> None:
-        """Stop span recording (retained marks stay on the trace bus)."""
-        self.obs.spans = None
-
     def enable_timeline(
         self,
         window_ns: int = 100_000,
@@ -172,13 +168,6 @@ class Simulator:
         if start and not self.obs.timeline.running:
             self.obs.timeline.start()
         return self.obs.timeline
-
-    def disable_timeline(self) -> None:
-        """Stop and remove the timeline sampler (and its watchdog)."""
-        if self.obs.timeline is not None:
-            self.obs.timeline.stop()
-        self.obs.timeline = None
-        self.obs.watchdog = None
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""

@@ -1,21 +1,17 @@
-"""CI-friendly smoke benchmark: a reduced end-to-end sweep.
+"""Smoke benchmark: a reduced end-to-end sweep.
 
-``make bench-smoke`` runs only this module.  The windows are cut far below
-the paper runs so the whole module stays within a one-minute CI budget
-while still driving the full stack: testbed build, vhost hybrid path,
-redirection, the sweep runner and the experiment formatters.
+The windows are cut far below the paper runs so the whole module stays
+within a one-minute budget while still driving the full stack: testbed
+build, vhost hybrid path, redirection, the sweep runner and the
+experiment formatters.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.parallel import run_sweep
 from repro.units import MS
-
-pytestmark = pytest.mark.bench_smoke
 
 #: reduced measurement windows (the paper runs use 200/500 ms)
 WARMUP = 20 * MS

@@ -83,6 +83,7 @@ _FLOW_TASK_CLI = [
     ("fig6-send", ["fig6", "--direction", "send"], "fig6"),
     ("fig8-apache", ["fig8"], "fig8"),
     ("sriov", ["sriov"], "sriov"),
+    ("rack", ["rack"], "rack"),
     ("table1", ["table1"], "table1"),  # control: agreed before the defaults moved
 ]
 

@@ -13,18 +13,15 @@ from repro.flow.tasks import MODES, build_graph, merge_task, task_names
 from repro.parallel import run_sweep
 from repro.units import MS, SEC
 
-EXPECTED_SWEEPS = 16  # 15 point sweeps (a merge task each) + rack
-EXPECTED_POINTS = {"full": 134, "reduced": 77}
+EXPECTED_SWEEPS = 16  # point sweeps, a merge task each
+EXPECTED_POINTS = {"full": 140, "reduced": 83}
 EXPECTED_SKELETON = 1 + 2 * EXPECTED_SWEEPS + 3 + 1  # calibrate, sweeps+renders, bench*3, report
 EXPECTED_TASKS = {mode: EXPECTED_SKELETON + n for mode, n in EXPECTED_POINTS.items()}
 
 
 def _grid(graph, sweep):
-    """Each point's kwargs for a merged sweep; the run parameters for rack."""
-    task = graph[sweep]
-    if task.fn is merge_task:
-        return [graph[point].kwargs["params"] for point in task.deps]
-    return [task.kwargs["params"]]
+    """Each point's kwargs for a merged sweep."""
+    return [graph[point].kwargs["params"] for point in graph[sweep].deps]
 
 
 class TestRegistry:
@@ -48,9 +45,6 @@ class TestRegistry:
         merged = set()
         for task in sweeps:
             assert f"render-{task.name}" in graph
-            if task.name == "rack":
-                assert task.deps == ("calibrate",)
-                continue
             # A merge over exactly one task per point, each gated by calibrate.
             assert task.fn is merge_task and task.deps
             assert [key_name for key_name, _ in task.kwargs["keys"]] == list(task.deps)
@@ -66,12 +60,15 @@ class TestRegistry:
         assert graph["dashboard"].deps == ("bench",)
 
     def test_whole_tasks_start_first_and_report_keeps_section_order(self):
-        """The runner submits ready tasks in topological order: bench and
-        rack, the longest whole tasks, go ahead of every point."""
+        """The runner submits ready tasks in topological order: bench, the
+        longest whole task, goes ahead of every point, and the rack cells,
+        short points, come last."""
         graph = build_graph("reduced")
         order = graph.topological_order()
-        first_point = min(i for i, name in enumerate(order) if graph[name].kind == "point")
-        assert order[:3] == ["calibrate", "bench", "rack"] and first_point == 3
+        points = [name for name in order if graph[name].kind == "point"]
+        assert order[:2] == ["calibrate", "bench"] and order.index(points[0]) == 2
+        assert points[-6:] == ["rack:Baseline,1", "rack:Baseline,4", "rack:PI+H,1",
+                               "rack:PI+H,4", "rack:PI+H+R,1", "rack:PI+H+R,4"]
         sections = [name for _, name in graph["report"].kwargs["sections"]]
         assert sections[0] == "render-table1" and sections[-1] == "render-rack"
 

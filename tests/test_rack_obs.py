@@ -5,14 +5,16 @@ The contracts under test:
 * **observer identity** — the rack's ``simulated`` block is
   byte-identical with rack telemetry on or off, at 1, 2 and 4 shards;
   and the shipped span marks themselves are layout-invariant.
+* **compact report** — the report carries the analytical view only; the
+  raw per-host bundles stay on the coordinator for the Perfetto export.
 * **stitching** — cross-shard span marks merge into end-to-end traces
   whose telescoping stages sum *exactly* to the stitched RTT, whose
   fabric stages respect the propagation bound, and which touch both the
   client and the server host.
 * **fault handling** — a shard worker that raises or is killed outright
   surfaces as a prompt, descriptive :class:`ClusterError`, never a hang.
-* the pure aggregation helpers (barrier profile, timeline families)
-  compute what they claim on synthetic inputs.
+* the pure aggregation helpers (barrier profile, steady rates per
+  family) compute what they claim on synthetic inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 
 from repro.cluster import (
     RackTelemetry,
+    ShardedSimulator,
     reduced_rack_spec,
     run_rack_once,
     simulated_digest,
@@ -44,28 +47,32 @@ from repro.units import MS
 
 from tests.artifact_checks import check_page, check_trace
 
-pytestmark = pytest.mark.rack_smoke
-
 WARMUP = 1 * MS
 MEASURE = 3 * MS
 
 
 @pytest.fixture(scope="module")
 def rack_runs():
-    """One telemetry-off reference and telemetry-on runs at 1/2/4 shards."""
+    """One telemetry-off reference and telemetry-on runs at 1/2/4 shards:
+    ``spec, off, on, bundles`` with the reports and the coordinators'
+    per-host bundles keyed by shard count."""
     spec = reduced_rack_spec(cpu_burn=False)
     off = run_rack_once(spec, 1, MEASURE, warmup_ns=WARMUP)
-    on = {
-        n: run_rack_once(spec, n, MEASURE, warmup_ns=WARMUP,
-                         telemetry=RackTelemetry())
-        for n in (1, 2, 4)
-    }
-    return spec, off, on
+    on, bundles = {}, {}
+    for n in (1, 2, 4):
+        sim = ShardedSimulator(spec, n_shards=n, telemetry=RackTelemetry())
+        on[n] = sim.run(MEASURE, warmup_ns=WARMUP)
+        bundles[n] = sim.host_telemetry
+    return spec, off, on, bundles
+
+
+def _marks(bundles):
+    return {host: bundle["span_marks"] for host, bundle in bundles.items()}
 
 
 # ------------------------------------------------------------ observer law
 def test_telemetry_is_observer_only_at_every_layout(rack_runs):
-    spec, off, on = rack_runs
+    spec, off, on, _bundles = rack_runs
     reference = simulated_digest(off)
     for n, report in on.items():
         assert simulated_digest(report) == reference, f"{n} shards diverged"
@@ -74,19 +81,27 @@ def test_telemetry_is_observer_only_at_every_layout(rack_runs):
 
 
 def test_span_marks_are_layout_invariant(rack_runs):
-    _spec, _off, on = rack_runs
-    sigs = {
-        n: json.dumps(report["telemetry"]["raw"]["host_marks"], sort_keys=True)
-        for n, report in on.items()
-    }
+    _spec, _off, _on, bundles = rack_runs
+    sigs = {n: json.dumps(_marks(b), sort_keys=True) for n, b in bundles.items()}
     assert sigs[1] == sigs[2] == sigs[4]
+
+
+def test_report_carries_only_the_compact_view(rack_runs):
+    """The raw marks and windows stay on the coordinator; the report's
+    timeline is the per-host steady rates alone."""
+    spec, _off, on, bundles = rack_runs
+    for n, report in on.items():
+        telemetry = report["telemetry"]
+        assert "raw" not in telemetry
+        assert set(telemetry["timeline"]) == {"steady"}
+        assert set(telemetry["timeline"]["steady"]) == set(spec.server_hosts)
+        assert set(bundles[n]) == set(spec.hosts)
 
 
 # --------------------------------------------------------------- stitching
 def test_stitched_traces_telescope_exactly(rack_runs):
-    spec, _off, on = rack_runs
-    raw = on[4]["telemetry"]["raw"]
-    traces = stitch_marks(raw["host_marks"], spec.hosts)
+    spec, _off, _on, bundles = rack_runs
+    traces = stitch_marks(_marks(bundles[4]), spec.hosts)
     complete = [t for t in traces.values() if t.complete]
     assert complete, "no complete stitched traces"
     for trace in complete:
@@ -104,7 +119,7 @@ def test_stitched_traces_telescope_exactly(rack_runs):
 
 
 def test_stitched_path_report_counts(rack_runs):
-    spec, _off, on = rack_runs
+    spec, _off, on, _bundles = rack_runs
     report = on[2]["telemetry"]["paths"]
     counts = report["counts"]
     assert counts["complete"] > 0
@@ -152,39 +167,24 @@ def test_stitch_merge_order_is_layout_free():
 
 # ------------------------------------------------------------- aggregation
 def test_aggregate_timelines_sums_families_across_hosts():
-    win = {"t_start": 0, "t_end": 1000}
     tl = {
-        "h0": {"window_ns": 1000, "windows": [
-            {**win, "deltas": {"kvm.exits.MSR_WRITE": 10,
-                               "vhost.vm/virtio-net/tx.packets": 4},
-             "gauges": {}}]},
-        "h1": {"window_ns": 1000, "windows": [
-            {**win, "deltas": {"kvm.exits.HLT": 5,
-                               "untracked.key": 99}, "gauges": {}}]},
+        "h0": {"windows": [
+            {"t_start": 0, "t_end": 1000,
+             "deltas": {"kvm.exits.MSR_WRITE": 10, "vhost.vm/virtio-net/tx.packets": 4}},
+            {"t_start": 1000, "t_end": 1500, "deltas": {"kvm.exits.HLT": 5}}]},
+        "h1": {"windows": [
+            {"t_start": 0, "t_end": 1000,
+             "deltas": {"kvm.exits.HLT": 5, "untracked.key": 99}}]},
+        "c0": {"windows": []},
     }
-    agg = aggregate_timelines(tl)
-    assert agg["hosts"] == ["h0", "h1"]
-    [window] = agg["windows"]
-    # 15 exits over 1 us -> 15e6/s rack-wide; untracked keys ignored
-    assert window["rack"]["vm_exits"] == pytest.approx(15 * 1e6)
-    assert window["hosts"]["h0"]["net_tx_pkts"] == pytest.approx(4 * 1e6)
-    assert "untracked.key" not in str(window)
-    assert agg["steady"]["h1"]["vm_exits"] == pytest.approx(5 * 1e6)
-
-
-def test_aggregate_timelines_downsamples_with_true_averages():
-    # 4 windows, max 2 buckets: merged rate must be the time-weighted mean.
-    windows = [
-        {"t_start": i * 1000, "t_end": (i + 1) * 1000,
-         "deltas": {"kvm.exits.HLT": i}, "gauges": {}}
-        for i in range(4)
-    ]
-    agg = aggregate_timelines({"h0": {"window_ns": 1000, "windows": windows}},
-                              max_windows=2)
-    assert len(agg["windows"]) == 2
-    # bucket 0 covers deltas 0+1 over 2 us, bucket 1 covers 2+3
-    assert agg["windows"][0]["rack"]["vm_exits"] == pytest.approx(0.5 * 1e6)
-    assert agg["windows"][1]["rack"]["vm_exits"] == pytest.approx(2.5 * 1e6)
+    steady = aggregate_timelines(tl)["steady"]
+    # each host's family deltas over its whole span: 15 exits in 1.5 us on
+    # h0; untracked keys and hosts without windows are left out
+    assert steady == {
+        "h0": {"net_tx_pkts": pytest.approx(4 / 1.5e-6),
+               "vm_exits": pytest.approx(15 / 1.5e-6)},
+        "h1": {"vm_exits": pytest.approx(5 * 1e6)},
+    }
 
 
 def test_barrier_profile_straggler_attribution():
@@ -207,7 +207,7 @@ def test_barrier_profile_straggler_attribution():
 
 
 def test_rack_report_barrier_block(rack_runs):
-    spec, _off, on = rack_runs
+    spec, _off, on, _bundles = rack_runs
     barrier = on[4]["telemetry"]["barrier"]
     assert barrier["windows"] == (WARMUP + MEASURE) // spec.lookahead_ns
     assert len(barrier["per_shard"]) == 4
@@ -219,7 +219,7 @@ def test_rack_report_barrier_block(rack_runs):
 
 
 def test_rack_telemetry_per_host_block(rack_runs):
-    spec, _off, on = rack_runs
+    spec, _off, on, _bundles = rack_runs
     tel = on[2]["telemetry"]
     assert set(tel["per_host"]) == set(spec.hosts)
     for host, entry in tel["per_host"].items():
@@ -236,8 +236,8 @@ def test_rack_telemetry_per_host_block(rack_runs):
 
 # --------------------------------------------------------------- surfacing
 def test_rack_perfetto_export(rack_runs):
-    _spec, _off, on = rack_runs
-    events = check_trace(rack_perfetto_trace(on[2]), phases="MXCi")
+    _spec, _off, on, bundles = rack_runs
+    events = check_trace(rack_perfetto_trace(on[2], bundles[2]), phases="MXCi")
     pids = {e["pid"] for e in events}
     assert 1 in pids          # stitched request paths
     assert 2 in pids          # cross-shard fabric transits
@@ -245,7 +245,7 @@ def test_rack_perfetto_export(rack_runs):
 
 
 def test_rack_dashboard_renders(rack_runs):
-    _spec, _off, on = rack_runs
+    _spec, _off, on, _bundles = rack_runs
     html_doc = render_rack_dashboard(on[4])
     check_page(html_doc)
     assert "Barrier-wait heat" in html_doc
@@ -259,7 +259,7 @@ def test_rack_claims_hold_and_each_breaks_alone(rack_runs):
     that breaks one telemetry claim fails exactly that claim."""
     from repro.experiments.claims import failed_claims
 
-    spec, _off, on = rack_runs
+    spec, _off, on, _bundles = rack_runs
     grid = {(spec.config, n): report for n, report in on.items()}
     for mode in ("reduced", "full"):
         assert failed_claims("rack", grid, mode) == []

@@ -1,10 +1,9 @@
-"""CI rack smoke: the sharded scenario at 1 and 4 shards, asserted equal.
+"""Rack smoke: the sharded scenario at 1 and 4 shards, asserted equal.
 
-``make rack-smoke`` / the CI ``rack`` job run only this module (marker
-``rack_smoke``).  Windows are far below the experiment defaults; the
-point is driving the whole sharded stack — topology partitioning, fork
-workers, window barriers, cross-shard routing, result merging — and
-asserting the byte-identity and reporting contracts, not performance.
+Windows are far below the experiment defaults; the point is driving the
+whole sharded stack — topology partitioning, fork workers, window
+barriers, cross-shard routing, result merging — and asserting the
+byte-identity and reporting contracts, not performance.
 """
 
 from __future__ import annotations
@@ -12,14 +11,11 @@ from __future__ import annotations
 import json
 import time
 
-import pytest
-
 from repro.cluster import reduced_rack_spec, run_rack_once, simulated_digest
+from repro.parallel import run_sweep
 from repro.units import MS
 
 from tests.artifact_checks import check_page, check_trace
-
-pytestmark = pytest.mark.rack_smoke
 
 WARMUP = 1 * MS
 MEASURE = 6 * MS
@@ -59,14 +55,15 @@ def test_rack_perf_block_shape():
 
 
 def test_rack_experiment_and_formatter():
-    from repro.experiments.rack import format_rack, rack_identical, run_rack
+    from repro.experiments.rack import format_rack, rack_identical, rack_points
 
-    results = run_rack(configs=("PI+H+R",), shard_counts=(1, 2),
-                       warmup_ns=WARMUP, measure_ns=MEASURE)
-    assert set(results) == {("PI+H+R", 1), ("PI+H+R", 2)}
+    results = run_sweep(rack_points(configs=("PI+H+R",), shard_counts=(1, 2),
+                                    warmup_ns=WARMUP, measure_ns=MEASURE))
+    assert list(results) == [("PI+H+R", 1), ("PI+H+R", 2)]
     assert rack_identical(results) == {"PI+H+R": True}
     table = format_rack(results)
     assert "PI+H+R" in table and "identical" in table
+    assert "Rack telemetry (PI+H+R, 2 shards)" in table
 
 
 def test_rack_cli_writes_trace_and_dashboard(tmp_path, capsys):

@@ -1,27 +1,13 @@
-"""Reduced scheduler-zoo sweep: end-to-end smoke with artifact export.
+"""Reduced scheduler-zoo sweep: end-to-end smoke.
 
-Marker-gated (``sched_sweep``) so CI can run it as its own job via
-``make sched-sweep``; it also runs in the plain tier-1 suite, so the grid
-here is deliberately tiny.  When ``REPRO_SCHED_SWEEP_ARTIFACT`` names a
-path, the JSON summary is written there for CI artifact upload.
+It runs in the tier-1 suite, so the grid here is deliberately tiny.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
-import pytest
-
-from repro.experiments.schedzoo import (
-    format_sched_sweep,
-    sched_sweep_points,
-    sched_sweep_summary,
-)
+from repro.experiments.schedzoo import format_sched_sweep, sched_sweep_points
 from repro.parallel import run_sweep
 from repro.units import MS
-
-pytestmark = pytest.mark.sched_sweep
 
 
 def test_sched_sweep_smoke():
@@ -45,18 +31,6 @@ def test_sched_sweep_smoke():
     text = format_sched_sweep(results)
     for p in policies:
         assert p in text
-
-    summary = sched_sweep_summary(results)
-    assert set(summary) == set(policies)
-    for p in policies:
-        assert set(summary[p]) == set(modes)
-        for mode in modes:
-            assert "rtt_ms" not in summary[p][mode]
-
-    artifact = os.environ.get("REPRO_SCHED_SWEEP_ARTIFACT")
-    if artifact:
-        with open(artifact, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
 
 
 def test_adaptive_cell_reports_controller_stats():

@@ -15,13 +15,7 @@ import pytest
 
 from repro.core.configs import paper_config
 from repro.experiments.testbed import multiplexed_testbed, single_vcpu_testbed
-from repro.obs.timeline import (
-    DEFAULT_WINDOW_NS,
-    TimelineSampler,
-    WindowSample,
-    downsample,
-    export_csv,
-)
+from repro.obs.timeline import DEFAULT_WINDOW_NS, TimelineSampler, WindowSample, downsample
 from repro.obs.watchdog import InvariantWatchdog, WatchdogError
 from repro.units import MS
 from repro.workloads.ping import PingWorkload
@@ -61,12 +55,8 @@ def test_window_rates_are_hand_computed_deltas(sim):
         assert s.rates["kvm.unit.hits"] == s.deltas["kvm.unit.hits"] * 1e9 / 1000
     # listener sees the same flat snapshots the deltas were computed from
     assert seen == [(1000, 0, 3), (2000, 3, 7), (3000, 7, 15)]
-    # series/window queries agree with the samples
-    assert tl.series("kvm.unit.hits") == [
-        (s.t_end, s.rates["kvm.unit.hits"]) for s in tl.samples
-    ]
+    # window queries agree with the samples
     assert tl.window(1000, 3000) == tl.samples[1:]
-    assert "kvm.unit.hits" in tl.metric_ids()
 
 
 def test_stop_closes_a_partial_final_window(sim):
@@ -117,7 +107,7 @@ def test_snapshot_group_matches_on_separator_boundary(sim):
     # the cached path set is invalidated by registration changes
     c.register("kvm.vm.other", _Box(), ("hits",))
     assert "kvm.vm.other" in c.snapshot_group("kvm.vm")
-    c.unregister("kvm.vm.tested.exits")
+    c.unregister_prefix("kvm.vm.tested.")
     assert set(c.snapshot_group("kvm.vm")) == {"kvm.vm", "kvm.vm.other"}
 
 
@@ -138,19 +128,6 @@ def test_downsample_preserves_deltas_and_recomputes_rates():
     assert [s.gauges["g"] for s in out] == [2.0, 5.0, 8.0, 9.0]
     # no-op when already small enough
     assert downsample(samples, 100) == samples
-
-
-def test_export_csv_layout(tmp_path):
-    samples = [
-        WindowSample(0, 1000, {"a": 3}, {"a": 3e6}, {"g": 2.0}),
-        WindowSample(1000, 2000, {"a": 1}, {"a": 1e6}, {"g": 4.0}),
-    ]
-    path = tmp_path / "tl.csv"
-    assert export_csv(samples, str(path)) == 2
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_start_ns,t_end_ns,a_per_sec,g"
-    assert lines[1] == "0,1000,3e+06,2"
-    assert lines[2] == "1000,2000,1e+06,4"
 
 
 # -------------------------------------------------------------- watchdog unit
@@ -194,9 +171,10 @@ def test_enable_timeline_is_idempotent_and_disableable():
     assert tb.enable_timeline() is tl
     assert tb.sim.obs.timeline is tl and tl.running
     assert tb.sim.obs.watchdog is not None
-    tb.sim.disable_timeline()
-    assert tb.sim.obs.timeline is None
-    assert tb.sim.obs.watchdog is None
+    # Off is an empty slot: stop the sampler and clear it.
+    tl.stop()
+    tb.sim.obs.timeline = None
+    assert tb.enable_timeline() is not tl
 
 
 def test_fixed_seed_results_byte_identical_with_timeline_enabled():
@@ -234,8 +212,8 @@ def test_clean_run_has_no_violations_and_residency_partitions_windows():
     wd = tb.sim.obs.watchdog
     assert wd.windows_checked >= len(tl.samples) > 0
     assert wd.violations == []
-    notif_ids = [mid for mid in tl.metric_ids()
-                 if mid.endswith(".residency.notification")]
+    notif_ids = sorted({mid for s in tl.samples for mid in s.gauges
+                        if mid.endswith(".residency.notification")})
     assert notif_ids  # the hybrid TX handler was wired in
     checked = 0
     for s in tl.samples:
