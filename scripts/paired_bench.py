@@ -22,8 +22,14 @@ verdict:
   unless every change run reads better than every base run;
 * ``unchanged``: otherwise.
 
+When a workload has a ``worse`` or ``unresolved`` row, each side runs
+once more with ``--trace 1`` (same seed and ``run_seconds``), and under
+the table a second table lists every layer's ``share`` of ``BENCHMARK.json``'s
+per-layer metrics for base and change and their difference, largest move
+first: the regression names the layer it came from.
+
 A run that fails an output check or reports failed operations is listed
-under the table.  Exit status: 1 if any row is ``worse`` or any run
+under the tables.  Exit status: 1 if any row is ``worse`` or any run
 failed a check, else 0.
 """
 
@@ -39,7 +45,7 @@ import sys
 import tarfile
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -162,6 +168,39 @@ def format_table(rows: Sequence[Row]) -> List[str]:
     return lines
 
 
+def needs_trace(rows: Sequence[Row]) -> List[str]:
+    """The workloads, in table order, with a ``worse`` or ``unresolved`` row."""
+    out: List[str] = []
+    for r in rows:
+        if r.verdict in ("worse", "unresolved") and r.workload not in out:
+            out.append(r.workload)
+    return out
+
+
+def share_moves(per_layer: Sequence[dict], base: Run,
+                change: Run) -> List[Tuple[str, float, float]]:
+    """``(layer, base share, change share)`` for every ``<layer>.share``
+    metric of ``per_layer``, the largest move first (ties by layer)."""
+    moves = []
+    for spec in per_layer:
+        name = spec["name"]
+        if name.endswith(".share") and name in base.metrics and name in change.metrics:
+            moves.append((name[:-len(".share")], base.metrics[name], change.metrics[name]))
+    return sorted(moves, key=lambda m: (-abs(m[2] - m[1]), m[0]))
+
+
+def format_share_moves(workload: str, moves: Sequence[Tuple[str, float, float]]) -> List[str]:
+    """The layer shares of one workload's traced pair as a Markdown table."""
+    lines = [f"layer shares of `{workload}` under --trace 1 (one run per side, "
+             "largest move first):",
+             "| layer | base share | change share | move |",
+             "|---|---|---|---|"]
+    for layer, base, change in moves:
+        lines.append(f"| `{layer}` | {base * 100:.1f}% | {change * 100:.1f}% "
+                     f"| {(change - base) * 100:+.1f} pts |")
+    return lines
+
+
 # ------------------------------------------------------------------ running
 def export_base(rev: str, dest: str) -> None:
     """``git archive REV`` unpacked into ``dest``."""
@@ -189,10 +228,10 @@ def export_working_tree(dest: str) -> None:
 
 
 def run_once(command: Sequence[str], cwd: str, workload: str, seed: int,
-             seconds: float) -> Run:
-    """One benchmark run with every observer off."""
+             seconds: float, trace: int = 0) -> Run:
+    """One benchmark run: every observer off, or under the layer tracer."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
@@ -217,6 +256,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sides = {"base": os.path.join(scratch, "base"), "change": os.path.join(scratch, "change")}
     rows: List[Row] = []
     problems: List[str] = []
+    explained: List[str] = []
+
+    def run_checked(side: str, workload: str, what: str, trace: int = 0) -> Run:
+        run = run_once(spec["command"], sides[side], workload, args.seed,
+                       spec["run_seconds"], trace)
+        if not run.correct or run.failed:
+            problems.append(f"{workload} {what} {side}: correct={run.correct}, "
+                            f"failed {run.failed}/{run.attempted}")
+        return run
+
     try:
         export_base(args.base, sides["base"])
         export_working_tree(sides["change"])
@@ -224,20 +273,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             runs: Dict[str, List[Run]] = {"base": [], "change": []}
             for i in range(args.pairs):
                 for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                    run = run_once(spec["command"], sides[side], workload, args.seed,
-                                   spec["run_seconds"])
-                    runs[side].append(run)
-                    if not run.correct or run.failed:
-                        problems.append(f"{workload} pair {i + 1} {side}: correct="
-                                        f"{run.correct}, failed {run.failed}/{run.attempted}")
+                    runs[side].append(run_checked(side, workload, f"pair {i + 1}"))
                 print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
             rows.extend(table_rows(workload, spec["end_to_end"], runs["base"], runs["change"]))
+        for workload in needs_trace(rows):
+            traced = {side: run_checked(side, workload, "--trace 1", trace=1)
+                      for side in ("base", "change")}
+            print(f"{workload} traced pair done", file=sys.stderr)
+            explained += ["", *format_share_moves(
+                workload, share_moves(spec["per_layer"], traced["base"], traced["change"]))]
     finally:
         shutil.rmtree(scratch)
 
     print(f"base {args.base} against the working tree: {args.pairs} pairs per workload, "
           f"seed {args.seed}, --seconds {spec['run_seconds']:g}")
-    for line in format_table(rows):
+    for line in format_table(rows) + explained:
         print(line)
     for problem in problems:
         print(f"FAILED CHECK {problem}")

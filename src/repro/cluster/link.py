@@ -49,11 +49,14 @@ def decode_packet(fields: tuple) -> Packet:
 
 
 def message_sort_key(msg: Message) -> tuple:
-    """Global deterministic delivery order: (arrival, source host, send seq).
+    """Global deterministic delivery order: (destination host, arrival,
+    source host, send seq).
 
     Sorting every barrier batch with this key makes injection order — and
     therefore event sequence-number allocation on the receiving host —
-    independent of which shards the endpoints live on.
+    independent of which shards the endpoints live on.  Grouping by
+    destination first changes nothing a host sees: each host's messages
+    are still injected in (arrival, source host, send seq) order.
     """
     arrival_ns, dst_host, src_host, src_seq, _fields = msg
     return (dst_host, arrival_ns, src_host, src_seq)

@@ -28,6 +28,7 @@ from repro.cluster.host import RackClientHost, RackServerHost, build_host
 from repro.cluster.link import Message, decode_packet, encode_packet, message_sort_key
 from repro.cluster.topology import RackSpec, RackTelemetry
 from repro.errors import ClusterError
+from repro.obs.rack import family_deltas
 from repro.obs.spans import SPAN_MARK_KIND
 
 __all__ = ["ShardFabric", "Shard"]
@@ -213,9 +214,11 @@ class Shard:
 
         Plain picklable values only (the coordinator lives in another
         process): span marks as tuples, timeline windows as dicts carrying
-        raw *deltas* (rates are recomputed after any merge) and watchdog
-        verdicts.  Returns None when telemetry was never enabled for this
-        shard.
+        the rate-family counter deltas, the only part the coordinator's
+        readers use (:func:`~repro.obs.rack.family_deltas`; rates are
+        recomputed there), and watchdog verdicts.  The watchdog has
+        already checked every counter of every window by then.  Returns
+        None when telemetry was never enabled for this shard.
         """
         if self.telemetry_cfg is None:
             return None
@@ -241,10 +244,9 @@ class Shard:
                 tl.stop()
                 bundle["timeline"] = {
                     "window_ns": tl.window_ns,
-                    "boundary_events": tl.boundary_events,
                     "windows": [
                         {"t_start": s.t_start, "t_end": s.t_end,
-                         "deltas": dict(s.deltas), "gauges": dict(s.gauges)}
+                         "families": family_deltas(s.deltas)}
                         for s in tl.samples
                     ],
                 }

@@ -14,7 +14,7 @@ from typing import Deque, Optional, TYPE_CHECKING
 
 from repro.errors import GuestError
 from repro.guest.ops import GHalt, GKick, GWork
-from repro.guest.tasks import TASK_BLOCKED, GuestTask, TaskBlock, TaskYield
+from repro.guest.tasks import TASK_BLOCKED, TASK_FINISHED, GuestTask, TaskBlock, TaskYield
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.os import GuestOS
@@ -84,16 +84,21 @@ class GuestCpuContext:
                     self.current = None
                     continue
             task = self.current
-            item = task.step()
-            if item is None:  # finished
+            try:
+                item = task._gen.send(None)
+            except StopIteration:
+                task.state = TASK_FINISHED
                 self.current = None
                 continue
             cls = type(item)
             if cls is GWork or cls is GKick:
                 return item
             if cls is TaskYield:
-                self.current = None
-                self.runqueue.append(task)
+                # A lone runnable task stays current (_pick would hand it
+                # straight back); the loop still honours _tick_rotate.
+                if self.runqueue:
+                    self.current = None
+                    self.runqueue.append(task)
                 continue
             if cls is TaskBlock:
                 self.current = None

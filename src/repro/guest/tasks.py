@@ -34,6 +34,10 @@ class TaskYield:
     __slots__ = ()
 
 
+#: the stateless request :class:`CpuBurnTask` yields on every chunk
+_YIELD = TaskYield()
+
+
 class TaskState(enum.Enum):
     NEW = "new"
     RUNNABLE = "runnable"
@@ -75,14 +79,6 @@ class GuestTask:
         self._gen = self.body()
         self.state = TASK_RUNNABLE
 
-    def step(self):
-        """Advance the task one yielded item; None means it finished."""
-        try:
-            return self._gen.send(None)
-        except StopIteration:
-            self.state = TASK_FINISHED
-            return None
-
     def wake_task(self, waker_context=None) -> None:
         """Make a blocked task runnable again (guest-internal wakeup).
 
@@ -119,7 +115,9 @@ class CpuBurnTask(GuestTask):
 
     def body(self):
         """Thread behaviour (generator of CPU/scheduling requests)."""
+        chunk = self.chunk_ns
+        work = GWork(chunk)
         while True:
-            yield GWork(self.chunk_ns)
-            self.burned += self.chunk_ns
-            yield TaskYield()
+            yield work
+            self.burned += chunk
+            yield _YIELD

@@ -92,21 +92,29 @@ class Vcpu(Thread):
         if self.guest_ctx is None:
             raise HypervisorError(f"{self.name}: no guest context installed")
         yield from self._vm_entry()
+        next_op = self.guest_ctx.next_op
+        # True when the guest work just run ended on a vector check that
+        # found nothing: with no simulated time since, the checks below
+        # would find nothing either.
+        checked = False
         while True:
-            vec = self._take_vector()
-            if vec is not None:
-                yield from self._run_interrupt(vec)
-                continue
-            if self._forced_exit is not None:
-                yield from self._vm_exit_entry(self._forced_exit)
-                continue
-            op = self.guest_ctx.next_op()
+            if not checked:
+                vec = self._take_vector()
+                if vec is not None:
+                    yield from self._run_interrupt(vec)
+                    continue
+                if self._forced_exit is not None:
+                    yield from self._vm_exit_entry(self._forced_exit)
+                    continue
+            op = next_op()
             cls = type(op)
             if cls is GWork:
-                yield from self._guest_consume(op.ns)
+                checked = yield from self._guest_consume(op.ns)
             elif cls is GKick:
+                checked = False
                 yield from self._do_kick(op.queue)
             elif cls is GHalt:
+                checked = False
                 yield from self._halt()
             else:
                 raise GuestError(f"{self.name}: unknown guest op {op!r}")
@@ -141,9 +149,19 @@ class Vcpu(Thread):
 
     # ------------------------------------------------------- guest execution
     def _guest_consume(self, ns: int):
-        """Burn guest CPU time; service interrupts/forced exits as they land."""
+        """Burn guest CPU time; service interrupts/forced exits as they land.
+
+        Returns True when the last act was a vector check that found
+        nothing.  It follows the forced-exit test, and ``_forced_exit`` is
+        None by then: the test either found it None or ran an exit round
+        trip, which clears it, and nothing sets it in root mode
+        (:meth:`on_host_ipi`, :meth:`on_sched_in`).  Returns False for
+        zero work and when the last check found a vector to serve.
+        """
+        if ns <= 0:
+            return False
         remaining = ns
-        while remaining > 0:
+        while True:
             consumed = yield Consume(remaining, MODE_GUEST, interruptible=True)
             remaining -= consumed
             self._others_budget -= consumed
@@ -155,6 +173,8 @@ class Vcpu(Thread):
             vec = self._take_vector()
             if vec is not None:
                 yield from self._run_interrupt(vec)
+            if remaining <= 0:
+                return vec is None
 
     def _do_kick(self, queue):
         """virtqueue_kick: the notify write, plus an exit if not suppressed."""
@@ -188,8 +208,9 @@ class Vcpu(Thread):
         if not self.irqs_enabled:
             return None
         if self.features.pi:
-            if self.vapic.has_deliverable():
-                return self.vapic.deliver()
+            vapic = self.vapic
+            if vapic.virr and vapic.has_deliverable():
+                return vapic.deliver()
             return None
         vec, self._injected_vector = self._injected_vector, None
         return vec

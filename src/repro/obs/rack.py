@@ -14,9 +14,10 @@ side that puts the rack-wide picture back together:
   comparable across hosts: :func:`stitch_marks` merges each context's
   marks from every host into one end-to-end :class:`StitchedTrace`
   whose telescoping stages still sum exactly to the client-observed RTT.
-* **per-shard telemetry aggregation** — shards ship counter snapshots,
-  timeline windows (raw deltas) and watchdog verdicts over the barrier
-  pipes at finish, and the coordinator keeps those per-host bundles
+* **per-shard telemetry aggregation** — shards ship span marks, timeline
+  windows (only the counter deltas of the headline rate families, see
+  :func:`family_deltas`) and watchdog verdicts over the barrier pipes at
+  finish, and the coordinator keeps those per-host bundles
   (``ShardedSimulator.host_telemetry``); :func:`aggregate_timelines`
   reduces each host's windows to its steady rates per headline family.
 * **barrier/straggler profiling** — each barrier reply piggybacks the
@@ -51,6 +52,7 @@ __all__ = [
     "stitch_marks",
     "stitched_path_report",
     "aggregate_timelines",
+    "family_deltas",
     "barrier_profile",
     "build_rack_telemetry",
     "rack_perfetto_trace",
@@ -91,6 +93,22 @@ def _family_of(key: str) -> Optional[str]:
     if key.startswith("vhost.worker.") and key.endswith(".rounds"):
         return "vhost_rounds"
     return None
+
+
+def family_deltas(deltas: Dict[str, int]) -> List[Tuple[str, int]]:
+    """``[(family, delta), ...]`` for the counter deltas of one timeline
+    window that map to a rate family, in ``deltas`` order.
+
+    That is all the rack's readers use of a window, so a shard ships only
+    this (``Shard.host_telemetry``).  Keeping the key order keeps the
+    readers' floating-point sums, and so their output, unchanged.
+    """
+    out = []
+    for key, delta in deltas.items():
+        family = _family_of(key)
+        if family is not None:
+            out.append((family, delta))
+    return out
 
 
 # ---------------------------------------------------------------- stitching
@@ -186,7 +204,8 @@ def aggregate_timelines(host_timelines: Dict[str, Dict[str, Any]]) -> Dict[str, 
     {family: rate/s}}}``.
 
     ``host_timelines`` is the shipped form (``{host: {"windows":
-    [{t_start, t_end, deltas}]}}``).  A host's deltas are summed by rate
+    [{t_start, t_end, families}]}}``, ``families`` as
+    :func:`family_deltas` returns it).  A host's deltas are summed by rate
     family over all its windows and divided by their total span (never a
     mean of per-window rates).
     """
@@ -199,10 +218,8 @@ def aggregate_timelines(host_timelines: Dict[str, Dict[str, Any]]) -> Dict[str, 
         span = 0
         for win in windows:
             span += win["t_end"] - win["t_start"]
-            for ckey, delta in win["deltas"].items():
-                family = _family_of(ckey)
-                if family is not None:
-                    totals[family] = totals.get(family, 0) + delta
+            for family, delta in win["families"]:
+                totals[family] = totals.get(family, 0) + delta
         scale = 1e9 / span if span > 0 else 0.0
         steady[host] = {fam: d * scale for fam, d in sorted(totals.items())}
     return {"steady": steady}
@@ -409,10 +426,8 @@ def _shard_group_events(host_timelines: Dict[str, Dict[str, Any]],
             span = win["t_end"] - win["t_start"] or window_ns
             scale = 1e9 / span if span > 0 else 0.0
             rates: Dict[str, float] = {}
-            for key, delta in win["deltas"].items():
-                family = _family_of(key)
-                if family is not None:
-                    rates[family] = rates.get(family, 0.0) + delta * scale
+            for family, delta in win["families"]:
+                rates[family] = rates.get(family, 0.0) + delta * scale
             for family in RATE_FAMILIES:
                 if family in rates:
                     events.append(counter(f"{host} {family}/s", "timeline",

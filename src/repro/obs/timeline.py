@@ -179,7 +179,7 @@ class TimelineSampler:
             return
         self.running = False
         if self._pending is not None:
-            self._pending.cancel()
+            self.sim.cancel(self._pending)
             self._pending = None
         if self.sim.now > self._window_start:
             self._close_window(self.sim.now)

@@ -1,12 +1,12 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic DES core: an event heap keyed by (time, sequence),
-cancellable events, a simulator clock in integer nanoseconds, named seeded
-RNG streams, online statistics, and a no-op default tracer (install a
-:class:`repro.obs.TraceBus` to record).
+A small, deterministic DES core: an event heap keyed by (time, sequence)
+whose entries double as cancellable event handles, a simulator clock in
+integer nanoseconds, named seeded RNG streams, online statistics, and a
+no-op default tracer (install a :class:`repro.obs.TraceBus` to record).
 """
 
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import (
@@ -18,7 +18,6 @@ from repro.sim.stats import (
 from repro.sim.trace import NullTracer
 
 __all__ = [
-    "Event",
     "EventQueue",
     "Simulator",
     "RngRegistry",

@@ -1,4 +1,4 @@
-"""Event objects and the pending-event priority queue.
+"""The pending-event priority queue.
 
 Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
 increasing insertion counter; two events scheduled for the same instant fire
@@ -9,20 +9,28 @@ segment-completion events on every preemption and interrupt poke).
 
 Hot-path layout
 ---------------
-The heap stores ``(time, seq, event)`` tuples rather than bare events, so
-``heapq`` sifts compare plain ints (``seq`` is unique, so the tie-break
-never reaches the event itself, which defines no ordering).
+An event *is* its heap entry: the list ``[time, seq, fn, args]`` that
+:meth:`EventQueue.push` builds, the same layout
+:class:`~repro.sched.cfs.CfsRunqueue` uses for its ``[vruntime, tid, seq,
+thread]`` entries.  ``heapq`` sifts compare entries element by element, and
+``seq`` is unique, so a comparison never reaches the callback.  The entry is
+also the handle ``Simulator.schedule`` returns; only :mod:`repro.sim` reads
+its slots, every other holder keeps it opaque and passes it back to
+:meth:`Simulator.cancel`.  The callback slot is the event's state: cancelling
+sets it to None (the entry is then *dead*), and the run loop clears it as it
+fires the entry, so a fired or cancelled entry cannot be cancelled again.
+
 ``call_soon``-style events go through a FIFO side lane
 (:meth:`EventQueue.push_soon`) that skips the heap entirely: the simulator
-clock never moves backwards, so those events are already in ``(time, seq)``
+clock never moves backwards, so those entries are already in ``(time, seq)``
 order and a deque append/popleft replaces two O(log n) heap operations.
 ``pop_until`` (and ``pop``, which is ``pop_until`` without a limit) merges
-the two lanes by comparing their heads, which preserves the exact global
-firing order of a single heap.
+the two lanes with one list comparison of their heads, which preserves the
+exact global firing order of a single heap.
 
-Cancelled events are dropped lazily from the top, and additionally pruned
-in batches: once enough dead entries accumulate relative to the structure
-size, the heap is rebuilt without them so sift costs do not grow with the
+Dead entries are dropped lazily from the top, and additionally pruned in
+batches: once enough of them accumulate relative to the structure size, the
+heap is rebuilt without them so sift costs do not grow with the
 cancellation backlog.
 """
 
@@ -30,11 +38,11 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
 
-__all__ = ["Event", "EventQueue"]
+__all__ = ["EventQueue"]
 
 #: Batched pruning kicks in only past this many dead entries (small queues
 #: are cheap to skip lazily) and only when dead entries dominate the heap.
@@ -44,77 +52,21 @@ _PRUNE_THRESHOLD = 64
 _NO_LIMIT = float("inf")
 
 
-class Event:
-    """A scheduled callback.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulation time (integer ns) at which the event fires.
-    fn:
-        Callback invoked as ``fn(*args)`` when the event fires.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "_cancelled", "_fired", "_queue")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        queue: Optional["EventQueue"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self._cancelled = False
-        self._fired = False
-        self._queue = queue
-
-    # State ---------------------------------------------------------------
-    @property
-    def cancelled(self) -> bool:
-        """True if :meth:`cancel` was called before the event fired."""
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has been invoked."""
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and may still fire."""
-        return not (self._cancelled or self._fired)
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent; a no-op after firing.
-
-        Live-count bookkeeping happens here, so cancelling through the event
-        directly and through :meth:`Simulator.cancel` stay consistent.
-        """
-        if self._fired or self._cancelled:
-            return
-        self._cancelled = True
-        queue = self._queue
-        if queue is not None:
-            queue._note_cancelled(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
-        return f"<Event t={self.time} seq={self.seq} {state} fn={getattr(self.fn, '__qualname__', self.fn)!r}>"
-
-
 class EventQueue:
-    """Priority queue of :class:`Event` with lazy cancellation."""
+    """Two-lane priority queue of ``[time, seq, fn, args]`` entries with
+    lazy cancellation.
+
+    :meth:`pop` and :meth:`pop_until` hand the next entry out still armed:
+    the caller fires it and clears its callback slot as it does
+    (``entry[2] = None``), as :class:`~repro.sim.simulator.Simulator`'s run
+    loop does, so that cancelling it afterwards is a no-op.
+    """
 
     __slots__ = ("_heap", "_fifo", "_seq", "_live", "_dead")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
-        self._fifo: Deque[Event] = deque()
+        self._heap: List[list] = []
+        self._fifo: Deque[list] = deque()
         self._seq = 0
         self._live = 0
         self._dead = 0
@@ -123,16 +75,16 @@ class EventQueue:
         """Number of *live* (non-cancelled, unfired) events."""
         return self._live
 
-    def push(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> Event:
-        """Schedule ``fn(*args)`` at absolute time ``time`` and return the event."""
+    def push(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> list:
+        """Schedule ``fn(*args)`` at absolute time ``time``; return the entry."""
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, seq, fn, args, self)
-        heappush(self._heap, (time, seq, ev))
+        entry = [time, seq, fn, args]
+        heappush(self._heap, entry)
         self._live += 1
-        return ev
+        return entry
 
-    def push_soon(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> Event:
+    def push_soon(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> list:
         """FIFO fast lane for events at the current instant (``call_soon``).
 
         ``time`` must be the current simulation time: successive calls then
@@ -141,26 +93,31 @@ class EventQueue:
         """
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, seq, fn, args, self)
-        self._fifo.append(ev)
+        entry = [time, seq, fn, args]
+        self._fifo.append(entry)
         self._live += 1
-        return ev
+        return entry
 
-    # ---------------------------------------------------------- bookkeeping
-    def _note_cancelled(self, ev: Event) -> None:
+    def cancel(self, entry: list) -> bool:
+        """Kill a pending entry.  Returns True if it was still pending;
+        cancelling a fired or already cancelled entry changes nothing."""
+        if entry[2] is None:
+            return False
         if self._live <= 0:
             raise SimulationError("cancelled more events than were live")
+        entry[2] = None
         self._live -= 1
-        self._dead += 1
-        if self._dead > _PRUNE_THRESHOLD and self._dead * 2 > len(self._heap) + len(self._fifo):
+        self._dead = dead = self._dead + 1
+        if dead > _PRUNE_THRESHOLD and dead * 2 > len(self._heap) + len(self._fifo):
             self._prune()
+        return True
 
     def _prune(self) -> None:
-        """Batched removal of cancelled entries (keeps sift costs bounded)."""
-        self._heap = [entry for entry in self._heap if not entry[2]._cancelled]
+        """Batched removal of dead entries (keeps sift costs bounded)."""
+        self._heap = [entry for entry in self._heap if entry[2] is not None]
         heapify(self._heap)
         if self._fifo:
-            self._fifo = deque(ev for ev in self._fifo if not ev._cancelled)
+            self._fifo = deque(entry for entry in self._fifo if entry[2] is not None)
         self._dead = 0
 
     # ----------------------------------------------------------- retrieval
@@ -168,65 +125,53 @@ class EventQueue:
         """Time of the next live event, or None if the queue is empty."""
         heap, fifo = self._heap, self._fifo
         # Dead-entry skip inlined (this runs once per fusion attempt).
-        while heap and heap[0][2]._cancelled:
+        while heap and heap[0][2] is None:
             heappop(heap)
             self._dead -= 1
-        while fifo and fifo[0]._cancelled:
+        while fifo and fifo[0][2] is None:
             fifo.popleft()
             self._dead -= 1
         if heap:
-            if fifo and fifo[0].time <= heap[0][0]:
-                return fifo[0].time
+            if fifo and fifo[0][0] <= heap[0][0]:
+                return fifo[0][0]
             return heap[0][0]
         if fifo:
-            return fifo[0].time
+            return fifo[0][0]
         return None
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None if empty."""
+    def pop(self) -> Optional[list]:
+        """Remove and return the next live entry, or None if empty."""
         return self.pop_until(_NO_LIMIT)
 
-    def pop_until(self, limit: float) -> Optional[Event]:
-        """Pop the next live event if its time is ``<= limit``, else None.
+    def pop_until(self, limit: float) -> Optional[list]:
+        """Pop the next live entry if its time is ``<= limit``, else None.
 
         Fuses the peek and the pop for the run loop, so the dead-entry skip
         and the two-lane head comparison happen once per event.
         """
         heap, fifo = self._heap, self._fifo
-        while heap and heap[0][2]._cancelled:
+        while heap and heap[0][2] is None:
             heappop(heap)
             self._dead -= 1
-        while fifo and fifo[0]._cancelled:
+        while fifo and fifo[0][2] is None:
             fifo.popleft()
             self._dead -= 1
         if heap:
             head = heap[0]
-            if fifo and (fifo[0].time < head[0]
-                         or (fifo[0].time == head[0] and fifo[0].seq < head[1])):
-                if fifo[0].time > limit:
+            # ``seq`` is unique, so the list comparison is ``(time, seq)``.
+            if fifo and fifo[0] < head:
+                if fifo[0][0] > limit:
                     return None
-                ev = fifo.popleft()
+                entry = fifo.popleft()
             else:
                 if head[0] > limit:
                     return None
-                ev = heappop(heap)[2]
+                entry = heappop(heap)
         elif fifo:
-            if fifo[0].time > limit:
+            if fifo[0][0] > limit:
                 return None
-            ev = fifo.popleft()
+            entry = fifo.popleft()
         else:
             return None
-        ev._fired = True
         self._live -= 1
-        return ev
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for _, _, ev in self._heap:
-            ev._queue = None
-        for ev in self._fifo:
-            ev._queue = None
-        self._heap.clear()
-        self._fifo.clear()
-        self._live = 0
-        self._dead = 0
+        return entry

@@ -12,7 +12,7 @@ from repro.obs import (
     TimelineSampler,
     TraceBus,
 )
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import EventQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import NullTracer
 
@@ -41,7 +41,7 @@ class CrossShardIngress:
         self.injected = 0
         self.min_margin_ns: Optional[int] = None
 
-    def inject(self, stamp: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def inject(self, stamp: int, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at absolute time ``stamp`` (>= now)."""
         now = self.sim.now
         margin = stamp - now
@@ -68,7 +68,10 @@ class Simulator:
 
     The clock is integer nanoseconds, starting at 0.  Events scheduled for
     the same instant fire in scheduling order, which makes runs reproducible
-    from ``(code, seed)`` alone.
+    from ``(code, seed)`` alone.  ``schedule``, ``at`` and ``call_soon``
+    return an opaque handle (the event's queue entry, see
+    :mod:`repro.sim.event`) whose one use outside this package is
+    :meth:`cancel`.
     """
 
     def __init__(self, seed: int = 0, trace: Optional[TraceBus] = None) -> None:
@@ -169,7 +172,7 @@ class Simulator:
             self.obs.timeline.start()
         return self.obs.timeline
 
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay <= 0:
             if delay < 0:
@@ -179,7 +182,7 @@ class Simulator:
             return self.queue.push_soon(self.now, fn, args)
         return self.queue.push(self.now + int(delay), fn, args)
 
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at absolute time ``time`` ns."""
         if time <= self.now:
             if time < self.now:
@@ -187,16 +190,14 @@ class Simulator:
             return self.queue.push_soon(self.now, fn, args)
         return self.queue.push(int(time), fn, args)
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at the current instant, after pending same-time events."""
         return self.queue.push_soon(self.now, fn, args)
 
-    def cancel(self, event: Event) -> bool:
-        """Cancel a pending event.  Returns True if it was still pending."""
-        if event.pending:
-            event.cancel()
-            return True
-        return False
+    def cancel(self, event: list) -> bool:
+        """Cancel a pending event.  Returns True if it was still pending;
+        a fired or already cancelled event is left alone (False)."""
+        return self.queue.cancel(event)
 
     # ------------------------------------------------------------ run loop
     def advance_for_segment(self, delta: int) -> bool:
@@ -230,14 +231,16 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when no events remain."""
-        ev = self.queue.pop()
-        if ev is None:
+        entry = self.queue.pop()
+        if entry is None:
             return False
-        if ev.time < self.now:
+        time, _, fn, args = entry
+        if time < self.now:
             raise SimulationError("event heap yielded an event in the past")
-        self.now = ev.time
+        self.now = time
         self._events_fired += 1
-        ev.fn(*ev.args)
+        entry[2] = None  # fired: a later cancel() is a no-op
+        fn(*args)
         return True
 
     def run_until(self, time: int) -> None:
@@ -253,12 +256,13 @@ class Simulator:
         fired = 0
         try:
             while True:
-                ev = pop_until(time)
-                if ev is None:
+                entry = pop_until(time)
+                if entry is None:
                     break
-                self.now = ev.time
+                self.now, _, fn, args = entry
+                entry[2] = None  # fired: a later cancel() is a no-op
                 fired += 1
-                ev.fn(*ev.args)
+                fn(*args)
         finally:
             self._events_fired += fired
             self._fuse_limit = prev_limit

@@ -36,3 +36,10 @@ def make_machine(sim: Simulator, n_cores: int = 4, **kwargs) -> Machine:
     m = Machine(sim, n_cores=n_cores, **kwargs)
     m.start_ticks()
     return m
+
+
+def fire(entry: list) -> None:
+    """Fire a popped queue entry the way the simulator's run loop does:
+    clear its callback slot, then call it."""
+    fn, entry[2] = entry[2], None
+    fn(*entry[3])

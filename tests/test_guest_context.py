@@ -86,6 +86,38 @@ class TestNextOp:
             ctx.next_op()
         assert order[:2] == ["a", "b"]
 
+    def test_lone_yielder_stays_current(self):
+        tb, ctx = fresh_context()
+        ctx.runqueue.clear()
+        ctx.current = None
+
+        class TickedYielder(GuestTask):
+            def body(self):
+                while True:
+                    yield GWork(us(1))
+                    ctx.on_timer_tick()  # a guest tick lands mid-run
+                    yield TaskYield()
+
+        t = TickedYielder("t")
+        ctx.add_task(t)
+        assert isinstance(ctx.next_op(), GWork) and ctx.current is t
+        # The yield comes from the only runnable task: it stays current,
+        # nothing is requeued, and the pending rotation is still cleared.
+        assert isinstance(ctx.next_op(), GWork)
+        assert ctx.current is t and not ctx.runqueue
+        assert ctx._tick_rotate is False
+
+    def test_burn_task_hands_out_one_work_item(self):
+        tb, ctx = fresh_context()
+        ctx.runqueue.clear()
+        ctx.current = None
+        burn = CpuBurnTask("burn", chunk_ns=us(100))
+        ctx.add_task(burn)
+        first = ctx.next_op()
+        assert isinstance(first, GWork) and first.ns == us(100)
+        assert ctx.next_op() is first
+        assert ctx.current is burn and burn.burned == us(100)
+
     def test_block_then_wake(self):
         tb, ctx = fresh_context()
         ctx.runqueue.clear()

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.redirector import InterruptRedirector
 from repro.guest.context import GuestCpuContext
-from repro.guest.tasks import GuestTask
+from repro.guest.tasks import CpuBurnTask, GuestTask
 from repro.hw.core import Core
 from repro.hw.msi import MsiMessage
 from repro.hw.nic import LinkModel
@@ -47,12 +47,12 @@ HOT_FUNCTIONS = [
     CfsRunqueue.update_curr,
     Vcpu.body, Vcpu._vm_exit, Vcpu._vm_entry, Vcpu._vm_exit_entry, Vcpu._guest_consume,
     Vcpu._do_kick, Vcpu._halt, Vcpu._run_interrupt, Vcpu._run_ops, Vcpu.on_host_ipi,
-    Vcpu.on_sched_in, Vcpu.in_guest_mode_now.fget,
+    Vcpu.on_sched_in, Vcpu.in_guest_mode_now.fget, Vcpu._take_vector,
     Kvm.exit_handle_cost, Kvm.handle_exit, Kvm.deliver_vcpu_interrupt, Kvm._timer_fire,
     ExitStats.record, IrqRouter.deliver_msi, IrqRouter._validate_redirect,
     InterruptRedirector.select, MsiMessage.allows,
     VhostWorker.body, StockTxHandler.run, RxHandler.run, HybridTxHandler.run,
-    GuestTask.step, GuestTask.wake_task, GuestCpuContext.next_op,
+    GuestTask.wake_task, CpuBurnTask.body, GuestCpuContext.next_op,
     LinkModel.serialize,
 ]
 

@@ -132,3 +132,60 @@ class TestTable:
         assert paired_bench.format_table(rows)[2] == (
             "| `stream_exit` | `sim_ms_per_s` (ms/s) | 100.5 | 114.57 | +14.0% | 4.5% "
             "| 10/10 | yes | improved |")
+
+
+PER_LAYER = json.loads((_ROOT / "BENCHMARK.json").read_text())["per_layer"]
+
+
+def canned_trace_stdout(shares, digest="0dc012978a5e4163"):
+    """What ``perfbench/run.py --trace 1`` prints: the per-layer metrics,
+    with ``shares`` as the ``<layer>.share`` values and 0 elsewhere."""
+    values = {m["name"]: shares.get(m["name"][:-len(".share")], 0.0)
+              if m["name"].endswith(".share") else 0.0 for m in PER_LAYER}
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in PER_LAYER}
+    return "\n".join([
+        "workload ping_mux seed=1 trace=1",
+        f"digest {digest} (12012 latency samples)",
+        "host calibration sim.noop_event_ns = 2362.0 ns",
+        "check ok   at least 1000 latency samples",
+        *(f"metric {m['name']} = {values[m['name']]:.6g} {m['unit']}" for m in PER_LAYER),
+        json.dumps({"correct": True, "attempted": 12012, "failed": 0, "metrics": metrics}),
+    ]) + "\n"
+
+
+class TestTraceExplanation:
+    BASE = {"sim": 0.20, "hw": 0.22, "kvm": 0.15, "guest": 0.179, "sched": 0.10}
+    CHANGE = {"sim": 0.23, "hw": 0.25, "kvm": 0.16, "guest": 0.096, "sched": 0.10}
+
+    def moves(self):
+        base = paired_bench.parse_run(canned_trace_stdout(self.BASE))
+        change = paired_bench.parse_run(canned_trace_stdout(self.CHANGE))
+        return paired_bench.share_moves(PER_LAYER, base, change)
+
+    def test_every_layer_share_largest_move_first(self):
+        moves = self.moves()
+        layers = [m["name"][:-len(".share")] for m in PER_LAYER if m["name"].endswith(".share")]
+        assert sorted(layer for layer, _, _ in moves) == sorted(layers)
+        assert [layer for layer, _, _ in moves[:3]] == ["guest", "hw", "sim"]
+        assert moves[0] == ("guest", 0.179, 0.096)
+        gaps = [abs(change - base) for _, base, change in moves]
+        assert gaps == sorted(gaps, reverse=True)
+
+    def test_markdown_rows(self):
+        lines = paired_bench.format_share_moves("ping_mux", self.moves())
+        assert lines[0].startswith("layer shares of `ping_mux` under --trace 1")
+        assert lines[3] == "| `guest` | 17.9% | 9.6% | -8.3 pts |"
+        assert lines[4] == "| `hw` | 22.0% | 25.0% | +3.0 pts |"
+
+    def test_only_worse_or_unresolved_workloads_are_traced(self):
+        rows = []
+        for workload, pick in (("stream_exit", 1.0), ("ping_mux", 0.7), ("rack_kv", 1.0)):
+            rows += paired_bench.table_rows(workload, END_TO_END, [run(s) for s in BASE],
+                                            [run(s * pick) for s in BASE])
+        spread_base = [1.0, 1.3, 0.8, 1.25, 0.95, 1.1, 0.7, 1.2, 0.9, 1.05]
+        rows += paired_bench.table_rows("stream_poll", END_TO_END,
+                                        [run(s) for s in spread_base],
+                                        [run(s * 1.01) for s in spread_base])
+        verdicts = {(r.workload, r.verdict) for r in rows if r.metric == "sim_ms_per_s"}
+        assert ("ping_mux", "worse") in verdicts and ("stream_poll", "unresolved") in verdicts
+        assert paired_bench.needs_trace(rows) == ["ping_mux", "stream_poll"]

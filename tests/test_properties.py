@@ -11,7 +11,7 @@ from repro.sched.thread import Consume, CpuMode, Thread
 from repro.sim.event import _PRUNE_THRESHOLD, EventQueue
 from repro.sim.simulator import Simulator
 from repro.units import MS, SEC
-from tests.conftest import make_machine
+from tests.conftest import fire, make_machine
 
 
 def _noop() -> None:
@@ -19,11 +19,11 @@ def _noop() -> None:
 
 
 #: One step of a queue script: ``(op, a, b)``.  ``a`` picks a delay, a live
-#: event or a cancellation stride; ``b`` offsets a ``pop_until`` limit from
-#: a pending time by -1, 0 or +1 ns.
+#: or fired event or a cancellation stride; ``b`` offsets a ``pop_until``
+#: limit from a pending time by -1, 0 or +1 ns.
 _QUEUE_STEP = st.tuples(
     st.sampled_from(("push", "push_soon", "burst", "cancel", "mass_cancel",
-                     "peek", "pop", "pop_until")),
+                     "cancel_fired", "peek", "pop", "pop_until")),
     st.integers(min_value=0, max_value=40),
     st.integers(min_value=-1, max_value=1),
 )
@@ -37,8 +37,8 @@ class TestEventQueueProperties:
         for t in times:
             q.push(t, lambda: None)
         popped = []
-        while (ev := q.pop()) is not None:
-            popped.append(ev.time)
+        while (entry := q.pop()) is not None:
+            popped.append(entry[0])
         assert popped == sorted(times)
 
     @given(
@@ -48,15 +48,14 @@ class TestEventQueueProperties:
     def test_cancellation_never_fires(self, spec):
         q = EventQueue()
         fired = []
-        events = []
+        entries = []
         for i, (t, cancel) in enumerate(spec):
-            ev = q.push(t, fired.append, (i,))
-            events.append((ev, cancel))
-        for ev, cancel in events:
+            entries.append((q.push(t, fired.append, (i,)), cancel))
+        for entry, cancel in entries:
             if cancel:
-                ev.cancel()
-        while (ev := q.pop()) is not None:
-            ev.fn(*ev.args)
+                assert q.cancel(entry) is True
+        while (entry := q.pop()) is not None:
+            fire(entry)
         cancelled = {i for i, (_, c) in enumerate(spec) if c}
         assert set(fired) == set(range(len(spec))) - cancelled
 
@@ -67,19 +66,28 @@ class TestEventQueueProperties:
     # A burst, then enough cancellations to pass the prune threshold.
     @example([("burst", 3, 0), ("mass_cancel", 0, 0), ("pop_until", 5, 1),
               ("pop_until", 0, -1), ("peek", 0, 0), ("pop", 0, 0)])
+    # Cancelling a fired entry, then pushing: the live count stays exact.
+    @example([("push", 1, 0), ("push", 2, 0), ("pop", 0, 0), ("cancel_fired", 0, 0),
+              ("push_soon", 0, 0), ("cancel_fired", 0, 0), ("pop", 0, 0)])
     @settings(max_examples=200, deadline=None)
     def test_queue_matches_reference_model(self, script):
         """Every step agrees with a sorted list of live ``(time, seq)`` pairs.
 
         ``push_soon`` only ever runs at the current instant (its contract),
         and ``pop_until`` limits fall at and one ns around pending times.
+        Popped entries are fired the way the run loop fires them; a fired
+        entry stays its own handle, and cancelling it changes nothing.
         """
         q = EventQueue()
-        live = {}  # (time, seq) -> Event, the reference model
+        live = {}  # (time, seq) -> entry, the reference model
+        fired = []  # every popped entry, held like a caller's handle
+        handles = {}  # id -> every entry handed out, held so ids stay unique
         now = 0
 
-        def add(ev):
-            live[(ev.time, ev.seq)] = ev
+        def add(entry):
+            assert id(entry) not in handles  # a held handle is never reused
+            handles[id(entry)] = entry
+            live[(entry[0], entry[1])] = entry
 
         for op, a, b in script:
             if op == "push":
@@ -95,13 +103,16 @@ class TestEventQueueProperties:
                         add(q.push(now + (a + i) % 5, _noop))
             elif op == "cancel":
                 if live:
-                    live.pop(sorted(live)[a % len(live)]).cancel()
+                    assert q.cancel(live.pop(sorted(live)[a % len(live)])) is True
             elif op == "mass_cancel":
                 # Keep every stride-th live event, cancel the rest.
                 stride = a % 3 + 3
                 for i, key in enumerate(sorted(live)):
                     if i % stride:
-                        live.pop(key).cancel()
+                        assert q.cancel(live.pop(key)) is True
+            elif op == "cancel_fired":
+                if fired:
+                    assert q.cancel(fired[a % len(fired)]) is False
             elif op == "peek":
                 assert q.peek_time() == (min(live)[0] if live else None)
             else:
@@ -114,17 +125,17 @@ class TestEventQueueProperties:
                     limit = anchor + b
                     got = q.pop_until(limit)
                 if pending and pending[0][0] <= limit:
-                    assert got is not None and got.fired
-                    assert (got.time, got.seq) == pending[0]
-                    del live[pending[0]]
-                    now = got.time
+                    assert got is live.pop(pending[0])
+                    fire(got)
+                    fired.append(got)
+                    now = got[0]
                 else:
                     assert got is None
             assert len(q) == len(live)
 
         drained = []
-        while (ev := q.pop()) is not None:
-            drained.append((ev.time, ev.seq))
+        while (entry := q.pop()) is not None:
+            drained.append((entry[0], entry[1]))
         assert drained == sorted(live)
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=100), st.integers(0, 5))

@@ -34,9 +34,11 @@ from repro.cluster import (
 )
 from repro.errors import ClusterError
 from repro.obs.rack import (
+    RATE_FAMILIES,
     StitchedTrace,
     aggregate_timelines,
     barrier_profile,
+    family_deltas,
     rack_perfetto_trace,
     render_rack_dashboard,
     stitch_marks,
@@ -96,6 +98,24 @@ def test_report_carries_only_the_compact_view(rack_runs):
         assert set(telemetry["timeline"]) == {"steady"}
         assert set(telemetry["timeline"]["steady"]) == set(spec.server_hosts)
         assert set(bundles[n]) == set(spec.hosts)
+
+
+def test_shards_ship_only_the_rate_family_deltas(rack_runs):
+    """A shipped timeline window holds its span and its rate-family deltas
+    (no gauges, no untracked counters), and the families agree at every
+    shard count."""
+    _spec, _off, _on, bundles = rack_runs
+    shipped = {}
+    for n, per_host in bundles.items():
+        timelines = {h: b["timeline"] for h, b in per_host.items() if "timeline" in b}
+        assert timelines
+        for tl in timelines.values():
+            assert set(tl) == {"window_ns", "windows"}
+            for win in tl["windows"]:
+                assert set(win) == {"t_start", "t_end", "families"}
+                assert {f for f, _ in win["families"]} <= set(RATE_FAMILIES)
+        shipped[n] = json.dumps(timelines, sort_keys=True)
+    assert shipped[1] == shipped[2] == shipped[4]
 
 
 # --------------------------------------------------------------- stitching
@@ -166,15 +186,23 @@ def test_stitch_merge_order_is_layout_free():
 
 
 # ------------------------------------------------------------- aggregation
+def test_family_deltas_keep_tracked_keys_in_order():
+    deltas = {"vhost.vm/virtio-net/tx.packets": 4, "untracked.key": 99,
+              "kvm.exits.MSR_WRITE": 10, "kvm.exits.HLT": 0, "kvm.router.redirected": 2}
+    assert family_deltas(deltas) == [("net_tx_pkts", 4), ("vm_exits", 10),
+                                     ("vm_exits", 0), ("irq_redirected", 2)]
+
+
 def test_aggregate_timelines_sums_families_across_hosts():
+    def window(t_start, t_end, deltas):
+        return {"t_start": t_start, "t_end": t_end, "families": family_deltas(deltas)}
+
     tl = {
         "h0": {"windows": [
-            {"t_start": 0, "t_end": 1000,
-             "deltas": {"kvm.exits.MSR_WRITE": 10, "vhost.vm/virtio-net/tx.packets": 4}},
-            {"t_start": 1000, "t_end": 1500, "deltas": {"kvm.exits.HLT": 5}}]},
+            window(0, 1000, {"kvm.exits.MSR_WRITE": 10, "vhost.vm/virtio-net/tx.packets": 4}),
+            window(1000, 1500, {"kvm.exits.HLT": 5})]},
         "h1": {"windows": [
-            {"t_start": 0, "t_end": 1000,
-             "deltas": {"kvm.exits.HLT": 5, "untracked.key": 99}}]},
+            window(0, 1000, {"kvm.exits.HLT": 5, "untracked.key": 99})]},
         "c0": {"windows": []},
     }
     steady = aggregate_timelines(tl)["steady"]

@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.sim.event import EventQueue
 from repro.sim.simulator import Simulator
 from repro.units import MS, US
+from tests.conftest import fire
 
 
 class TestEventQueue:
@@ -18,10 +19,10 @@ class TestEventQueue:
         q.push(10, out.append, ("a",))
         q.push(20, out.append, ("b",))
         while True:
-            ev = q.pop()
-            if ev is None:
+            entry = q.pop()
+            if entry is None:
                 break
-            ev.fn(*ev.args)
+            fire(entry)
         assert out == ["a", "b", "c"]
 
     def test_fifo_within_same_time(self):
@@ -29,25 +30,26 @@ class TestEventQueue:
         order = []
         for i in range(5):
             q.push(100, order.append, (i,))
-        while (ev := q.pop()) is not None:
-            ev.fn(*ev.args)
+        while (entry := q.pop()) is not None:
+            fire(entry)
         assert order == [0, 1, 2, 3, 4]
 
     def test_len_counts_live_events(self):
         q = EventQueue()
-        evs = [q.push(i, lambda: None) for i in range(4)]
+        entries = [q.push(i, lambda: None) for i in range(4)]
         assert len(q) == 4
-        evs[1].cancel()
+        assert q.cancel(entries[1]) is True
         assert len(q) == 3
 
     def test_cancelled_events_are_skipped(self):
         q = EventQueue()
         hit = []
-        ev = q.push(5, hit.append, (1,))
+        entry = q.push(5, hit.append, (1,))
         q.push(6, hit.append, (2,))
-        ev.cancel()
+        q.cancel(entry)
         nxt = q.pop()
-        assert nxt.time == 6
+        assert nxt[0] == 6
+        assert q.pop() is None
 
     def test_peek_time(self):
         q = EventQueue()
@@ -147,11 +149,16 @@ class TestSimulator:
         held = sim.schedule(10, lambda: None)
         sim.schedule(20, lambda: None)
         sim.run_until(15)
-        assert held.fired
+        assert held[2] is None  # fired: the run loop cleared its callback
         later = sim.schedule(30, lambda: None)
         assert later is not held
-        # The held handle still reports its own firing, not the new event's.
-        assert held.fired and held.time == 10
+        # The held handle is still its own (fired) event, not the new one:
+        # cancelling it is a no-op and leaves the new event pending.
+        assert held[0] == 10
+        assert sim.cancel(held) is False
+        assert len(sim.queue) == 2
+        sim.run_until(50)
+        assert sim.events_fired == 3
 
     def test_events_fired_counter(self, sim):
         for i in range(7):

@@ -9,6 +9,7 @@ from repro.errors import HypervisorError
 from repro.guest.ops import GWork
 from repro.guest.os import GuestOS
 from repro.guest.tasks import CpuBurnTask, GuestTask, TaskBlock
+from repro.hw.lapic import IPI_KIND_PI_NOTIFY, POSTED_INTR_VECTOR
 from repro.kvm.exits import ExitReason
 from repro.kvm.hypervisor import Kvm
 from repro.kvm.idt import LOCAL_TIMER_VECTOR
@@ -182,3 +183,47 @@ class TestAccountingInvariants:
         vm.boot()
         sim.run_until(100 * MS)
         assert vm.exit_stats.total == kvm.global_exit_stats.total
+
+
+class TestVectorCheckAfterGuestWork:
+    def test_vector_posted_while_the_last_iteration_serves_an_interrupt(self, sim):
+        """Guest work whose last iteration serves vector A, whose handler
+        posts vector B: B is delivered before the guest's next op."""
+        m, kvm, vm, os = build(sim, FeatureSet(pi=True), burn=False, pinning=[0])
+        vcpu = vm.vcpus[0]
+        vec_a = vm.vector_allocator.allocate("a")
+        vec_b = vm.vector_allocator.allocate("b")
+        order = []
+
+        def handler(name, post=None):
+            def factory(context):
+                def ops():
+                    order.append(name)
+                    if post is not None:
+                        kvm.deliver_vcpu_interrupt(vcpu, post)
+                    yield GWork(us(5))
+                return ops()
+            return factory
+
+        os.register_irq_handler(vec_a, handler("A", post=vec_b))
+        os.register_irq_handler(vec_b, handler("B"))
+
+        def land_a():
+            # A's notification IPI lands at the instant the guest work ends.
+            vcpu.vapic.pi_desc.post(vec_a)
+            vcpu.on_host_ipi(POSTED_INTR_VECTOR, IPI_KIND_PI_NOTIFY)
+
+        class Worker(GuestTask):
+            def body(self):
+                # Scheduled before the work's completion event, so it fires
+                # first at the same instant: A ends the work's last segment.
+                sim.schedule(us(10), land_a)
+                yield GWork(us(10))
+                order.append("next op")
+                yield TaskBlock()
+
+        os.add_task(Worker("w"), 0)
+        vm.boot()
+        sim.run_until(MS)
+        assert order == ["A", "B", "next op"]
+
