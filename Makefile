@@ -23,8 +23,8 @@ lint:
 # The bench report (BENCH_current.json), its regression gate against the
 # checked-in BENCH_baseline.json (exit 1 on a >10% move of a gated metric
 # or any watchdog violation) and its HTML dashboard (dashboard.html): the
-# flow's bench, bench-compare and dashboard tasks, cached in the .flow
-# state dir that flow-smoke shares.
+# flow's bench-points sweep and its bench, bench-compare and dashboard
+# tasks, cached in the .flow state dir that flow-smoke shares.
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro flow run --mode reduced --state-dir .flow \
 		--only bench-compare dashboard --bench-out BENCH_current.json \

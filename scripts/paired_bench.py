@@ -22,11 +22,13 @@ verdict:
   unless every change run reads better than every base run;
 * ``unchanged``: otherwise.
 
-When a workload has a ``worse`` or ``unresolved`` row, each side runs
-once more with ``--trace 1`` (same seed and ``run_seconds``), and under
-the table a second table lists every layer's ``share`` of ``BENCHMARK.json``'s
-per-layer metrics for base and change and their difference, largest move
-first: the regression names the layer it came from.
+When a workload's ``sim_ms_per_s`` row is ``worse`` or ``unresolved``,
+each side runs once more with ``--trace 1`` (same seed and
+``run_seconds``), and under the table a second table lists every layer's
+``share`` of ``BENCHMARK.json``'s per-layer metrics for base and change
+and their difference, largest move first: the regression names the
+layer it came from.  The layer tracer times only the run loop, never
+set-up, so no other row can be explained that way.
 
 A run that fails an output check or reports failed operations is listed
 under the tables.  Exit status: 1 if any row is ``worse`` or any run
@@ -168,13 +170,16 @@ def format_table(rows: Sequence[Row]) -> List[str]:
     return lines
 
 
+#: the one end-to-end metric the layer tracer can explain: it times the
+#: run loop, which is what ``sim_ms_per_s`` measures
+TRACED_METRIC = "sim_ms_per_s"
+
+
 def needs_trace(rows: Sequence[Row]) -> List[str]:
-    """The workloads, in table order, with a ``worse`` or ``unresolved`` row."""
-    out: List[str] = []
-    for r in rows:
-        if r.verdict in ("worse", "unresolved") and r.workload not in out:
-            out.append(r.workload)
-    return out
+    """The workloads, in table order, whose :data:`TRACED_METRIC` row is
+    ``worse`` or ``unresolved``."""
+    return [r.workload for r in rows
+            if r.metric == TRACED_METRIC and r.verdict in ("worse", "unresolved")]
 
 
 def share_moves(per_layer: Sequence[dict], base: Run,

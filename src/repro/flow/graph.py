@@ -46,12 +46,6 @@ class Task:
     kwargs: Mapping[str, Any] = field(default_factory=dict)
     kind: str = "task"  #: coarse grouping for display: calibrate/point/sweep/render/...
     description: str = ""
-    #: wall-clock budget in seconds (None = no budget).  The runner checks
-    #: and reports overruns, but the budget never reaches
-    #: :func:`~repro.flow.state.task_key` or
-    #: :func:`~repro.flow.state.run_key_for` — editing a budget must not
-    #: invalidate any cached work.
-    budget_s: Optional[float] = None
 
 
 class TaskGraph:

@@ -87,9 +87,6 @@ class FlowResult:
     failed: Dict[str, str] = field(default_factory=dict)
     skipped: Dict[str, str] = field(default_factory=dict)
     results: Dict[str, Any] = field(default_factory=dict)
-    #: tasks whose execution wall exceeded their declared budget_s,
-    #: mapped to the overrun in seconds (reported, never fatal).
-    over_budget: Dict[str, float] = field(default_factory=dict)
     wall_s: float = 0.0
     state_path: str = ""
 
@@ -109,8 +106,6 @@ class FlowResult:
             lines.append(f"  FAILED  {name}: {reason}")
         for name, reason in self.skipped.items():
             lines.append(f"  skipped {name}: {reason}")
-        for name, over in self.over_budget.items():
-            lines.append(f"  BUDGET  {name}: over wall budget by {over:.1f}s")
         return lines
 
 
@@ -259,7 +254,6 @@ class FlowRunner:
                 record = state.record(name)
                 record.kind = task.kind
                 record.deps = list(task.deps)
-                record.budget_s = float(task.budget_s or 0.0)
                 if (
                     not force
                     and record.status == "done"
@@ -298,7 +292,6 @@ class FlowRunner:
         def finish(payload):
             nonlocal step
             name, status, value, digest, wall, error, resources = payload
-            task = self.graph[name]
             record = state.record(name)
             record.wall_s = wall
             record.cpu_user_s = resources["cpu_user_s"]
@@ -321,13 +314,7 @@ class FlowRunner:
                 completed.add(name)
                 result.executed.append(name)
                 result.results[name] = value
-                note = ""
-                if task.budget_s is not None and wall > task.budget_s:
-                    record.over_budget = True
-                    over = wall - task.budget_s
-                    result.over_budget[name] = over
-                    note = f"  OVER BUDGET ({task.budget_s:.0f}s +{over:.1f}s)"
-                self.echo(f"[{step:>3}/{total}] {name:<22} done    {wall:6.1f}s{note}")
+                self.echo(f"[{step:>3}/{total}] {name:<22} done    {wall:6.1f}s")
             else:
                 record.status, record.error = "failed", error
                 dead[name] = "failed"
@@ -357,7 +344,6 @@ class FlowRunner:
                 "cached": len(result.cached),
                 "failed": len(result.failed),
                 "skipped": len(result.skipped),
-                "over_budget": len(result.over_budget),
                 "ok": result.ok,
             }
         )

@@ -15,7 +15,7 @@ Inside a run directory:
   (status, cache key, output digest, wall seconds, error, dependency
   names, and the schema-v2 resource accounting: CPU user/system seconds,
   peak-RSS delta, ready→start queue wait, worker id, start/finish stamps,
-  budget verdict, cache-hit provenance) plus the counts of the most
+  cache-hit provenance) plus the counts of the most
   recent invocation (``executed``/``cached``/``failed``/``skipped``).
   Rewritten atomically after **every** task transition, so a crash
   mid-run loses at most the in-flight tasks.  Because the record carries
@@ -63,7 +63,9 @@ __all__ = [
 #: an older schema returns ``None`` — the documented fresh-start path — so
 #: no record can ever carry fields a previous schema never wrote.
 #: v2: per-task resource accounting (cpu/rss/queue-wait/worker/stamps),
-#: dependency names, budget verdicts, and cache-hit provenance.
+#: dependency names, and cache-hit provenance.  (v2 files written while
+#: tasks had wall budgets also carry ``budget_s`` and ``over_budget``;
+#: :meth:`FlowState.from_dict` ignores them.)
 STATE_SCHEMA_VERSION = 2
 
 #: Task lifecycle states recorded in flow-state.json.
@@ -197,8 +199,6 @@ class TaskRecord:
     worker: str = ""  #: executing process label (``pid:<n>``)
     started_unix: float = 0.0  #: wall-clock execution start (0 = never ran)
     finished_unix: float = 0.0  #: wall-clock execution end (0 = in flight)
-    budget_s: float = 0.0  #: declared wall budget (0 = none declared)
-    over_budget: bool = False  #: wall_s exceeded budget_s on last execution
     source: str = ""  #: provenance: "executed" | "cache" (last invocation)
     hit_count: int = 0  #: cache resolutions since the recorded execution
 
@@ -216,7 +216,6 @@ class TaskRecord:
         self.worker = ""
         self.started_unix = 0.0
         self.finished_unix = 0.0
-        self.over_budget = False
         self.source = ""
         self.hit_count = 0
 

@@ -1,8 +1,7 @@
-"""Measurement layer: exit statistics, TIG, throughput, latency, reports."""
+"""Measurement layer: exit statistics, TIG, latency, reports."""
 
 from repro.metrics.exits import ExitBreakdown, collect_breakdown
 from repro.metrics.tig import TigMeter
-from repro.metrics.throughput import ThroughputMeter
 from repro.metrics.latency import LatencySeries
 from repro.metrics.report import format_table
 from repro.metrics.ascii_plot import sparkline, line_plot
@@ -11,7 +10,6 @@ __all__ = [
     "ExitBreakdown",
     "collect_breakdown",
     "TigMeter",
-    "ThroughputMeter",
     "LatencySeries",
     "format_table",
     "sparkline",

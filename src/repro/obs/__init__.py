@@ -21,8 +21,9 @@ through per-module ad-hoc counters:
 * :class:`InvariantWatchdog` / :mod:`repro.obs.watchdog` — per-window
   conservation-law cross-checks raising structured violations.
 * :mod:`repro.obs.bench` — the machine-readable bench report (the flow's
-  ``bench`` task) that turns all of the above into one schema-versioned
-  document (imported lazily: it pulls in the experiment layer).
+  ``bench-points`` sweep and ``bench`` task) that turns all of the above
+  into one schema-versioned document (imported lazily: it pulls in the
+  experiment layer).
 * :mod:`repro.obs.flowreport` / :mod:`repro.obs.flowdash` — flow-run
   observability: critical-path and resource analysis of a
   ``flow-state.json`` document, and the self-contained Gantt dashboard

@@ -1,7 +1,8 @@
-"""Self-contained HTML dashboard for one bench report.
+"""Self-contained HTML dashboard for one bench run.
 
-``render_dashboard`` turns one bench report (see :mod:`repro.obs.bench`;
-the flow's ``dashboard`` task calls it) into a single HTML file with **zero external
+``render_dashboard`` turns the bench points' merged results (see
+:mod:`repro.obs.bench`; the flow's ``dashboard`` task calls it with the
+``bench-points`` task's result) into a single HTML file with **zero external
 resources** — styles inline, charts as inline SVG, interactivity as a
 small inline script — so the artifact can be archived next to the JSON,
 attached to CI runs, and opened anywhere, offline, forever.
@@ -10,13 +11,17 @@ Content:
 
 * headline stat tiles (throughput, I/O-exit reduction, ping p50/p99,
   watchdog verdict);
-* per-configuration windowed exit-rate charts from the embedded
-  timeline, with a cross-check table proving the windowed series
+* per-configuration windowed exit-rate charts from the points' timeline
+  windows, with a cross-check table proving the windowed series
   reaggregates to the bench's steady-state figure;
 * network-rate, gauge, and hybrid mode-residency charts;
 * the scheduler-zoo panel;
 * the per-stage event-path attribution table
-  (:mod:`repro.obs.pathreport` output embedded in the report).
+  (:mod:`repro.obs.pathreport` output carried by the report).
+
+The tiles and tables read the report that
+:func:`~repro.obs.bench.bench_report` assembles from the points; the
+charts read the per-window series, which only the points carry.
 
 The page shell, stylesheet, tiles, cards and tables come from the render
 kit (:mod:`repro.obs.render`); this module keeps the charts and the
@@ -30,7 +35,7 @@ color alone), and a crosshair tooltip driven by inline data.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.render import MAX_SERIES, card, esc, fmt, page, table, tiles
 
@@ -241,7 +246,7 @@ def _tiles(report: Dict[str, Any]) -> str:
 
 
 def steady_state_window_rate(point: Dict[str, Any]) -> Optional[float]:
-    """Reaggregate the tested VM's total exit rate from embedded windows.
+    """Reaggregate the tested VM's total exit rate from a point's windows.
 
     Window rates weighted by window length reproduce the true average
     over the steady-state span; used by the cross-check table (and the
@@ -262,9 +267,14 @@ def steady_state_window_rate(point: Dict[str, Any]) -> Optional[float]:
     return weighted / total_ns if total_ns else None
 
 
-def _crosscheck_table(report: Dict[str, Any]) -> str:
+def _block(points: Mapping[Any, Dict[str, Any]], block: str) -> List[Tuple[str, Dict[str, Any]]]:
+    """``(config, result)`` of every bench point in one block, in point order."""
+    return [(name, result) for (kind, name), result in points.items() if kind == block]
+
+
+def _crosscheck_table(points: Mapping[Any, Dict[str, Any]]) -> str:
     rows = []
-    for name, point in report.get("throughput", {}).items():
+    for name, point in _block(points, "throughput"):
         agg = point.get("exits_per_sec", {}).get("total")
         windowed = steady_state_window_rate(point)
         if agg is None or windowed is None:
@@ -279,9 +289,9 @@ def _crosscheck_table(report: Dict[str, Any]) -> str:
         unit="bench aggregate vs reaggregated timeline windows (tested VM, exits/s)")
 
 
-def _timeline_sections(report: Dict[str, Any]) -> str:
+def _timeline_sections(points: Mapping[Any, Dict[str, Any]]) -> str:
     out: List[str] = []
-    for name, point in report.get("throughput", {}).items():
+    for name, point in _block(points, "throughput"):
         windows = point.get("timeline", {}).get("windows", [])
         if not windows:
             continue
@@ -303,7 +313,7 @@ def _timeline_sections(report: Dict[str, Any]) -> str:
             _series_from_windows(windows, queue_ids, kind="gauges"))
         out.append(_line_chart(f"gauges-{name}", f"{name}: occupancy gauges",
                                "depth / occupancy at window boundaries", series, dropped))
-    for name, point in report.get("latency_ms", {}).items():
+    for name, point in _block(points, "latency"):
         windows = point.get("timeline", {}).get("windows", [])
         if not windows:
             continue
@@ -382,25 +392,26 @@ def _sched_section(report: Dict[str, Any]) -> str:
 
 
 # --------------------------------------------------------------------- entry
-def render_dashboard(report: Dict[str, Any]) -> str:
-    """The complete dashboard document for one bench report."""
-    rev = report.get("revision", "?")
-    params = report.get("params", {})
-    schema = report.get("schema", {})
-    sub = (f"revision {rev} · schema v{schema.get('version', '?')} · "
-           f"seed {params.get('seed', '?')} · "
-           f"measure {params.get('measure_ns', 0) / 1e6:.0f} ms · "
-           f"window {next(iter(report.get('throughput', {}).values()), {}).get('timeline', {}).get('window_ns', 0) / 1e3:.0f} µs")
+def render_dashboard(points: Mapping[Any, Dict[str, Any]]) -> str:
+    """The complete dashboard document for the bench points' merged
+    ``{key: result}`` mapping (:func:`repro.obs.bench.bench_points`)."""
+    from repro.obs.bench import bench_report
+
+    report = bench_report(points)
+    params = report["params"]
+    window_ns = next(iter(report["throughput"].values()))["timeline"]["window_ns"]
+    sub = (f"schema v{report['schema']['version']} · seed {params['seed']} · "
+           f"measure {params['measure_ns'] / 1e6:.0f} ms · window {window_ns / 1e3:.0f} µs")
     body = (
         f"<h1>ES2 reproduction — bench dashboard</h1>"
         f'<p class="sub">{esc(sub)}</p>'
         + _tiles(report)
         + "<h2>Windowed telemetry</h2>"
-        + _crosscheck_table(report)
-        + _timeline_sections(report)
+        + _crosscheck_table(points)
+        + _timeline_sections(points)
         + _sched_section(report)
         + "<h2>Event-path attribution</h2>"
         + _path_table(report)
         + '<div id="tooltip"></div>'
     )
-    return page(f"ES2 bench dashboard — {rev}", body, script=_TOOLTIP_JS)
+    return page("ES2 bench dashboard", body, script=_TOOLTIP_JS)

@@ -8,7 +8,7 @@ rack dashboards.
 Content:
 
 * headline tiles: busy makespan, total work, parallel efficiency,
-  critical-path wall, cache hits, budget overruns;
+  critical-path wall, cache hits;
 * the **Gantt chart**: one lane per task that executed, positioned on the
   run's wall-clock axis, colored by task kind; the **critical path** is
   outlined and listed; each bar is preceded by a hatched *queue-wait*
@@ -18,7 +18,7 @@ Content:
   executed, hollow for cache hits, with hit counts — the at-a-glance
   answer to "what did this invocation actually pay for";
 * the per-task resource table: wall, CPU user/sys, peak-RSS delta, queue
-  wait, worker id, budget verdict.
+  wait, worker id.
 
 Identity never relies on color alone: every bar and chip carries a
 ``<title>`` tooltip and the tables repeat the exact numbers.
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.flowreport import flow_report
-from repro.obs.render import Markup, card, esc, fmt, page, table, tiles
+from repro.obs.render import card, esc, fmt, page, table, tiles
 
 __all__ = ["render_flow_dashboard"]
 
@@ -39,7 +39,6 @@ _KIND_SLOTS = {
     "point": 5,
     "sweep": 0,
     "render": 2,
-    "bench": 1,
     "report": 4,
     "task": 6,
 }
@@ -69,8 +68,6 @@ _FLOW_CSS = """
 .chip.cached { background: transparent !important; }
 .chip.failed { border-color: var(--s7); }
 .chip.skipped { opacity: 0.3; }
-.badge { font-size: 11px; border-radius: 3px; padding: 1px 5px; }
-.badge.over { background: var(--s7); color: #fff; }
 """
 
 
@@ -82,7 +79,6 @@ def _tiles(report: Mapping[str, Any]) -> str:
         ("parallel efficiency", f"{report['parallel_efficiency']:.2f}×"),
         ("critical path", f"{report['critical_path']['wall_s']:.1f} s"),
         ("executed / cached", f"{cache['executed']} / {cache['cached']}"),
-        ("budget overruns", str(len(report["budgets"]["over"]))),
     ])
 
 
@@ -223,25 +219,17 @@ def _resource_table(state: Mapping[str, Any]) -> str:
         records.items(), key=lambda kv: -float(kv[1].get("wall_s", 0.0))
     )
     for name, rec in ordered:
-        budget = float(rec.get("budget_s", 0.0))
-        verdict = ""
-        if rec.get("over_budget"):
-            verdict = Markup(f'<span class="badge over">'
-                             f'+{rec.get("wall_s", 0.0) - budget:.1f}s</span>')
-        elif budget:
-            verdict = "ok"
         rows.append((
             name, rec.get("status", "?"),
             "cache" if rec.get("cached") else rec.get("source") or "–",
             f'{rec.get("wall_s", 0.0):.2f}', f'{rec.get("cpu_user_s", 0.0):.2f}',
             f'{rec.get("cpu_sys_s", 0.0):.2f}', fmt(rec.get("peak_rss_kb", 0)),
             f'{rec.get("queue_wait_s", 0.0) * 1e3:.1f}', rec.get("worker") or "–",
-            verdict,
         ))
     return card(
         "Per-task resources",
         table(("task", "status", "source", "wall s", "cpu u", "cpu s", "rss kB",
-               "q-wait ms", "worker", "budget"), rows, num=range(3, 8)),
+               "q-wait ms", "worker"), rows, num=range(3, 8)),
         unit="sorted by wall; CPU seconds are worker getrusage deltas, "
              "RSS is the task's contribution to the worker's peak")
 

@@ -22,9 +22,7 @@ answers the questions a bare per-task wall list cannot:
   concurrency while the run was busy, plus the full concurrency profile
   (seconds spent at each concurrency level) and the peak;
 * **per-phase attribution** — work and task counts grouped by task kind
-  (calibrate / point / sweep / render / bench / report);
-* **budget overruns** — tasks whose execution wall exceeded their
-  declared ``budget_s``;
+  (calibrate / point / sweep / render / report);
 * **cache and queue behaviour** — executed vs cached counts, cumulative
   hit counts, and the total ready→start queue wait.
 
@@ -178,18 +176,6 @@ def flow_report(state: Mapping[str, Any]) -> Dict[str, Any]:
     for bucket in phases.values():
         bucket["share"] = bucket["wall_s"] / total_work if total_work else 0.0
 
-    over_budget = [
-        {
-            "task": name,
-            "wall_s": float(rec.get("wall_s", 0.0)),
-            "budget_s": float(rec.get("budget_s", 0.0)),
-            "over_by_s": float(rec.get("wall_s", 0.0)) - float(rec.get("budget_s", 0.0)),
-        }
-        for name, rec in records.items()
-        if rec.get("over_budget")
-    ]
-    over_budget.sort(key=lambda e: -e["over_by_s"])
-
     statuses: Dict[str, int] = {}
     for rec in records.values():
         status = rec.get("status", "pending")
@@ -219,10 +205,6 @@ def flow_report(state: Mapping[str, Any]) -> Dict[str, Any]:
             "mean": (total_work / makespan) if makespan else 0.0,
         },
         "phases": phases,
-        "budgets": {
-            "declared": sum(1 for r in records.values() if float(r.get("budget_s", 0.0)) > 0),
-            "over": over_budget,
-        },
         "cache": {
             "executed": sum(
                 1 for r in records.values()
@@ -286,14 +268,4 @@ def format_flow_report(report: Mapping[str, Any]) -> str:
             f"{bucket['wall_s']:8.2f}s wall ({bucket['share'] * 100:4.1f}%)  "
             f"{bucket['cpu_s']:8.2f}s cpu"
         )
-    budgets = report["budgets"]
-    if budgets["over"]:
-        lines.append(f"  budget overruns ({len(budgets['over'])}):")
-        for entry in budgets["over"]:
-            lines.append(
-                f"    {entry['task']:<24} {entry['wall_s']:.2f}s > "
-                f"{entry['budget_s']:.2f}s budget (+{entry['over_by_s']:.2f}s)"
-            )
-    elif budgets["declared"]:
-        lines.append(f"  budgets: all {budgets['declared']} declared budgets met")
     return "\n".join(lines) + "\n"

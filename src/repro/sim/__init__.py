@@ -9,12 +9,7 @@ no-op default tracer (install a :class:`repro.obs.TraceBus` to record).
 from repro.sim.event import EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.stats import (
-    Histogram,
-    IntervalRate,
-    RunningStat,
-    TimeWeightedMean,
-)
+from repro.sim.stats import Histogram, RunningStat
 from repro.sim.trace import NullTracer
 
 __all__ = [
@@ -23,7 +18,5 @@ __all__ = [
     "RngRegistry",
     "RunningStat",
     "Histogram",
-    "TimeWeightedMean",
-    "IntervalRate",
     "NullTracer",
 ]

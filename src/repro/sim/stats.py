@@ -8,9 +8,9 @@ be a handful of arithmetic operations.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["RunningStat", "Histogram", "TimeWeightedMean", "IntervalRate"]
+__all__ = ["RunningStat", "Histogram"]
 
 
 class RunningStat:
@@ -59,26 +59,6 @@ class RunningStat:
     def stdev(self) -> float:
         """Sample standard deviation of the observations so far."""
         return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStat") -> None:
-        """Fold another statistic into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min, self.max, self.total = other.min, other.max, other.total
-            return
-        n1, n2 = self.count, other.count
-        delta = other._mean - self._mean
-        n = n1 + n2
-        self._mean += delta * n2 / n
-        self._m2 += other._m2 + delta * delta * n1 * n2 / n
-        self.count = n
-        self.total += other.total
-        self.min = min(self.min, other.min)  # type: ignore[type-var]
-        self.max = max(self.max, other.max)  # type: ignore[type-var]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RunningStat(n={self.count}, mean={self.mean:.3g}, sd={self.stdev:.3g})"
@@ -154,73 +134,6 @@ class Histogram:
     def samples(self) -> Sequence[float]:
         """The retained (possibly subsampled) raw observations."""
         return tuple(self._samples)
-
-
-class TimeWeightedMean:
-    """Mean of a piecewise-constant signal, weighted by how long it held each value."""
-
-    __slots__ = ("_last_t", "_last_v", "_area", "_elapsed")
-
-    def __init__(self, t0: int = 0, v0: float = 0.0) -> None:
-        self._last_t = t0
-        self._last_v = v0
-        self._area = 0.0
-        self._elapsed = 0
-
-    def update(self, t: int, v: float) -> None:
-        """Signal changed to ``v`` at time ``t``."""
-        if t < self._last_t:
-            raise ValueError("time went backwards")
-        dt = t - self._last_t
-        self._area += self._last_v * dt
-        self._elapsed += dt
-        self._last_t = t
-        self._last_v = v
-
-    def mean(self, t: Optional[int] = None) -> float:
-        """Time-weighted mean up to ``t`` (defaults to the last update)."""
-        area, elapsed = self._area, self._elapsed
-        if t is not None:
-            if t < self._last_t:
-                raise ValueError("time went backwards")
-            area += self._last_v * (t - self._last_t)
-            elapsed += t - self._last_t
-        return area / elapsed if elapsed else 0.0
-
-
-class IntervalRate:
-    """Event counter that can report per-second rates over sub-intervals.
-
-    Records cumulative counts at named marks so experiments can exclude
-    warm-up, matching how the paper reports steady-state exit rates.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._marks: Dict[str, tuple] = {}
-        self._times: List[int] = []
-
-    def add(self, n: int = 1) -> None:
-        """Record one observation."""
-        self.count += n
-
-    def mark(self, name: str, t: int) -> None:
-        """Snapshot the cumulative count at time ``t`` under ``name``."""
-        self._marks[name] = (t, self.count)
-
-    def rate_between(self, start_mark: str, end_mark: str) -> float:
-        """Events/second between two marks."""
-        t0, c0 = self._marks[start_mark]
-        t1, c1 = self._marks[end_mark]
-        if t1 <= t0:
-            return 0.0
-        return (c1 - c0) * 1e9 / (t1 - t0)
-
-    def count_between(self, start_mark: str, end_mark: str) -> int:
-        """Observation count between two named marks."""
-        _, c0 = self._marks[start_mark]
-        _, c1 = self._marks[end_mark]
-        return c1 - c0
 
 
 def percentile_of_sorted(xs: Sequence[float], p: float) -> float:

@@ -3,7 +3,7 @@ behind the flow's ``bench-compare`` task.
 
 Everything here starts from hand-written reports or the checked-in
 ``BENCH_baseline.json``, with the flow's ``calibrate`` and ``bench``
-tasks stubbed: nothing is simulated.
+tasks and the bench points stubbed: nothing is simulated.
 """
 
 from __future__ import annotations
@@ -49,12 +49,14 @@ def _baseline():
 
 
 def run_flow_with_bench(monkeypatch, tmp_path, report, target, *extra):
-    """``flow run --mode reduced --only TARGET`` with ``calibrate`` stubbed
-    and ``bench`` returning ``report``: the real graph, simulating nothing."""
+    """``flow run --mode reduced --only TARGET`` with ``calibrate`` stubbed,
+    no bench points and ``bench`` returning ``report``: the real graph,
+    simulating nothing."""
     from repro.flow import tasks
     from repro.flow.cli import main
 
     monkeypatch.setattr(tasks, "calibrate_task", lambda deps, **kwargs: {})
+    monkeypatch.setattr(tasks, "bench_points", lambda: [])
     monkeypatch.setattr(tasks, "bench_task", lambda deps: report)
     return main(["run", "--mode", "reduced", "--only", target, "--jobs", "1",
                  "--state-dir", str(tmp_path / "flow"), *extra])

@@ -3,7 +3,7 @@
 The shared page checks (:mod:`tests.artifact_checks`) cover the offline
 contract and balanced markup; the checks here add the tooltip payload
 shape, the expected chart/metric ids, and the acceptance-criterion
-cross-check — steady-state exit rates reaggregated from the embedded
+cross-check — steady-state exit rates reaggregated from the points'
 timeline windows must match the bench aggregate within 1%.
 """
 
@@ -13,25 +13,30 @@ import pytest
 
 from repro.obs import bench
 from repro.obs.dashboard import render_dashboard, steady_state_window_rate
+from repro.parallel import run_sweep
 from repro.units import MS
 
 from tests.artifact_checks import check_page
 
 
 @pytest.fixture(scope="module")
-def report():
-    return bench.run_bench(
+def points():
+    return run_sweep(bench.bench_points(
         seed=1,
         warmup_ns=5 * MS,
         measure_ns=15 * MS,
         latency_duration_ns=50 * MS,
-        revision="dash-test",
-    )
+    ))
 
 
 @pytest.fixture(scope="module")
-def doc(report):
-    return render_dashboard(report)
+def report(points):
+    return bench.bench_report(points)
+
+
+@pytest.fixture(scope="module")
+def doc(points):
+    return render_dashboard(points)
 
 
 def test_dashboard_is_self_contained(doc):
@@ -64,15 +69,17 @@ def test_dashboard_has_expected_charts_and_metric_ids(doc, report):
     # watchdog verdict tile and the steady-state cross-check table
     assert "0 violations" in doc
     assert "Steady-state cross-check" in doc
+    # the subtitle names the schema and the points' own parameters
+    assert "schema v9 · seed 1 · measure 15 ms · window 100 µs" in doc
 
 
-def test_steady_state_windows_match_bench_aggregate_within_1pct(report):
+def test_steady_state_windows_match_bench_aggregate_within_1pct(points, report):
     for name, point in report["throughput"].items():
-        windowed = steady_state_window_rate(point)
+        windowed = steady_state_window_rate(points[("throughput", name)])
         assert windowed is not None, name
         aggregate = point["exits_per_sec"]["total"]
         assert windowed == pytest.approx(aggregate, rel=0.01), name
-        # ... and with the exact summed-delta figure embedded by the bench
+        # ... and with the exact summed-delta figure the report carries
         exact = point["timeline"]["steady_state"]["exits_per_sec_total"]
         assert windowed == pytest.approx(exact, rel=1e-9), name
 

@@ -16,8 +16,7 @@ from tests.test_flow import t_burn, t_sum
 
 def _state(tmp_path, jobs=2):
     graph = TaskGraph([
-        Task(name="cal", fn=t_burn, kwargs=dict(ms=20), kind="calibrate",
-             budget_s=0.0001),  # guaranteed overrun -> badge rendered
+        Task(name="cal", fn=t_burn, kwargs=dict(ms=20), kind="calibrate"),
         Task(name="sweep-x", fn=t_burn, deps=("cal",), kwargs=dict(ms=30),
              kind="sweep"),
         Task(name="sweep-y", fn=t_burn, deps=("cal",), kwargs=dict(ms=25),
@@ -38,8 +37,7 @@ class TestRender:
             assert section in html, section
         for task in ("cal", "sweep-x", "sweep-y", "agg"):
             assert task in html, task
-        # Budget overrun badge and queue-wait lane machinery present.
-        assert "badge over" in html
+        # Queue-wait lane machinery present.
         assert "qwait" in html
 
     def test_critical_path_tasks_are_highlighted(self, tmp_path):
@@ -54,8 +52,7 @@ class TestRender:
         state = _state(tmp_path, jobs=1)
         # Replay: every record flips to cached, the chips must say so.
         graph = TaskGraph([
-            Task(name="cal", fn=t_burn, kwargs=dict(ms=20), kind="calibrate",
-                 budget_s=0.0001),
+            Task(name="cal", fn=t_burn, kwargs=dict(ms=20), kind="calibrate"),
             Task(name="sweep-x", fn=t_burn, deps=("cal",), kwargs=dict(ms=30),
                  kind="sweep"),
             Task(name="sweep-y", fn=t_burn, deps=("cal",), kwargs=dict(ms=25),
@@ -91,7 +88,6 @@ class TestRender:
                    "finished_unix": 6.0, "cached": False, "source": "executed",
                    "hit_count": 0, "cpu_user_s": 0.0, "cpu_sys_s": 0.0,
                    "peak_rss_kb": 0, "queue_wait_s": 0.0, "worker": "pid:1",
-                   "budget_s": 0.0, "over_budget": False, "key": "k",
-                   "digest": "d", "error": ""}}}
+                   "key": "k", "digest": "d", "error": ""}}}
         html = render_flow_dashboard(doc)
         assert "<evil>" not in html and "&lt;evil&gt;" in html

@@ -35,9 +35,8 @@ def _rec(name, deps=(), wall=0.0, start=0.0, kind="task", **extra):
         "finished_unix": (start + wall) if start else 0.0,
         "cached": False, "source": "executed", "hit_count": 0,
         "cpu_user_s": 0.0, "cpu_sys_s": 0.0, "peak_rss_kb": 0,
-        "queue_wait_s": 0.0, "worker": "pid:1", "budget_s": 0.0,
-        "over_budget": False, "key": "k-" + name, "digest": "d-" + name,
-        "error": "",
+        "queue_wait_s": 0.0, "worker": "pid:1", "key": "k-" + name,
+        "digest": "d-" + name, "error": "",
     }
     rec.update(extra)
     return rec

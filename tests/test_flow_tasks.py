@@ -8,15 +8,18 @@ import pickle
 from repro.experiments import claims
 from repro.experiments.fig4 import QuotaPoint
 from repro.flow.runner import FlowRunner
-from repro.flow.state import run_key_for, task_key
+from repro.flow.state import run_key_for
 from repro.flow.tasks import MODES, build_graph, merge_task, task_names
 from repro.parallel import run_sweep
 from repro.units import MS, SEC
 
-EXPECTED_SWEEPS = 16  # point sweeps, a merge task each
-EXPECTED_POINTS = {"full": 140, "reduced": 83}
-EXPECTED_SKELETON = 1 + 2 * EXPECTED_SWEEPS + 3 + 1  # calibrate, sweeps+renders, bench*3, report
-EXPECTED_TASKS = {mode: EXPECTED_SKELETON + n for mode, n in EXPECTED_POINTS.items()}
+EXPECTED_SWEEPS = 16  # paper sweeps, a merge and a render task each
+BENCH_POINTS = 11  # the bench-points sweep: the same runs in both modes
+EXPECTED_POINTS = {"full": 140 + BENCH_POINTS, "reduced": 83 + BENCH_POINTS}
+#: calibrate, paper sweeps + renders, bench-points + bench + bench-compare
+#: + dashboard, report
+EXPECTED_SKELETON = 1 + 2 * EXPECTED_SWEEPS + 4 + 1
+EXPECTED_TASKS = {"full": 189, "reduced": 132}
 
 
 def _grid(graph, sweep):
@@ -30,6 +33,7 @@ class TestRegistry:
         the grids)."""
         skeleton = {}
         for mode in MODES:
+            assert EXPECTED_TASKS[mode] == EXPECTED_SKELETON + EXPECTED_POINTS[mode]
             graph = build_graph(mode)
             names = task_names(mode)
             assert len(names) == len(set(names)) == EXPECTED_TASKS[mode]
@@ -40,9 +44,9 @@ class TestRegistry:
 
     def test_every_sweep_is_gated_rendered_and_reported(self):
         graph = build_graph("full")
-        sweeps = [t for t in graph.tasks if t.kind == "sweep"]
+        sweeps = [t for t in graph.tasks if t.kind == "sweep" and t.name != "bench-points"]
         assert len(sweeps) == EXPECTED_SWEEPS
-        merged = set()
+        merged = set(graph["bench-points"].deps)
         for task in sweeps:
             assert f"render-{task.name}" in graph
             # A merge over exactly one task per point, each gated by calibrate.
@@ -56,17 +60,33 @@ class TestRegistry:
         assert set(report.deps) == {f"render-{t.name}" for t in sweeps}
         # The regression gate must not be able to take the report with it.
         assert "bench-compare" not in report.deps
-        assert graph["bench-compare"].deps == ("bench",)
-        assert graph["dashboard"].deps == ("bench",)
+
+    def test_bench_is_a_sweep_with_no_render_report_section_or_claims(self):
+        """The bench report is assembled from point tasks like every
+        experiment, but it is not a paper figure."""
+        graphs = {mode: build_graph(mode) for mode in MODES}
+        for mode, graph in graphs.items():
+            points = graph["bench-points"].deps
+            assert len(points) == BENCH_POINTS
+            for point in points:
+                assert point.startswith("bench-points:")
+                assert graph[point].kind == "point" and graph[point].deps == ("calibrate",)
+            assert graph["bench"].deps == ("bench-points",)
+            assert graph["bench-compare"].deps == ("bench",)
+            assert graph["dashboard"].deps == ("bench-points",)
+            assert not any(t.kind == "bench" for t in graph.tasks)
+            assert "render-bench-points" not in graph and "render-bench" not in graph
+            assert not {"bench", "bench-points"} & set(graph["report"].deps)
+        assert not {"bench", "bench-points"} & set(claims.CLAIMS)
+        assert _grid(graphs["full"], "bench-points") == _grid(graphs["reduced"], "bench-points")
 
     def test_whole_tasks_start_first_and_report_keeps_section_order(self):
-        """The runner submits ready tasks in topological order: bench, the
-        longest whole task, goes ahead of every point, and the rack cells,
-        short points, come last."""
+        """The runner submits ready tasks in topological order: calibrate
+        first, and the rack cells, short points, last."""
         graph = build_graph("reduced")
         order = graph.topological_order()
         points = [name for name in order if graph[name].kind == "point"]
-        assert order[:2] == ["calibrate", "bench"] and order.index(points[0]) == 2
+        assert order[0] == "calibrate" and order.index(points[0]) == 1
         assert points[-6:] == ["rack:Baseline,1", "rack:Baseline,4", "rack:PI+H,1",
                                "rack:PI+H,4", "rack:PI+H+R,1", "rack:PI+H+R,4"]
         sections = [name for _, name in graph["report"].kwargs["sections"]]
@@ -101,7 +121,7 @@ class TestRegistry:
     def test_reduced_mode_shrinks_every_sweep(self):
         full, reduced = build_graph("full"), build_graph("reduced")
         for task in full.tasks:
-            if task.kind != "sweep":
+            if task.kind != "sweep" or task.name == "bench-points":
                 continue
             fp = _grid(full, task.name)[0]
             rp = _grid(reduced, task.name)[0]
@@ -129,36 +149,10 @@ class TestRegistry:
         assert run_key_for(build_graph("full").tasks, "full") != \
             run_key_for(build_graph("reduced").tasks, "reduced")
 
-    def test_every_task_declares_a_budget_in_both_modes(self):
-        for mode in MODES:
-            for task in build_graph(mode).tasks:
-                assert task.budget_s and task.budget_s > 0, \
-                    f"{mode}/{task.name}: no wall budget declared"
-        # Reduced mode runs trimmed windows; its budgets must be tighter
-        # (the points full mode adds have no reduced counterpart).
-        full, reduced = build_graph("full"), build_graph("reduced")
-        for task in full.tasks:
-            if task.name in reduced:
-                assert reduced[task.name].budget_s <= task.budget_s, task.name
-
-    def test_budgets_never_reach_cache_or_run_keys(self):
-        """Tuning a budget must not invalidate any cached work."""
-        budgeted = build_graph("full")
-        for task in budgeted.tasks:
-            stripped = task.__class__(
-                name=task.name, fn=task.fn, deps=task.deps, kwargs=task.kwargs,
-                kind=task.kind, description=task.description, budget_s=None)
-            assert task_key(task, {d: "x" for d in task.deps}) == \
-                task_key(stripped, {d: "x" for d in task.deps}), task.name
-        assert run_key_for(budgeted.tasks, "full") == run_key_for(
-            [t.__class__(name=t.name, fn=t.fn, deps=t.deps, kwargs=t.kwargs,
-                         kind=t.kind, description=t.description, budget_s=None)
-             for t in budgeted.tasks], "full")
-
 
 class TestClaims:
     def test_every_sweep_but_schedsweep_is_gated_and_missing_input_fails(self):
-        sweeps = {t.name for t in build_graph("full").tasks if t.kind == "sweep"}
+        sweeps = {t.name for t in build_graph("full").tasks if t.kind == "sweep"} - {"bench-points"}
         assert set(claims.CLAIMS) <= sweeps and sweeps - set(claims.CLAIMS) == {"schedsweep"}
         for task, table in claims.CLAIMS.items():
             assert table and claims.failed_claims(task, {}, "full") == [c[0] for c in table], task
@@ -188,7 +182,8 @@ class TestCli:
 
         assert main(["list", "--mode", "reduced"]) == 0
         out = capsys.readouterr().out
-        for name in ("calibrate", "table1", "render-fig9", "bench-compare", "report"):
+        for name in ("calibrate", "table1", "render-fig9", "bench-points:sched,adaptive",
+                     "bench-compare", "report"):
             assert name in out
 
     def test_dry_run_classifies_without_executing(self, capsys, tmp_path):

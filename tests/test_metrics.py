@@ -10,9 +10,7 @@ from repro.kvm.exits import ExitReason, ExitStats
 from repro.metrics.exits import ExitBreakdown, collect_breakdown
 from repro.metrics.latency import LatencySeries
 from repro.metrics.report import format_table
-from repro.metrics.throughput import ThroughputMeter
 from repro.metrics.tig import TigMeter
-from repro.sim.simulator import Simulator
 from repro.units import MS, SEC
 
 
@@ -76,23 +74,6 @@ class TestTigMeter:
         tb = single_vcpu_testbed(paper_config("PI"), seed=9)
         meter = TigMeter(tb.tested.vm)
         assert meter.tig() == 0.0
-
-
-class TestThroughputMeter:
-    def test_rate_readout(self):
-        sim = Simulator()
-        counter = {"bytes": 0}
-        meter = ThroughputMeter(sim, lambda: counter["bytes"])
-        sim.run_until(MS)
-        counter["bytes"] = 5_000_000  # 5 MB in 1 ms = 40 Gbps
-        assert meter.gbps() == pytest.approx(40.0)
-        meter.mark()
-        assert meter.delta() == 0
-
-    def test_zero_window(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim, lambda: 100)
-        assert meter.gbps() == 0.0
 
 
 class TestLatencySeries:

@@ -189,3 +189,28 @@ class TestTraceExplanation:
         verdicts = {(r.workload, r.verdict) for r in rows if r.metric == "sim_ms_per_s"}
         assert ("ping_mux", "worse") in verdicts and ("stream_poll", "unresolved") in verdicts
         assert paired_bench.needs_trace(rows) == ["ping_mux", "stream_poll"]
+
+    @staticmethod
+    def setup_run(setup_s, speed=100.0):
+        values = {m["name"]: 1.0 for m in END_TO_END}
+        values.update(setup_s=setup_s, sim_ms_per_s=speed)
+        return paired_bench.parse_run(canned_stdout(values))
+
+    def test_an_unresolved_setup_row_alone_is_not_traced(self):
+        """The tracer times the run loop, never set-up: a set-up row it
+        cannot explain triggers no traced run."""
+        spread_base = [1.0, 1.5, 0.6, 1.45, 0.9, 1.2, 0.5, 1.4, 0.8, 1.1]
+        rows = paired_bench.table_rows("stream_exit", END_TO_END,
+                                       [self.setup_run(s) for s in spread_base],
+                                       [self.setup_run(s * 1.01) for s in spread_base])
+        verdicts = {r.metric: r.verdict for r in rows}
+        assert verdicts["setup_s"] == "unresolved"
+        assert {v for m, v in verdicts.items() if m != "setup_s"} == {"unchanged"}
+        assert paired_bench.needs_trace(rows) == []
+
+    def test_a_worse_speed_row_is_traced(self):
+        rows = paired_bench.table_rows("stream_exit", END_TO_END,
+                                       [self.setup_run(1.0, s) for s in BASE],
+                                       [self.setup_run(1.0, s * 0.7) for s in BASE])
+        assert {r.metric: r.verdict for r in rows}["sim_ms_per_s"] == "worse"
+        assert paired_bench.needs_trace(rows) == ["stream_exit"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Histogram, IntervalRate, RunningStat, TimeWeightedMean
+from repro.sim.stats import Histogram, RunningStat
 
 
 class TestRunningStat:
@@ -31,29 +31,6 @@ class TestRunningStat:
         s.extend(xs)
         assert s.mean == pytest.approx(np.mean(xs), rel=1e-9, abs=1e-6)
         assert s.variance == pytest.approx(np.var(xs, ddof=1), rel=1e-6, abs=1e-3)
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80),
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_equals_concatenation(self, a, b):
-        left = RunningStat()
-        left.extend(a)
-        right = RunningStat()
-        right.extend(b)
-        left.merge(right)
-        combined = RunningStat()
-        combined.extend(a + b)
-        assert left.count == combined.count
-        assert left.mean == pytest.approx(combined.mean, rel=1e-9, abs=1e-6)
-        assert left.variance == pytest.approx(combined.variance, rel=1e-6, abs=1e-3)
-
-    def test_merge_empty(self):
-        a = RunningStat()
-        a.add(5.0)
-        a.merge(RunningStat())
-        assert a.count == 1
 
 
 class TestHistogram:
@@ -87,36 +64,3 @@ class TestHistogram:
         h.add(1.0)
         with pytest.raises(ValueError):
             h.percentile(101)
-
-
-class TestTimeWeightedMean:
-    def test_piecewise_constant(self):
-        twm = TimeWeightedMean(t0=0, v0=0.0)
-        twm.update(10, 1.0)  # value 0 held for 10
-        twm.update(30, 0.0)  # value 1 held for 20
-        assert twm.mean() == pytest.approx(20 / 30)
-
-    def test_mean_at_future_time(self):
-        twm = TimeWeightedMean(t0=0, v0=2.0)
-        assert twm.mean(t=10) == pytest.approx(2.0)
-
-    def test_time_backwards_rejected(self):
-        twm = TimeWeightedMean(t0=100)
-        with pytest.raises(ValueError):
-            twm.update(50, 1.0)
-
-
-class TestIntervalRate:
-    def test_rate_between_marks(self):
-        r = IntervalRate()
-        r.mark("a", 0)
-        r.add(500)
-        r.mark("b", 500_000_000)  # 0.5 s
-        assert r.rate_between("a", "b") == pytest.approx(1000.0)
-        assert r.count_between("a", "b") == 500
-
-    def test_degenerate_window(self):
-        r = IntervalRate()
-        r.mark("a", 100)
-        r.mark("b", 100)
-        assert r.rate_between("a", "b") == 0.0
