@@ -22,13 +22,14 @@ verdict:
   unless every change run reads better than every base run;
 * ``unchanged``: otherwise.
 
-When a workload's ``sim_ms_per_s`` row is ``worse`` or ``unresolved``,
-each side runs once more with ``--trace 1`` (same seed and
+When a workload's ``sim_ms_per_s`` row is ``worse``, ``unresolved`` or
+``improved``, each side runs once more with ``--trace 1`` (same seed and
 ``run_seconds``), and under the table a second table lists every layer's
 ``share`` of ``BENCHMARK.json``'s per-layer metrics for base and change
-and their difference, largest move first: the regression names the
-layer it came from.  The layer tracer times only the run loop, never
-set-up, so no other row can be explained that way.
+and their difference, largest move first: a regression names the layer
+it came from, and a gain the layer where the saving landed.  The layer
+tracer times only the run loop, never set-up, so no other row can be
+explained that way.
 
 A run that fails an output check or reports failed operations is listed
 under the tables.  Exit status: 1 if any row is ``worse`` or any run
@@ -177,9 +178,10 @@ TRACED_METRIC = "sim_ms_per_s"
 
 def needs_trace(rows: Sequence[Row]) -> List[str]:
     """The workloads, in table order, whose :data:`TRACED_METRIC` row is
-    ``worse`` or ``unresolved``."""
+    ``worse``, ``unresolved`` or ``improved``: a speed move either way is
+    explained by where it landed."""
     return [r.workload for r in rows
-            if r.metric == TRACED_METRIC and r.verdict in ("worse", "unresolved")]
+            if r.metric == TRACED_METRIC and r.verdict in ("worse", "unresolved", "improved")]
 
 
 def share_moves(per_layer: Sequence[dict], base: Run,

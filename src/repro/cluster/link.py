@@ -42,10 +42,9 @@ def encode_packet(packet) -> tuple:
 
 
 def decode_packet(fields: tuple) -> Packet:
-    """Materialize a fresh local packet from a field tuple."""
-    flow, kind, size, dst, seq, acked, created, meta, ctx = fields
-    return Packet(flow, kind, size, dst, seq=seq, acked=acked,
-                  created=created, meta=meta, ctx=ctx)
+    """Materialize a fresh local packet from a field tuple (in
+    :class:`~repro.net.packet.Packet`'s parameter order)."""
+    return Packet(*fields)
 
 
 def message_sort_key(msg: Message) -> tuple:

@@ -115,8 +115,9 @@ class Shard:
         self.telemetry_cfg = telemetry
         self.fabric = ShardFabric(spec.address_map())
         # Canonical rack order, not assignment order: host build order is
-        # layout-invariant, so any shared module-level state (packet ids)
-        # is touched identically however hosts are grouped.
+        # layout-invariant, so any shared module-level state (thread ids,
+        # sched/thread.py's _tid_counter, the CFS tie-break) is touched
+        # identically however hosts are grouped.
         ordered = [h for h in spec.hosts if h in set(host_names)]
         self.hosts = OrderedDict((name, build_host(name, self.fabric, spec))
                                  for name in ordered)

@@ -43,6 +43,7 @@ import os
 import sys
 from pathlib import Path
 
+from repro.flow.diff import BENCH_BASELINE
 from repro.flow.graph import FlowError
 from repro.flow.runner import FlowRunner
 from repro.flow.state import FlowState, flow_root
@@ -258,7 +259,7 @@ def _cmd_run(args) -> int:
         except ValueError:  # not a bench report: the gate's failure names the file
             gate = None
         if gate is not None:
-            print("bench gate (vs BENCH_baseline.json):")
+            print(f"bench gate (vs {BENCH_BASELINE}):")
             for line in gate[0]:
                 print(f"  {line}")
 

@@ -40,14 +40,18 @@ __all__ = [
 #: Wall-delta entries smaller than this are scheduling noise, not signal.
 _WALL_NOISE_S = 0.05
 
+#: the checked-in bench report the flow's ``bench-compare`` gate compares
+#: against, at the checkout root
+BENCH_BASELINE = "BENCH_baseline.json"
+
 
 def repo_root() -> Optional[Path]:
-    """The checkout root (where BENCH_baseline.json lives), if this is a
+    """The checkout root (where :data:`BENCH_BASELINE` lives), if this is a
     src-layout checkout rather than an installed package."""
     import repro
 
     root = Path(repro.__file__).resolve().parents[2]
-    if (root / "BENCH_baseline.json").exists():
+    if (root / BENCH_BASELINE).exists():
         return root
     return None
 

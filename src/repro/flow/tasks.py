@@ -31,6 +31,7 @@ from typing import List, Sequence
 from repro.experiments import ablations, coalescing, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments import rack, schedzoo, sriov, table1
 from repro.experiments.claims import failed_claims
+from repro.flow.diff import BENCH_BASELINE
 from repro.flow.graph import FlowError, Task, TaskGraph
 from repro.obs.bench import bench_points, bench_report
 from repro.parallel import SweepPoint
@@ -143,9 +144,10 @@ def bench_task(deps):
     return bench_report(deps["bench-points"])
 
 
-def bench_gate(bench, baseline="BENCH_baseline.json"):
+def bench_gate(bench):
     """``(table_lines, regressions)`` of a bench report against the
-    checkout's baseline file, or None outside a checkout (no baseline).
+    checkout's :data:`~repro.flow.diff.BENCH_BASELINE`, or None outside a
+    checkout (no baseline).
 
     :func:`repro.obs.bench_compare.compare` holds the threshold and the
     metric selection.
@@ -154,20 +156,20 @@ def bench_gate(bench, baseline="BENCH_baseline.json"):
     from repro.obs.bench_compare import compare, load_report
 
     root = repo_root()
-    if root is None or not (root / baseline).exists():
+    if root is None or not (root / BENCH_BASELINE).exists():
         return None
-    return compare(load_report(str(root / baseline)), bench)
+    return compare(load_report(str(root / BENCH_BASELINE)), bench)
 
 
-def bench_compare_task(deps, source="bench", baseline="BENCH_baseline.json"):
-    """Gate the fresh bench report against the checked-in baseline.
+def bench_compare_task(deps):
+    """Gate the fresh ``bench`` report against the checked-in baseline.
 
     Any regression, watchdog violations included, raises so the flow
     exits nonzero.  Outside a checkout (no baseline file), the gate
     degrades to a recorded skip rather than a failure.  ``flow run``
     prints the gate's table whatever the outcome.
     """
-    gate = bench_gate(deps[source], baseline)
+    gate = bench_gate(deps["bench"])
     if gate is None:
         return {"ok": True, "skipped": "no checkout baseline to compare against",
                 "lines": []}
@@ -249,7 +251,7 @@ def build_graph(mode: str = "full") -> TaskGraph:
     ))
     graph.add(Task(
         name="bench-compare", fn=bench_compare_task, deps=("bench",), kind="render",
-        description="regression gate vs checked-in BENCH_baseline.json",
+        description=f"regression gate vs checked-in {BENCH_BASELINE}",
     ))
     graph.add(Task(
         name="dashboard", fn=dashboard_task, deps=("bench-points",), kind="render",

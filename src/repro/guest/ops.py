@@ -21,7 +21,9 @@ class GWork:
     def __init__(self, ns: int):
         if ns < 0:
             raise GuestError(f"negative guest work: {ns}")
-        self.ns = int(ns)
+        if type(ns) is not int:
+            ns = int(ns)
+        self.ns = ns
 
 
 class GKick:

@@ -12,8 +12,11 @@ segment before its scheduled completion:
   exact rather than quantized to segment boundaries;
 * **block/finish** from the thread itself.
 
-All bookkeeping funnels through :meth:`_sync_current_runtime`, which charges
-elapsed time to the thread, its accounting mode, and its CFS vruntime.
+A charge credits elapsed time to the thread, its accounting mode, and its
+CFS vruntime.  Partial charges (ticks, wakeups, preemption, pokes) go
+through :meth:`_sync_current_runtime`; a segment's end charges all of it
+in one step, inline (the fused path of :meth:`_start_segment`) or from
+the queue (:meth:`_on_segment_complete`).
 """
 
 from __future__ import annotations
@@ -305,12 +308,33 @@ class Core:
         return False
 
     def _on_segment_complete(self) -> None:
+        """A queued segment ends: charge all of what remains in one step.
+
+        The completion was scheduled ``remaining`` ns after
+        ``_segment_started``, and every partial charge since
+        (:meth:`_sync_current_runtime`) moved both by the same amount, so
+        it fires exactly where they meet; a tick or wakeup charge at this
+        very instant leaves nothing to charge.  The charge is written out
+        here as in :meth:`_start_segment`'s fused path (DESIGN.md §12).
+        """
         self._completion_ev = None
-        self._sync_current_runtime()
         t = self.current
         req = t._request
-        if req.remaining != 0:
+        now = self.sim.now
+        elapsed = now - self._segment_started
+        if elapsed != req.remaining:
+            if elapsed > req.remaining:
+                raise SchedulerError("segment overran its scheduled completion")
             raise SchedulerError("segment completed with time remaining")
+        if elapsed:
+            req.remaining = 0
+            req.consumed += elapsed
+            mode = req.mode
+            t.sum_exec += elapsed
+            t.mode_exec[mode] += elapsed
+            self.mode_time[mode] += elapsed
+            self.rq.update_curr(t, elapsed)
+            self._segment_started = now
         t._request = None
         t._resume_value = req.consumed
         self._advance(t)

@@ -111,8 +111,13 @@ class Vcpu(Thread):
             if cls is GWork:
                 checked = yield from self._guest_consume(op.ns)
             elif cls is GKick:
-                checked = False
-                yield from self._do_kick(op.queue)
+                # The notify write, then the kick.  A suppressed kick passes
+                # no simulated time and posts nothing, so the write's last
+                # check still holds; an exit round trip voids it.
+                checked = yield from self._guest_consume(self.cost.guest_kick_ns)
+                if self._do_kick(op.queue):
+                    checked = False
+                    yield from self._vm_exit_entry(EXIT_IO_INSTRUCTION, op.queue)
             elif cls is GHalt:
                 checked = False
                 yield from self._halt()
@@ -162,7 +167,7 @@ class Vcpu(Thread):
             return False
         remaining = ns
         while True:
-            consumed = yield Consume(remaining, MODE_GUEST, interruptible=True)
+            consumed = yield Consume(remaining, MODE_GUEST, True)
             remaining -= consumed
             self._others_budget -= consumed
             while self._others_budget <= 0:
@@ -176,14 +181,17 @@ class Vcpu(Thread):
             if remaining <= 0:
                 return vec is None
 
-    def _do_kick(self, queue):
-        """virtqueue_kick: the notify write, plus an exit if not suppressed."""
-        yield from self._guest_consume(self.cost.guest_kick_ns)
+    def _do_kick(self, queue) -> bool:
+        """virtqueue_kick after its notify write: True when the kick exits.
+
+        A plain method, so a suppressed kick costs no generator; the
+        caller runs the I/O-instruction round trip when this returns True.
+        """
         if queue.guest_should_kick():
-            queue.note_kick(exited=True)
-            yield from self._vm_exit_entry(EXIT_IO_INSTRUCTION, payload=queue)
-        else:
-            queue.note_kick(exited=False)
+            queue.note_kick(True)
+            return True
+        queue.note_kick(False)
+        return False
 
     def _halt(self):
         yield from self._vm_exit(EXIT_HLT)
@@ -252,7 +260,9 @@ class Vcpu(Thread):
             if cls is GWork:
                 yield from self._guest_consume(op.ns)
             elif cls is GKick:
-                yield from self._do_kick(op.queue)
+                yield from self._guest_consume(self.cost.guest_kick_ns)
+                if self._do_kick(op.queue):
+                    yield from self._vm_exit_entry(EXIT_IO_INSTRUCTION, op.queue)
             else:
                 raise GuestError(f"{self.name}: illegal op in IRQ context: {op!r}")
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 __all__ = [
@@ -23,8 +22,6 @@ ACK_SIZE = 64
 #: TCP maximum segment size at the paper's MTU of 1500.
 MSS = 1448
 
-_pkt_ids = itertools.count(1)
-
 
 class Packet:
     """A network packet.
@@ -41,8 +38,7 @@ class Packet:
     never read, by the data path itself.
     """
 
-    __slots__ = ("pid", "flow", "kind", "size", "dst", "seq", "acked", "created",
-                 "meta", "ctx")
+    __slots__ = ("flow", "kind", "size", "dst", "seq", "acked", "created", "meta", "ctx")
 
     def __init__(
         self,
@@ -56,7 +52,6 @@ class Packet:
         meta: Optional[Any] = None,
         ctx: Optional[int] = None,
     ):
-        self.pid = next(_pkt_ids)
         self.flow = flow
         self.kind = kind
         self.size = size
@@ -68,4 +63,4 @@ class Packet:
         self.ctx = ctx
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Packet #{self.pid} {self.flow}/{self.kind} {self.size}B -> {self.dst}>"
+        return f"<Packet {self.flow}/{self.kind} {self.size}B -> {self.dst}>"

@@ -48,23 +48,20 @@ class GuestUdpTxFlow:
         base_cost = cost.guest_udp_tx_ns + int(cost.guest_tx_per_byte_ns * self.wire_size)
         sim = self.netstack.sim
         rng = sim.rng.stream(f"tx:{self.flow_id}")
+        # Hoisted: the loop runs once per datagram, and the packet is built
+        # positionally (flow, kind, size, dst, seq, acked, created, meta, ctx).
+        flow_id, wire_size, dst, task = self.flow_id, self.wire_size, self.dst, self.task
+        xmit = self.netstack.xmit_from_task_ops
+        jittered = cost.jittered
+        obs = sim.obs
         while True:
             ctx = None
-            sp = sim.obs.spans
+            sp = obs.spans
             if sp is not None:
-                ctx = sp.new_context(sim.now, "udp-tx", flow=self.flow_id, seq=self.datagrams_sent)
-            pkt = Packet(
-                self.flow_id,
-                "data",
-                self.wire_size,
-                dst=self.dst,
-                seq=self.datagrams_sent,
-                created=sim.now,
-                ctx=ctx,
-            )
-            yield from self.netstack.xmit_from_task_ops(
-                self.task, pkt, cost.jittered(base_cost, rng)
-            )
+                ctx = sp.new_context(sim.now, "udp-tx", flow=flow_id, seq=self.datagrams_sent)
+            pkt = Packet(flow_id, "data", wire_size, dst, self.datagrams_sent, 0, sim.now,
+                         None, ctx)
+            yield from xmit(task, pkt, jittered(base_cost, rng))
             self.datagrams_sent += 1
 
     def guest_rx_ops(self, packet, context):  # pragma: no cover - UDP TX is one-way

@@ -11,8 +11,7 @@ document format live here, so the artifacts read as one system.
 
 Pages have **zero external resources**: styles inline, charts as inline
 SVG, data as inline JSON, so a page can be archived next to its inputs
-and opened anywhere, offline.  Every text value is HTML-escaped unless
-the caller marks it as :class:`Markup`.
+and opened anywhere, offline.  Every text value is HTML-escaped.
 
 This module imports :mod:`html`; keep it off the import path of
 :mod:`repro.sim` and :mod:`repro.cluster` (import it lazily there).
@@ -25,7 +24,7 @@ import json
 from typing import Any, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "MAX_SERIES", "Markup", "card", "esc", "fmt", "page", "table", "tiles",
+    "MAX_SERIES", "card", "esc", "fmt", "page", "table", "tiles",
     "complete", "counter", "instant", "meta", "trace_doc", "us", "write_trace",
 ]
 
@@ -107,12 +106,6 @@ details summary {{ cursor: pointer; color: var(--ink-2); font-size: 12px; margin
 
 
 # ------------------------------------------------------------------- text
-class Markup(str):
-    """A string that is already markup: :func:`table` passes it through."""
-
-    __slots__ = ()
-
-
 def esc(s: Any) -> str:
     """HTML-escape anything (quotes included) for text or an attribute."""
     return html.escape(str(s), quote=True)
@@ -176,13 +169,11 @@ def card(title: str, body: str, unit: str = "") -> str:
 def table(head: Sequence[str], rows: Iterable[Sequence[str]],
           num: Container[int] = ()) -> str:
     """A header-and-rows table; columns whose index is in ``num`` are
-    right-aligned numbers.  Every cell is escaped unless it is
-    :class:`Markup`."""
+    right-aligned numbers.  Every cell is escaped."""
 
     def cell(tag: str, i: int, value: str) -> str:
         cls = ' class="num"' if i in num else ""
-        text = value if isinstance(value, Markup) else esc(value)
-        return f"<{tag}{cls}>{text}</{tag}>"
+        return f"<{tag}{cls}>{esc(value)}</{tag}>"
 
     out = ["<table><tr>", *(cell("th", i, h) for i, h in enumerate(head)), "</tr>"]
     for row in rows:

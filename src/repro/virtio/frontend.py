@@ -47,6 +47,8 @@ class VirtioNetDriver:
             vector=self.vector, dest_vcpu=irq_vcpu, mode=DeliveryMode.LOWEST_PRIORITY
         )
         device.msi_route = self.vm.register_msi_route(self.msi)
+        #: the TX kick names only the queue, so one op serves every packet
+        self._tx_kick = GKick(device.txq)
         guest_os.register_irq_handler(self.vector, self._hardirq_ops)
         self.napi_weight = self.vm.features.napi_weight
         #: packet sink: ``fn(packet, context) -> ops generator`` (netstack)
@@ -65,15 +67,16 @@ class VirtioNetDriver:
         before discovering the full ring).
         """
         yield GWork(tx_cost_ns)
-        if self.device.txq.is_full:
+        txq = self.device.txq
+        if txq.is_full:
             return False
-        self.device.txq.push(packet)
+        txq.push(packet)
         if packet.ctx is not None:
             sim = self.vm.machine.sim
             sp = sim.obs.spans
             if sp is not None:
                 sp.mark(sim.now, packet.ctx, "guest_tx", device=self.device.name)
-        yield GKick(self.device.txq)
+        yield self._tx_kick
         return True
 
     def tx_has_space(self) -> bool:

@@ -119,4 +119,4 @@ def test_packet_codec_round_trip():
     for field in ("flow", "kind", "size", "dst", "seq", "acked", "created",
                   "meta", "ctx"):
         assert getattr(clone, field) == getattr(pkt, field)
-    assert clone.pid != pkt.pid
+    assert clone is not pkt

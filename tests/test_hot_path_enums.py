@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.redirector import InterruptRedirector
 from repro.guest.context import GuestCpuContext
+from repro.guest.netstack import GuestNetstack
 from repro.guest.tasks import CpuBurnTask, GuestTask
 from repro.hw.core import Core
 from repro.hw.msi import MsiMessage
@@ -31,12 +32,14 @@ from repro.kvm.exits import ExitStats
 from repro.kvm.hypervisor import Kvm
 from repro.kvm.routing import IrqRouter
 from repro.kvm.vcpu import Vcpu
+from repro.net.udp import GuestUdpTxFlow
 from repro.sched.cfs import CfsRunqueue
 from repro.sched.policy import SchedPolicy
 from repro.sched.thread import Consume, CpuMode, Thread
 from repro.vhost.handler import RxHandler, StockTxHandler
 from repro.vhost.hybrid import HybridTxHandler
 from repro.vhost.worker import VhostWorker
+from repro.virtio.frontend import VirtioNetDriver
 
 HOT_FUNCTIONS = [
     Core.enqueue, Core._reschedule, Core._complete_switch, Core._stop_current,
@@ -54,6 +57,7 @@ HOT_FUNCTIONS = [
     VhostWorker.body, StockTxHandler.run, RxHandler.run, HybridTxHandler.run,
     GuestTask.wake_task, CpuBurnTask.body, GuestCpuContext.next_op,
     LinkModel.serialize,
+    GuestUdpTxFlow.sender_ops, VirtioNetDriver.xmit_ops, GuestNetstack.xmit_from_task_ops,
 ]
 
 _ATTRIBUTE_LOADS = {"LOAD_ATTR", "LOAD_METHOD"}

@@ -177,7 +177,7 @@ class TestTraceExplanation:
         assert lines[3] == "| `guest` | 17.9% | 9.6% | -8.3 pts |"
         assert lines[4] == "| `hw` | 22.0% | 25.0% | +3.0 pts |"
 
-    def test_only_worse_or_unresolved_workloads_are_traced(self):
+    def test_unchanged_workloads_are_not_traced(self):
         rows = []
         for workload, pick in (("stream_exit", 1.0), ("ping_mux", 0.7), ("rack_kv", 1.0)):
             rows += paired_bench.table_rows(workload, END_TO_END, [run(s) for s in BASE],
@@ -214,3 +214,20 @@ class TestTraceExplanation:
                                        [self.setup_run(1.0, s * 0.7) for s in BASE])
         assert {r.metric: r.verdict for r in rows}["sim_ms_per_s"] == "worse"
         assert paired_bench.needs_trace(rows) == ["stream_exit"]
+
+    def test_an_improved_speed_row_is_traced(self):
+        """A gain explains itself as a regression does: the traced pair
+        shows the layer where the saving landed.  A faster set-up alone,
+        which the tracer never times, triggers nothing."""
+        rows = paired_bench.table_rows("stream_poll", END_TO_END,
+                                       [self.setup_run(1.0, s) for s in BASE],
+                                       [self.setup_run(1.0, s * 1.14) for s in BASE])
+        verdicts = {r.metric: r.verdict for r in rows}
+        assert verdicts["sim_ms_per_s"] == "improved"
+        assert {v for m, v in verdicts.items() if m != "sim_ms_per_s"} == {"unchanged"}
+        assert paired_bench.needs_trace(rows) == ["stream_poll"]
+        setup = paired_bench.table_rows("stream_exit", END_TO_END,
+                                        [self.setup_run(1.0) for _ in BASE],
+                                        [self.setup_run(0.5) for _ in BASE])
+        assert {r.metric: r.verdict for r in setup}["setup_s"] == "improved"
+        assert paired_bench.needs_trace(setup) == []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import FeatureSet
 from repro.errors import HypervisorError
-from repro.guest.ops import GWork
+from repro.guest.ops import GKick, GWork
 from repro.guest.os import GuestOS
 from repro.guest.tasks import CpuBurnTask, GuestTask, TaskBlock
 from repro.hw.lapic import IPI_KIND_PI_NOTIFY, POSTED_INTR_VECTOR
@@ -227,3 +227,44 @@ class TestVectorCheckAfterGuestWork:
         sim.run_until(MS)
         assert order == ["A", "B", "next op"]
 
+
+class TestVectorCheckAfterKick:
+    def test_vector_latched_during_an_exiting_kick_is_served_first(self, sim):
+        """A kick that exits, whose I/O round trip latches vector A in the
+        emulated APIC: A is delivered before the guest's next op, although
+        the kick's notify write ended on a check that found nothing."""
+        m, kvm, vm, os = build(sim, FeatureSet(pi=False), burn=False, pinning=[0])
+        vcpu = vm.vcpus[0]
+        vec_a = vm.vector_allocator.allocate("a")
+        order = []
+
+        def handler(context):
+            def ops():
+                order.append("A")
+                yield GWork(us(5))
+            return ops()
+
+        os.register_irq_handler(vec_a, handler)
+
+        class Queue:
+            """Armed, so the kick exits; its backend latches A."""
+
+            def guest_should_kick(self):
+                return True
+
+            def note_kick(self, exited):
+                order.append(f"kick exited={exited}")
+
+            def backend_notified(self):
+                kvm.deliver_vcpu_interrupt(vcpu, vec_a)
+
+        class Kicker(GuestTask):
+            def body(self):
+                yield GKick(Queue())
+                order.append("next op")
+                yield TaskBlock()
+
+        os.add_task(Kicker("k"), 0)
+        vm.boot()
+        sim.run_until(MS)
+        assert order == ["kick exited=True", "A", "next op"]
