@@ -52,7 +52,7 @@ class VmSetup:
     guest_os: GuestOS
     device: object
     vhost: Optional[VhostNet]
-    driver: object
+    driver: VirtioNetDriver
     netstack: GuestNetstack
 
     @property
@@ -109,15 +109,7 @@ class Testbed:
         device = VirtioNetDevice(vm)
         vhost = VhostNet(device, pinned_core=vhost_core)
         driver = VirtioNetDriver(guest_os, device, irq_vcpu=irq_vcpu)
-        netstack = GuestNetstack(guest_os, driver)
-        self.bridge.attach(name, device)
-        if guest_timer:
-            self.kvm.start_guest_timer(vm)
-        if cpu_burn:
-            guest_os.add_task_per_vcpu(lambda i: CpuBurnTask(f"{name}-burn{i}"))
-        setup = VmSetup(vm, guest_os, device, vhost, driver, netstack)
-        self.vm_setups.append(setup)
-        return setup
+        return self._wire_vm(guest_os, device, vhost, driver, guest_timer, cpu_burn)
 
     def add_sriov_vm(
         self,
@@ -144,13 +136,20 @@ class Testbed:
         guest_os = GuestOS(vm)
         device = VfDevice(vm)
         driver = VfDriver(guest_os, device, irq_vcpu=irq_vcpu)
+        return self._wire_vm(guest_os, device, None, driver, guest_timer, cpu_burn)
+
+    def _wire_vm(self, guest_os: GuestOS, device, vhost: Optional[VhostNet],
+                 driver: VirtioNetDriver, guest_timer: bool, cpu_burn: bool) -> VmSetup:
+        """Give a VM with a NIC its netstack, bridge port, guest timer and
+        CPU-burn tasks, and record its setup."""
+        vm = guest_os.vm
         netstack = GuestNetstack(guest_os, driver)
-        self.bridge.attach(name, device)
+        self.bridge.attach(vm.name, device)
         if guest_timer:
             self.kvm.start_guest_timer(vm)
         if cpu_burn:
-            guest_os.add_task_per_vcpu(lambda i: CpuBurnTask(f"{name}-burn{i}"))
-        setup = VmSetup(vm, guest_os, device, None, driver, netstack)
+            guest_os.add_task_per_vcpu(lambda i: CpuBurnTask(f"{vm.name}-burn{i}"))
+        setup = VmSetup(vm, guest_os, device, vhost, driver, netstack)
         self.vm_setups.append(setup)
         return setup
 

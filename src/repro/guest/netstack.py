@@ -1,18 +1,18 @@
-"""The guest's network stack: flow registry, TX helpers, RX dispatch.
+"""The guest's network stack: flow registry and RX dispatch.
 
 Flows (windowed TCP streams, UDP streams, request/response services)
-register here by flow id; the NAPI receive path dispatches each packet to
-its flow's ``guest_rx_ops`` generator, which runs in softirq context on the
-vCPU that took the interrupt.
+register here by flow id; the NAPI receive path runs each packet's flow's
+``guest_rx_ops`` generator in softirq context, on the vCPU that took the
+interrupt.  Flows transmit through the driver's ``xmit_ops``, which owns
+the TX ring and its back-pressure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Callable, Dict, TYPE_CHECKING
 
 from repro.errors import GuestError
 from repro.guest.ops import GWork
-from repro.guest.tasks import GuestTask, TaskBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.os import GuestOS
@@ -25,72 +25,37 @@ _DROP_NS = 300
 
 
 class GuestNetstack:
-    """Socket-layer glue between guest tasks/flows and the virtio driver."""
+    """Socket-layer glue between guest flows and the NIC driver."""
 
     def __init__(self, os: "GuestOS", driver: "VirtioNetDriver"):
         self.os = os
         self.driver = driver
         self.sim = os.vm.machine.sim
         self.cost = os.vm.machine.cost
-        driver.rx_sink = self._rx_ops
-        driver.device.txq.space_callback = self._on_tx_space
-        self._flows: Dict[str, object] = {}
-        #: flow id -> pre-bound ``guest_rx_ops`` — the RX dispatch below runs
-        #: once per packet, so the bound method is looked up at registration
-        #: instead of per delivery
-        self._rx_handlers: Dict[str, object] = {}
-        self._tx_space_waiters: List[GuestTask] = []
+        driver.rx_sink = self.rx_ops
+        #: flow id -> the flow's bound ``guest_rx_ops``, looked up once at
+        #: registration instead of on every delivered packet
+        self._rx_handlers: Dict[str, Callable] = {}
         self.rx_dropped = 0
 
-    # ----------------------------------------------------------------- flows
     def register_flow(self, flow_id: str, flow) -> None:
-        """Register a flow object under its flow id."""
-        if flow_id in self._flows:
+        """Register a flow (anything with ``guest_rx_ops``) under its flow id."""
+        if flow_id in self._rx_handlers:
             raise GuestError(f"flow {flow_id} already registered")
-        self._flows[flow_id] = flow
-        handler = getattr(flow, "guest_rx_ops", None)
-        if handler is not None:
-            self._rx_handlers[flow_id] = handler
+        self._rx_handlers[flow_id] = flow.guest_rx_ops
 
-    def flow(self, flow_id: str):
-        """Look up a registered flow by id."""
-        return self._flows[flow_id]
-
-    # ------------------------------------------------------------ RX dispatch
-    def _rx_ops(self, packet, context):
+    def rx_ops(self, packet, context):
+        """The ops generator for one received packet: its flow's
+        ``guest_rx_ops``, or a drop when no flow owns it."""
         handler = self._rx_handlers.get(packet.flow)
-        if handler is None:
-            flow = self._flows.get(packet.flow)
-            if flow is None:
-                self.rx_dropped += 1
-                if packet.ctx is not None:
-                    sp = self.sim.obs.spans
-                    if sp is not None:
-                        sp.drop(self.sim.now, packet.ctx, "no_flow", flow=packet.flow)
-                yield GWork(_DROP_NS)
-                return
-            # A flow registered without guest_rx_ops fails here, exactly as
-            # the unbound dispatch used to.
-            yield from flow.guest_rx_ops(packet, context)
-            return
-        yield from handler(packet, context)
+        if handler is not None:
+            return handler(packet, context)
+        return self._drop_ops(packet)
 
-    # ------------------------------------------------------------- TX helpers
-    def xmit_from_task_ops(self, task: GuestTask, packet, tx_cost_ns: int):
-        """Transmit from task context, blocking on TX-ring space."""
-        while True:
-            ok = yield from self.driver.xmit_ops(packet, tx_cost_ns)
-            if ok:
-                return
-            self._tx_space_waiters.append(task)
-            yield TaskBlock()
-
-    def xmit_nonblocking_ops(self, packet, tx_cost_ns: int):
-        """Transmit from softirq context; returns False if the ring is full."""
-        ok = yield from self.driver.xmit_ops(packet, tx_cost_ns)
-        return ok
-
-    def _on_tx_space(self) -> None:
-        waiters, self._tx_space_waiters = self._tx_space_waiters, []
-        for task in waiters:
-            task.wake_task()
+    def _drop_ops(self, packet):
+        self.rx_dropped += 1
+        if packet.ctx is not None:
+            sp = self.sim.obs.spans
+            if sp is not None:
+                sp.drop(self.sim.now, packet.ctx, "no_flow", flow=packet.flow)
+        yield GWork(_DROP_NS)

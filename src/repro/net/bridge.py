@@ -24,7 +24,8 @@ class HostBridge:
         self.unroutable = 0
 
     def attach(self, addr: str, device: "VirtioNetDevice") -> None:
-        """Bind the task to a guest context and create its generator."""
+        """Route wire packets addressed to ``addr`` to ``device`` (a virtio-net
+        tap or an assigned VF; anything with ``enqueue_from_wire``)."""
         if addr in self._devices:
             raise HardwareError(f"address {addr} already attached to the bridge")
         self._devices[addr] = device

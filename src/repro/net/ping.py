@@ -46,7 +46,7 @@ class GuestPingResponder:
             self.flow_id, "pong", _PING_SIZE, dst=self.src, seq=packet.seq,
             created=packet.created, ctx=packet.ctx,
         )
-        ok = yield from self.netstack.xmit_nonblocking_ops(reply, _ICMP_NS)
+        ok = yield from self.netstack.driver.xmit_ops(reply, _ICMP_NS)
         if not ok:
             self.replies_dropped += 1
             if reply.ctx is not None:

@@ -82,8 +82,8 @@ class GuestTcpTxFlow:
                 seq=self.seq,
                 created=self.netstack.sim.now,
             )
-            yield from self.netstack.xmit_from_task_ops(
-                self.task, pkt, cost.jittered(base_cost, rng)
+            yield from self.netstack.driver.xmit_ops(
+                pkt, cost.jittered(base_cost, rng), self.task
             )
             self.seq += 1
             self.in_flight += 1
@@ -244,7 +244,7 @@ class GuestTcpRxFlow:
             return
         cost = self.netstack.cost
         ack = Packet(self.flow_id, "ack", ACK_SIZE, dst=self.src, acked=acked)
-        ok = yield from self.netstack.xmit_nonblocking_ops(ack, cost.guest_ack_tx_ns)
+        ok = yield from self.netstack.driver.xmit_ops(ack, cost.guest_ack_tx_ns)
         if ok:
             self._unacked = 0
             self.acks_sent += 1

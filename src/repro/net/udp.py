@@ -51,7 +51,7 @@ class GuestUdpTxFlow:
         # Hoisted: the loop runs once per datagram, and the packet is built
         # positionally (flow, kind, size, dst, seq, acked, created, meta, ctx).
         flow_id, wire_size, dst, task = self.flow_id, self.wire_size, self.dst, self.task
-        xmit = self.netstack.xmit_from_task_ops
+        xmit = self.netstack.driver.xmit_ops
         jittered = cost.jittered
         obs = sim.obs
         while True:
@@ -61,7 +61,7 @@ class GuestUdpTxFlow:
                 ctx = sp.new_context(sim.now, "udp-tx", flow=flow_id, seq=self.datagrams_sent)
             pkt = Packet(flow_id, "data", wire_size, dst, self.datagrams_sent, 0, sim.now,
                          None, ctx)
-            yield from xmit(task, pkt, jittered(base_cost, rng))
+            yield from xmit(pkt, jittered(base_cost, rng), task)
             self.datagrams_sent += 1
 
     def guest_rx_ops(self, packet, context):  # pragma: no cover - UDP TX is one-way

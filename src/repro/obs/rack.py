@@ -132,10 +132,6 @@ class StitchedTrace(PathTrace):
             and self.marks[-1].point == "delivered"
         )
 
-    @property
-    def orphaned(self) -> bool:
-        return bool(self.marks) and not self.complete and not self.dropped
-
     def hosts(self) -> List[str]:
         """Hosts that recorded at least one of this trace's marks, in
         first-touch order."""

@@ -121,15 +121,7 @@ class Histogram:
             return 0.0
         if not 0.0 <= p <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
-        xs = sorted(self._samples)
-        if len(xs) == 1:
-            return xs[0]
-        rank = (p / 100.0) * (len(xs) - 1)
-        lo = int(rank)
-        frac = rank - lo
-        if lo + 1 >= len(xs):
-            return xs[-1]
-        return xs[lo] * (1 - frac) + xs[lo + 1] * frac
+        return percentile_of_sorted(sorted(self._samples), p)
 
     def samples(self) -> Sequence[float]:
         """The retained (possibly subsampled) raw observations."""

@@ -1,104 +1,45 @@
 """Guest driver for an assigned VF (ixgbevf-style).
 
-Implements the same interface as :class:`~repro.virtio.frontend.VirtioNetDriver`
-so the guest netstack and all flows work unchanged on top of it — the only
-behavioural difference is the transmit path: publishing a descriptor and
-ringing the doorbell is a direct device access, so **no I/O-instruction VM
-exit ever happens** (the defining property of device assignment).
+The VF driver is the virtio-net driver with a doorbell: the interrupt
+setup, ISR, NAPI and the TX ring's back-pressure are inherited unchanged,
+so the guest netstack and all flows work on top of it as they do on
+virtio.  The only behavioural difference is the TX notify: publishing a
+descriptor and ringing the doorbell is a direct device access, so **no
+I/O-instruction VM exit ever happens** (the defining property of device
+assignment).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
-from repro.errors import VirtioError
 from repro.guest.ops import GWork
-from repro.hw.msi import DeliveryMode, MsiMessage
+from repro.virtio.frontend import VirtioNetDriver
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.os import GuestOS
+    from repro.guest.tasks import GuestTask
     from repro.sriov.vf import VfDevice
 
 __all__ = ["VfDriver"]
 
-#: device ISR cost (ack + napi_schedule)
-_ISR_NS = 800
 #: MMIO doorbell write (direct, posted)
 _DOORBELL_NS = 120
 
 
-class VfDriver:
+class VfDriver(VirtioNetDriver):
     """Guest-side driver for one assigned Virtual Function."""
 
     def __init__(self, guest_os: "GuestOS", device: "VfDevice", irq_vcpu: int = 0):
-        if device.driver is not None:
-            raise VirtioError(f"{device.name} already has a driver")
-        self.os = guest_os
-        self.device = device
-        self.vm = device.vm
-        self.cost = self.vm.machine.cost
-        device.driver = self
-        self.vector = self.vm.vector_allocator.allocate(device.name)
-        self.msi = MsiMessage(
-            vector=self.vector, dest_vcpu=irq_vcpu, mode=DeliveryMode.LOWEST_PRIORITY
-        )
-        device.msi_route = self.vm.register_msi_route(self.msi)
-        guest_os.register_irq_handler(self.vector, self._hardirq_ops)
-        self.napi_weight = self.vm.features.napi_weight
-        self.rx_sink: Optional[Callable] = None
-        self._napi_scheduled = False
-        self.rx_interrupts = 0
-        self.napi_polls = 0
-        self.rx_packets = 0
+        super().__init__(guest_os, device, irq_vcpu=irq_vcpu)
+        #: the TX notify op is the doorbell's MMIO write, not a queue kick
+        self._tx_notify = GWork(_DOORBELL_NS)
         self.doorbells = 0
 
-    # ------------------------------------------------------------- transmit
-    def xmit_ops(self, packet, tx_cost_ns: int):
+    def xmit_ops(self, packet, tx_cost_ns: int, task: Optional["GuestTask"] = None):
         """Publish + doorbell: all direct device access, exit-free."""
-        yield GWork(tx_cost_ns)
-        if self.device.txq.is_full:
-            return False
-        self.device.txq.push(packet)
-        yield GWork(_DOORBELL_NS)
-        self.doorbells += 1
-        self.device.doorbell()
-        return True
-
-    def tx_has_space(self) -> bool:
-        """True when the TX ring can accept another packet."""
-        return not self.device.txq.is_full
-
-    # -------------------------------------------------------------- receive
-    def _hardirq_ops(self, context):
-        self.rx_interrupts += 1
-        yield GWork(_ISR_NS)
-        if not self._napi_scheduled:
-            self._napi_scheduled = True
-            self.device.rxq.suppress_interrupts()
-            context.raise_softirq(self._napi_poll_ops(context))
-
-    def _napi_poll_ops(self, context):
-        self.napi_polls += 1
-        rxq = self.device.rxq
-        processed = 0
-        while processed < self.napi_weight:
-            pkt = rxq.pop()
-            if pkt is None:
-                break
-            processed += 1
-            self.rx_packets += 1
-            if self.rx_sink is not None:
-                yield from self.rx_sink(pkt, context)
-            else:
-                yield GWork(self.cost.guest_napi_pkt_ns)
-        if processed:
-            self.device.on_guest_rx_pop()
-        if processed >= self.napi_weight and not rxq.is_empty:
-            context.raise_softirq(self._napi_poll_ops(context))
-            return
-        self._napi_scheduled = False
-        rxq.enable_interrupts()
-        if not rxq.is_empty:
-            self._napi_scheduled = True
-            rxq.suppress_interrupts()
-            context.raise_softirq(self._napi_poll_ops(context))
+        ok = yield from super().xmit_ops(packet, tx_cost_ns, task)
+        if ok:
+            self.doorbells += 1
+            self.device.doorbell()
+        return ok

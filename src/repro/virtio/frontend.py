@@ -1,5 +1,9 @@
 """The guest virtio-net driver: transmit path and NAPI receive.
 
+Transmit charges the stack work, publishes into the TX ring and notifies
+the backend.  The driver owns the ring's back-pressure: a task that finds
+it full sleeps until a pop reopens space, then retries.
+
 Receive follows Linux virtio-net: the device ISR schedules NAPI, which
 disables the queue's interrupts, polls up to ``napi_weight`` packets in
 softirq context, and re-enables interrupts only when the ring drains — the
@@ -13,10 +17,11 @@ vCPU — the mechanism behind the Fig. 6b / Fig. 7 gains.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import VirtioError
 from repro.guest.ops import GKick, GWork
+from repro.guest.tasks import GuestTask, TaskBlock
 from repro.hw.msi import DeliveryMode, MsiMessage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,8 +52,12 @@ class VirtioNetDriver:
             vector=self.vector, dest_vcpu=irq_vcpu, mode=DeliveryMode.LOWEST_PRIORITY
         )
         device.msi_route = self.vm.register_msi_route(self.msi)
-        #: the TX kick names only the queue, so one op serves every packet
-        self._tx_kick = GKick(device.txq)
+        #: the TX notify op: the kick names only the queue, so one op
+        #: serves every packet
+        self._tx_notify = GKick(device.txq)
+        #: tasks blocked on a full TX ring, woken when a pop reopens it
+        self._tx_space_waiters: List[GuestTask] = []
+        device.txq.space_callback = self._on_tx_space
         guest_os.register_irq_handler(self.vector, self._hardirq_ops)
         self.napi_weight = self.vm.features.napi_weight
         #: packet sink: ``fn(packet, context) -> ops generator`` (netstack)
@@ -59,29 +68,37 @@ class VirtioNetDriver:
         self.rx_packets = 0
 
     # ------------------------------------------------------------- transmit
-    def xmit_ops(self, packet, tx_cost_ns: int):
-        """Ops to transmit one packet: stack work, publish, maybe kick.
+    def xmit_ops(self, packet, tx_cost_ns: int, task: Optional[GuestTask] = None):
+        """Ops to transmit one packet: stack work, publish, notify.
 
-        Returns True if the packet was queued; False if the TX ring was full
-        (the stack work is still charged — the guest did the preparation
-        before discovering the full ring).
+        The stack work is charged on every attempt: the guest does the
+        preparation before it finds the TX ring full.  On a full ring a
+        ``task`` blocks until a pop reopens space, then retries; without a
+        task (softirq context) the call returns False.  Returns True once
+        the packet is queued.
         """
-        yield GWork(tx_cost_ns)
         txq = self.device.txq
-        if txq.is_full:
-            return False
+        while True:
+            yield GWork(tx_cost_ns)
+            if not txq.is_full:
+                break
+            if task is None:
+                return False
+            self._tx_space_waiters.append(task)
+            yield TaskBlock()
         txq.push(packet)
         if packet.ctx is not None:
             sim = self.vm.machine.sim
             sp = sim.obs.spans
             if sp is not None:
                 sp.mark(sim.now, packet.ctx, "guest_tx", device=self.device.name)
-        yield self._tx_kick
+        yield self._tx_notify
         return True
 
-    def tx_has_space(self) -> bool:
-        """True when the TX ring can accept another packet."""
-        return not self.device.txq.is_full
+    def _on_tx_space(self) -> None:
+        waiters, self._tx_space_waiters = self._tx_space_waiters, []
+        for task in waiters:
+            task.wake_task()
 
     # -------------------------------------------------------------- receive
     def _hardirq_ops(self, context):

@@ -81,7 +81,7 @@ class _ListenerFlow:
             self.flow_id, "synack", _SYNACK_WIRE, dst=wl.client_addr, seq=packet.seq,
             created=packet.created,
         )
-        ok = yield from self.netstack.xmit_nonblocking_ops(synack, cost.guest_ack_tx_ns)
+        ok = yield from self.netstack.driver.xmit_ops(synack, cost.guest_ack_tx_ns)
         if not ok:
             wl.synack_drops += 1
 

@@ -105,7 +105,7 @@ class ServerWorkerTask(GuestTask):
                     meta=(req.conn, final),
                     ctx=req.ctx if final else None,
                 )
-                yield from self.netstack.xmit_from_task_ops(self, pkt, tx_cost)
+                yield from self.netstack.driver.xmit_ops(pkt, tx_cost, self)
                 seq += 1
             self.served += 1
 

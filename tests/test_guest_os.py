@@ -158,7 +158,11 @@ class TestNetstack:
         assert tb.tested.netstack.rx_dropped == 1
 
     def test_duplicate_flow_rejected(self):
+        class Flow:
+            def guest_rx_ops(self, packet, context):
+                yield from ()
+
         tb = single_vcpu_testbed(paper_config("PI"), seed=5)
-        tb.tested.netstack.register_flow("f1", object())
+        tb.tested.netstack.register_flow("f1", Flow())
         with pytest.raises(GuestError):
-            tb.tested.netstack.register_flow("f1", object())
+            tb.tested.netstack.register_flow("f1", Flow())

@@ -57,7 +57,7 @@ HOT_FUNCTIONS = [
     VhostWorker.body, StockTxHandler.run, RxHandler.run, HybridTxHandler.run,
     GuestTask.wake_task, CpuBurnTask.body, GuestCpuContext.next_op,
     LinkModel.serialize,
-    GuestUdpTxFlow.sender_ops, VirtioNetDriver.xmit_ops, GuestNetstack.xmit_from_task_ops,
+    GuestUdpTxFlow.sender_ops, VirtioNetDriver.xmit_ops, GuestNetstack.rx_ops,
 ]
 
 _ATTRIBUTE_LOADS = {"LOAD_ATTR", "LOAD_METHOD"}

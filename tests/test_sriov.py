@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from repro.config import FeatureSet
 from repro.experiments.testbed import Testbed
 from repro.kvm.exits import ExitReason
@@ -116,3 +119,65 @@ class TestSriovRedirection:
         )
         text = format_sriov(results)
         assert "SR-IOV" in text
+
+
+def _sriov_run_digest(features, n_vcpus, pinning):
+    """Digest of a short seeded VF run: one TCP sender and a ping responder."""
+    tb = sriov_testbed(features, seed=29, n_vcpus=n_vcpus, pinning=pinning)
+    send = NetperfTcpSend(tb, tb.tested, payload_size=1024)
+    ping = PingWorkload(tb, tb.tested, interval_ns=2 * MS)
+    ping.start()
+    tb.run_for(60 * MS)
+    device, driver = tb.tested.device, tb.tested.driver
+    readout = {
+        "now": tb.sim.now,
+        "events": tb.sim.events_fired,
+        "counters": tb.sim.obs.counters.flat(),
+        "sink": [send.sinks[0].segments, send.sinks[0].payload_bytes],
+        "flow": [send.flows[0].segments_sent, send.flows[0].acks_received],
+        "rtts": ping.pinger.rtts_ns,
+        "replies_dropped": ping.responder.replies_dropped,
+        "device": [device.tx_wire_packets, device.rx_dma_packets, device.rx_dropped,
+                   device.rx_interrupts_raised],
+        "driver": [driver.rx_interrupts, driver.napi_polls, driver.rx_packets,
+                   driver.doorbells],
+        "rx_dropped": tb.tested.netstack.rx_dropped,
+    }
+    blob = json.dumps(readout, sort_keys=True).encode()
+    return hashlib.blake2b(blob, digest_size=8).hexdigest()
+
+
+class TestPinnedSriovOutput:
+    """The VF path's simulated output at a fixed seed.
+
+    Nothing else pins SR-IOV output: the benchmark tripwire builds no VF.
+    A refactor of the guest driver, netstack or VF device must leave these
+    digests unchanged.
+    """
+
+    def test_assigned_baseline_one_vcpu(self):
+        assert _sriov_run_digest(FeatureSet(pi=False), 1, [0]) == "10622083d11dba0f"
+
+    def test_vtd_pi_redirect_two_stacked_vcpus(self):
+        features = FeatureSet(pi=True, redirect=True)
+        assert _sriov_run_digest(features, 2, [0, 0]) == "5c0e8da2a2145796"
+
+
+def test_vf_ping_traces_carry_the_guest_marks():
+    """A VF ping's trace has the guest's RX and TX marks, so its stages
+    split the round trip at the guest instead of reading origin → delivered."""
+    from repro.obs.spans import collect_traces
+
+    tb = sriov_testbed(FeatureSet(pi=True))
+    tb.sim.enable_spans()
+    wl = PingWorkload(tb, tb.tested, interval_ns=2 * MS)
+    wl.start()
+    tb.run_for(40 * MS)
+    comp = [t for t in collect_traces(tb.sim.trace).values() if t.complete]
+    assert len(comp) == len(wl.pinger.rtts_ns) > 0
+    assert sorted(t.total_ns for t in comp) == sorted(wl.pinger.rtts_ns)
+    for trace in comp:
+        points = [m.point for m in trace.marks]
+        assert "guest_rx" in points and "guest_tx" in points
+        assert points.index("guest_rx") < points.index("guest_tx")
+        assert sum(s.duration for s in trace.stages()) == trace.total_ns

@@ -7,7 +7,10 @@ import pytest
 from repro.config import FeatureSet
 from repro.errors import VirtioError
 from repro.experiments.testbed import Testbed
+from repro.guest.ops import GKick, GWork
+from repro.guest.tasks import GuestTask, TaskBlock
 from repro.net.packet import Packet
+from repro.sriov.driver import _DOORBELL_NS
 from repro.units import MS, US, us
 
 
@@ -42,28 +45,83 @@ class TestVfTx:
         tb.run_for(MS)
         assert device.tx_wire_packets == 3  # no duplicates
 
-    def test_driver_xmit_reports_ring_full(self):
-        tb, vmset = vf_testbed()
-        device = vmset.device
-        for i in range(device.txq.size):
-            device.txq.push(Packet("raw", "data", 100, dst="peer", seq=i))
-
-        # Drive the driver generator manually.
-        gen = vmset.driver.xmit_ops(Packet("raw", "data", 100, dst="peer"), us(1))
-        results = []
-        try:
-            while True:
-                results.append(next(gen))
-        except StopIteration as stop:
-            ok = stop.value
-        assert ok is False
-
     def test_second_driver_rejected(self):
         tb, vmset = vf_testbed()
         from repro.sriov.driver import VfDriver
 
         with pytest.raises(VirtioError):
             VfDriver(vmset.guest_os, vmset.device)
+
+
+def nic_testbed(kind, seed=31):
+    """A one-vCPU VM with a virtio NIC or an assigned VF, not booted: the
+    tests below drive the driver's generators by hand."""
+    tb = Testbed(seed=seed)
+    if kind == "vf":
+        return tb, tb.add_sriov_vm("tested", 1, FeatureSet(pi=True), vcpu_pinning=[0])
+    return tb, tb.add_vm("tested", 1, FeatureSet(pi=True), vcpu_pinning=[0], vhost_core=1)
+
+
+def fill_tx_ring(device):
+    for i in range(device.txq.size):
+        device.txq.push(Packet("raw", "data", 100, dst="peer", seq=i))
+
+
+class _WakeCounter(GuestTask):
+    """A task stub that counts the driver's TX-space wakes."""
+
+    def __init__(self):
+        super().__init__("tx-stub")
+        self.wakes = 0
+
+    def wake_task(self, waker_context=None):
+        self.wakes += 1
+
+
+@pytest.mark.parametrize("kind", ["virtio", "vf"])
+class TestDriverTx:
+    """TX back-pressure, which both drivers share."""
+
+    def test_driver_xmit_reports_ring_full(self, kind):
+        tb, vmset = nic_testbed(kind)
+        fill_tx_ring(vmset.device)
+        gen = vmset.driver.xmit_ops(Packet("raw", "data", 100, dst="peer"), us(1))
+        op = next(gen)
+        assert type(op) is GWork and op.ns == us(1)  # charged before the check
+        with pytest.raises(StopIteration) as stop:
+            next(gen)
+        assert stop.value.value is False
+        assert vmset.driver._tx_space_waiters == []
+
+    def test_task_blocks_on_full_ring_and_retries(self, kind):
+        tb, vmset = nic_testbed(kind)
+        device, driver = vmset.device, vmset.driver
+        fill_tx_ring(device)
+        task = _WakeCounter()
+        pkt = Packet("raw", "data", 100, dst="peer", seq=999)
+        gen = driver.xmit_ops(pkt, us(1), task)
+        op = next(gen)
+        assert type(op) is GWork and op.ns == us(1)
+        assert type(next(gen)) is TaskBlock
+        assert task.wakes == 0
+        # A pop that reopens the full ring wakes the blocked task, once.
+        device.txq.pop()
+        device.txq.pop()
+        assert task.wakes == 1
+        # The retry charges the stack work again, then queues and notifies.
+        op = next(gen)
+        assert type(op) is GWork and op.ns == us(1)
+        notify = next(gen)
+        with pytest.raises(StopIteration) as stop:
+            next(gen)
+        assert stop.value.value is True
+        queued = [device.txq.pop() for _ in range(len(device.txq))]
+        assert queued[-1] is pkt
+        if kind == "vf":
+            assert type(notify) is GWork and notify.ns == _DOORBELL_NS
+            assert driver.doorbells == 1
+        else:
+            assert type(notify) is GKick and notify.queue is device.txq
 
 
 class TestVfRx:
